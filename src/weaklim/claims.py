@@ -1,11 +1,12 @@
 """Claim registry: every supported identity as a reproducible verdict grid.
 
-Each claim owns a deterministic parameter grid, a measurement routine, and a
-default tolerance per sub-check.  ASSERT claims fail the run when a measured
-deviation exceeds its tolerance; REPORT claims only record.  A tolerance
-override (per claim or global) replaces every sub-check tolerance of the
-affected claims, which is how a forced failure is provoked for testing the
-exit-status contract.
+Each claim owns a deterministic parameter grid, a measurement routine, a
+default tolerance per sub-check, and optionally the ladder sweep that emits
+the rows behind the same measurement.  ASSERT claims fail the run when a
+measured deviation exceeds its tolerance; REPORT claims only record.  A
+tolerance override (per claim or global) replaces every sub-check tolerance
+of the affected claims, which is how a forced failure is provoked for testing
+the exit-status contract.
 
 Default tolerances of the delicate asymptotic claims are calibrated to the
 measured leading-order behavior and documented in README.md: the explicit
@@ -19,33 +20,35 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 from . import distrib, hyper, legendre
-from .complexfn import log_gamma
+from .complexfn import DomainError, log_gamma
 from .config import RunConfig
 from .distrib import PROBES, EpsilonLadder
 from .quad import EndpointExponents, integrate_finite
 from .report import ClaimVerdict
 
 __all__ = ["Claim", "REGISTRY", "claim_ids", "run_claim", "run_all",
-           "sweep", "RunSummary"]
+           "sweep", "sweep_choices", "RunSummary"]
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
 
 
+# A sweep maps (cfg, ladder or None) to (parameter name, rows) with rows of
+# (param, value, err_estimate, deviation).
+SweepFn = Callable[[RunConfig, "tuple[float, ...] | None"], "tuple[str, list]"]
+
+
 @dataclass(frozen=True)
 class Claim:
     id: str
-    description: str
-    target: str
     mode: str                    # ASSERT | REPORT
     tolerance: float             # headline sub-check tolerance
-    default_grid: str
     runner: Callable[["Claim", RunConfig], list[ClaimVerdict]]
+    sweep: tuple[str, SweepFn] | None = None   # (kind, rows for plotting)
 
     def run(self, cfg: RunConfig) -> list[ClaimVerdict]:
         return self.runner(self, cfg)
@@ -114,19 +117,40 @@ def _run_beta_substitution(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     return out
 
 
+# ------------------------------------------------------------------ sweeps
+
+def _eps_sweep(pairing) -> tuple[str, SweepFn]:
+    """Epsilon sweep of a claim's pairing ladder: each row against its target.
+
+    ``pairing(cfg, ladder)`` returns the claim's (PairingSweepResult, target),
+    the same measurement the claim's runner asserts on.
+    """
+    def rows(cfg: RunConfig, ladder):
+        eps = EpsilonLadder(ladder) if ladder else cfg.ladder()
+        res, target = pairing(cfg, eps)
+        return "epsilon", [(p, v, e, abs(v - target))
+                           for (p, v, e) in res.points]
+    return "eps", rows
+
+
 # --------------------------------------------------------------------- E12
 
 _DELTA_INTERVALS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
 
 
-def _run_beta_delta(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
+def _beta_delta_pairing(cfg: RunConfig, ladder: EpsilonLadder,
+                        interval: tuple[float, float] = (-1.0, 1.0)):
     probe = PROBES[cfg.probe]
+    return (distrib.delta_claim_sweep(probe, interval, ladder),
+            distrib.delta_target(probe, *interval))
+
+
+def _run_beta_delta(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     out = []
     for interval in _DELTA_INTERVALS:
-        sweep_res = distrib.delta_claim_sweep(probe, interval, cfg.ladder())
-        target = distrib.delta_target(probe, *interval)
+        sweep_res, target = _beta_delta_pairing(cfg, cfg.ladder(), interval)
         dev = abs(sweep_res.extrapolated_limit - target) / TWO_PI
-        point = f"interval=[{interval[0]:g},{interval[1]:g}];probe={probe.name}"
+        point = f"interval=[{interval[0]:g},{interval[1]:g}];probe={cfg.probe}"
         out.append(_verdict(claim, cfg, point, dev, claim.tolerance,
                             order=sweep_res.fitted_order))
         if target != 0.0:
@@ -139,27 +163,31 @@ def _run_beta_delta(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 
 # --------------------------------------------------------------- E16 / E17
 
-def _run_mellin_forward(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
+def _mellin_forward_pairing(cfg: RunConfig, ladder: EpsilonLadder):
     probe = PROBES[cfg.probe]
-    sweep_res = distrib.mellin_forward_sweep(probe, (-1.0, 1.0), cfg.ladder())
-    target = TWO_PI * probe.value_at_zero
+    return (distrib.mellin_forward_sweep(probe, (-1.0, 1.0), ladder),
+            TWO_PI * probe.value_at_zero)
+
+
+def _run_mellin_forward(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
+    sweep_res, target = _mellin_forward_pairing(cfg, cfg.ladder())
     dev = abs(sweep_res.extrapolated_limit - target) / TWO_PI
-    return [_verdict(claim, cfg, f"interval=[-1,1];probe={probe.name}",
+    return [_verdict(claim, cfg, f"interval=[-1,1];probe={cfg.probe}",
                      dev, claim.tolerance, order=sweep_res.fitted_order)]
 
 
+def _mellin_inverse_pairing(cfg: RunConfig, ladder: EpsilonLadder):
+    return distrib.mellin_inverse_sweep(math.e, ladder), 1.0
+
+
 def _run_mellin_inverse(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    out = []
-    worst = 0.0
-    for eps in cfg.ladder().values:
-        v = distrib.mellin_inverse_check(math.e, eps)
-        dev = abs(v - math.exp(-eps))
-        worst = max(worst, dev)
-        out.append(_verdict(claim, cfg, f"t=e;eps={eps:.6g}", dev,
-                            claim.tolerance))
+    sweep_res, limit = _mellin_inverse_pairing(cfg, cfg.ladder())
+    out = [_verdict(claim, cfg, f"t=e;eps={eps:.6g}", abs(v - math.exp(-eps)),
+                    claim.tolerance)
+           for eps, v, _ in sweep_res.points]
     v4 = distrib.mellin_inverse_check(math.e, 1e-4)
     out.append(_verdict(claim, cfg, "t=e;eps=0.0001;check=limit->1",
-                        abs(v4 - 1.0), 1e-4))
+                        abs(v4 - limit), 1e-4))
     return out
 
 
@@ -237,15 +265,24 @@ def _run_taylor_data(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 
 # --------------------------------------------------------------------- E31
 
+def _weak_limit_pairing(cfg: RunConfig, ladder: EpsilonLadder):
+    return (hyper.family_weak_limit_sweep(PROBES[cfg.probe], (-1.0, 1.0), ladder),
+            0.0)
+
+
 def _run_weak_limit_2f1(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    probe = PROBES[cfg.probe]
     ladder = cfg.ladder()
-    sweep_res = hyper.family_weak_limit_sweep(probe, (-1.0, 1.0), ladder)
+    if len(ladder.values) < 3:
+        raise DomainError("eps ladder of at least 3 values",
+                          f"{claim.id} needs at least 3 ladder values to "
+                          f"check that its pairings decrease; "
+                          f"got {len(ladder.values)}")
+    sweep_res, _ = _weak_limit_pairing(cfg, ladder)
     mags = sweep_res.magnitudes()
     # Magnitude at the ladder point nearest 1e-4.
     idx = min(range(len(ladder.values)),
               key=lambda i: abs(math.log10(ladder.values[i] / 1e-4)))
-    point = f"interval=[-1,1];probe={probe.name}"
+    point = f"interval=[-1,1];probe={cfg.probe}"
     out = [
         _verdict(claim, cfg, point + f";eps={ladder.values[idx]:.6g}",
                  mags[idx], claim.tolerance, order=sweep_res.fitted_order),
@@ -262,26 +299,39 @@ def _run_weak_limit_2f1(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 # --------------------------------------------------------------------- E35
 
 _OSC_KS = (5.0, 10.0, 20.0)
+_OSC_LADDER = tuple(math.exp(-k) for k in _OSC_KS)
+
+
+def _oscillatory_pairing(kind: str, ladder: tuple[float, ...]):
+    return hyper.oscillatory_limit_sweep(PROBES["gaussian"], kind, ladder,
+                                         interval=(-5.0, 5.0))
+
+
+def _gaussian_fourier(k: float) -> float:
+    """Oracle: the gaussian probe's cos pairing at frequency k."""
+    return SQRT_PI * math.exp(-k * k / 4.0)
 
 
 def _run_oscillatory(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    probe = PROBES["gaussian"]
-    ladder = tuple(math.exp(-k) for k in _OSC_KS)
-    cos_s = hyper.oscillatory_limit_sweep(probe, "cos", ladder,
-                                          interval=(-5.0, 5.0))
-    sin_s = hyper.oscillatory_limit_sweep(probe, "sin", ladder,
-                                          interval=(-5.0, 5.0))
+    cos_s = _oscillatory_pairing("cos", _OSC_LADDER)
+    sin_s = _oscillatory_pairing("sin", _OSC_LADDER)
     out = []
     for k, vc, vs in zip(_OSC_KS, cos_s.values, sin_s.values):
-        oracle = SQRT_PI * math.exp(-k * k / 4.0)
         out.append(_verdict(claim, cfg, f"kind=cos;k={k:g}",
-                            abs(vc - oracle), claim.tolerance))
+                            abs(vc - _gaussian_fourier(k)), claim.tolerance))
         out.append(_verdict(claim, cfg, f"kind=sin;k={k:g}",
                             abs(vs), claim.tolerance))
     mags = cos_s.magnitudes()
     out.append(_verdict(claim, cfg, "kind=cos;check=decreasing",
                         0.0 if mags[0] > mags[1] > mags[2] else 1.0, 0.5))
     return out
+
+
+def _sweep_oscillatory(cfg: RunConfig, ladder):
+    s = _oscillatory_pairing("cos", ladder or _OSC_LADDER)
+    return "abs_one_minus_z", [
+        (d, v, e, abs(v - _gaussian_fourier(-math.log(d))))
+        for (d, v, e) in s.points]
 
 
 # --------------------------------------------------------------------- E45
@@ -348,29 +398,44 @@ def _run_relation_grid(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 
 # --------------------------------------------------------------------- E49
 
+def _explicit_ratio(nu: float) -> complex:
+    """Quadrature Q_nu(2) over the explicit large-degree form."""
+    asym = legendre.asymptotic_large_nu(nu, 0.0, 2.0, with_quadrature=True)
+    return asym.via_q_nu / asym.explicit
+
+
 def _run_large_nu(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     nu, tau = 1e3, 1.0
     ratio = cmath.exp(log_gamma(nu + 1.0 + 1j * tau) - log_gamma(nu + 1.0))
     power = cmath.exp(1j * tau * math.log(nu))
     out = [_verdict(claim, cfg, "nu=1000;tau=1;check=gamma-ratio",
                     abs(ratio - power) / abs(power), claim.tolerance)]
-    got = legendre.asymptotic_large_nu(50.0, 0.0, 2.0, with_quadrature=True)
-    dev = abs(got.via_q_nu / got.explicit - 1.0)
     out.append(_verdict(claim, cfg, "nu=50;tau=0;z=2;check=explicit-ratio",
-                        dev, 0.10))
+                        abs(_explicit_ratio(50.0) - 1.0), 0.10))
     return out
 
 
+def _sweep_large_nu(cfg: RunConfig, ladder):
+    rows = []
+    for nu in ladder or (10.0, 50.0, 250.0):
+        ratio = _explicit_ratio(nu)
+        rows.append((nu, ratio, 1e-9, abs(ratio - 1.0)))
+    return "nu", rows
+
+
 # --------------------------------------------------------------- E53 / E54
+
+def _log_law_ratio(nu: float, z: float) -> float:
+    """|leading-logarithm law / Q_nu(z)|; tends to 1 as z -> 1+."""
+    return abs(legendre.near_one_laws(nu, z, kind="log") / legendre.q_nu(nu, z))
+
 
 def _run_near_one(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     out = []
     z = 1.0 + 1e-6
     for nu in (0.0, 1.0):
-        law = legendre.near_one_laws(nu, z, kind="log")
-        dev = abs(abs(law / legendre.q_nu(nu, z)) - 1.0)
         out.append(_verdict(claim, cfg, f"nu={nu:g};z-1=1e-06;law=log",
-                            dev, claim.tolerance))
+                            abs(_log_law_ratio(nu, z) - 1.0), claim.tolerance))
     law53 = legendre.near_one_laws(1.0, z, tau=0.5, kind="log_itau")
     rhs = legendre.relation_rhs(1.0, 0.5, z)
     out.append(_verdict(claim, cfg, "nu=1;tau=0.5;z-1=1e-06;law=log_itau",
@@ -378,18 +443,21 @@ def _run_near_one(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     return out
 
 
+def _sweep_near_one(cfg: RunConfig, ladder):
+    rows = []
+    for d in ladder or (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        ratio = _log_law_ratio(0.0, 1.0 + d)
+        rows.append((d, complex(ratio), 1e-9, abs(ratio - 1.0)))
+    return "z_minus_one", rows
+
+
 def _run_power_slope(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     deltas = (1e-3, 1e-4, 1e-5)
     out = []
     for nu, mu in ((0.0, 0.5), (1.0, 1.0)):
-        xs, ys = [], []
-        for d in deltas:
-            xs.append(math.log(d))
-            ys.append(math.log(abs(legendre.q_nu_mu(nu, mu, 1.0 + d))))
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) \
-            / sum((x - mx) ** 2 for x in xs)
+        xs = [math.log(d) for d in deltas]
+        ys = [math.log(abs(legendre.q_nu_mu(nu, mu, 1.0 + d))) for d in deltas]
+        slope, _ = distrib._lsq_slope(xs, ys)
         dev = abs(slope + 0.5 * mu)
         out.append(_verdict(claim, cfg, f"nu={nu:g};mu={mu:g};check=slope",
                             dev, claim.tolerance, order=slope))
@@ -399,88 +467,31 @@ def _run_power_slope(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 # ----------------------------------------------------------------- registry
 
 REGISTRY: tuple[Claim, ...] = tuple(sorted([
-    Claim("E03-beta-substitution",
-          "half-line Beta representation equals the Euler closed form",
-          "relative deviation 0", "ASSERT", 1e-9, "6 (alpha, beta) points",
-          _run_beta_substitution),
-    Claim("E04-euler-beta",
-          "Beta integral quadrature equals Gamma(a)Gamma(b)/Gamma(a+b)",
-          "relative deviation 0", "ASSERT", 1e-9,
-          "12-point grid, Re in {0.5, 1, 2.5}, Im in {0, +-1}",
-          _run_euler_beta),
-    Claim("E12-beta-delta",
-          "regularized Beta pairing tends to 2 pi phi(0) (interior case)",
-          "2 pi phi(0) / pi phi(0) / 0 by interval", "ASSERT", 1e-2,
-          "intervals [-1,1], [0,1], [1,2]; default ladder",
-          _run_beta_delta),
-    Claim("E16-mellin-forward",
-          "quadrature Mellin pairing of f(t)=1 tends to 2 pi phi(0)",
-          "2 pi phi(0)", "ASSERT", 1e-2, "interval [-1,1]; default ladder",
-          _run_mellin_forward),
-    Claim("E17-mellin-inverse",
-          "mollified inverse matches exp(-eps |ln t|) and tends to 1",
-          "exp(-eps) per point; 1 in the limit", "ASSERT", 1e-8,
-          "t = e; default ladder", _run_mellin_inverse),
-    Claim("E18-gauss-summation",
-          "series near z=1 approaches the unit-argument closed form",
-          "closed form", "ASSERT", 1e-2,
-          "5 admissible parameter sets; z = 1-1e-3 and 1-1e-4",
-          _run_gauss_summation),
-    Claim("E21-duplication-form",
-          "gamma-product and duplication routes agree for the family",
-          "relative residual 0", "ASSERT", 1e-10,
-          "eps in {1e-3,1e-2,0.1,0.5} x tau in {0.1,0.5,1,2}",
-          _run_duplication_form),
-    Claim("E22-factorization",
-          "family equals f(eps,tau) (eps + i tau) omega_eps(tau)",
-          "relative residual 0", "ASSERT", 1e-10, "same 16-point grid",
-          _run_factorization),
-    Claim("E25-taylor-data",
-          "analytic f', f'' match finite differences",
-          "relative deviation 0", "ASSERT", 1e-4,
-          "f' at eps=0, tau in {0,...,2}; f'' at three interior points",
-          _run_taylor_data),
-    Claim("E31-weak-limit-2f1",
-          "family pairing magnitudes fall to 0 along the ladder",
-          "0", "ASSERT", 1e-2, "interval [-1,1]; default ladder",
-          _run_weak_limit_2f1),
-    Claim("E35-oscillatory",
-          "cos/sin pairings match the gaussian Fourier transform and fall",
-          "sqrt(pi) exp(-k^2/4) and 0", "ASSERT", 1e-6,
-          "|1-z| = e^-k, k in {5, 10, 20}; gaussian on [-5, 5]",
-          _run_oscillatory),
-    Claim("E45-large-z-asym",
-          "kernel integral matches the large-z closed-form asymptote",
-          "ratio 1", "ASSERT", 1e-2,
-          "(nu, mu) in {(0,0), (2,0.5), (1,0.5j)}; z = 1e3",
-          _run_large_z),
-    Claim("E46-eta-solver",
-          "cos value equals the gamma modulus ratio; tends to 1 at large nu",
-          "pi/sinh(pi) at nu=0, tau=1; 1 at nu=1e3", "ASSERT", 1e-10,
-          "nu in {0, 1e3}; tau = 1", _run_eta_solver),
-    Claim("E47-legendre-exact",
-          "imaginary-order relation is exact at tau = 0",
-          "deviation 0", "ASSERT", 1e-8, "nu in {0,1,2} x z in {2,5}",
-          _run_relation_exact),
-    Claim("E47-legendre-relation",
-          "measured deviation grid of the imaginary-order relation",
-          "deviation recorded, no assertion", "REPORT", math.inf,
-          "nu in {0,1,2} x tau in {0.25,0.5,1} x z in {1.5,2,5}",
-          _run_relation_grid),
-    Claim("E49-large-nu-asym",
-          "gamma ratio matches nu^(i tau); explicit form tracks quadrature",
-          "ratio 1 up to the kernel-width constant", "ASSERT", 1e-3,
-          "nu = 1e3 gamma ratio; nu = 50, z = 2 explicit ratio",
-          _run_large_nu),
-    Claim("E53-near-one",
-          "leading-logarithm laws track Q near z = 1",
-          "ratio 1 up to the dropped additive constant", "ASSERT", 0.12,
-          "nu in {0, 1}; z - 1 = 1e-6", _run_near_one),
-    Claim("E54-power-slope",
-          "log-log slope of the positive-order singularity is -Re(mu)/2",
-          "slope -Re(mu)/2", "ASSERT", 0.02,
-          "(nu, mu) in {(0, 0.5), (1, 1)}; z - 1 in {1e-3, 1e-4, 1e-5}",
-          _run_power_slope),
+    Claim("E03-beta-substitution", "ASSERT", 1e-9, _run_beta_substitution),
+    Claim("E04-euler-beta", "ASSERT", 1e-9, _run_euler_beta),
+    Claim("E12-beta-delta", "ASSERT", 1e-2, _run_beta_delta,
+          _eps_sweep(_beta_delta_pairing)),
+    Claim("E16-mellin-forward", "ASSERT", 1e-2, _run_mellin_forward,
+          _eps_sweep(_mellin_forward_pairing)),
+    Claim("E17-mellin-inverse", "ASSERT", 1e-8, _run_mellin_inverse,
+          _eps_sweep(_mellin_inverse_pairing)),
+    Claim("E18-gauss-summation", "ASSERT", 1e-2, _run_gauss_summation),
+    Claim("E21-duplication-form", "ASSERT", 1e-10, _run_duplication_form),
+    Claim("E22-factorization", "ASSERT", 1e-10, _run_factorization),
+    Claim("E25-taylor-data", "ASSERT", 1e-4, _run_taylor_data),
+    Claim("E31-weak-limit-2f1", "ASSERT", 1e-2, _run_weak_limit_2f1,
+          _eps_sweep(_weak_limit_pairing)),
+    Claim("E35-oscillatory", "ASSERT", 1e-6, _run_oscillatory,
+          ("z", _sweep_oscillatory)),
+    Claim("E45-large-z-asym", "ASSERT", 1e-2, _run_large_z),
+    Claim("E46-eta-solver", "ASSERT", 1e-10, _run_eta_solver),
+    Claim("E47-legendre-exact", "ASSERT", 1e-8, _run_relation_exact),
+    Claim("E47-legendre-relation", "REPORT", math.inf, _run_relation_grid),
+    Claim("E49-large-nu-asym", "ASSERT", 1e-3, _run_large_nu,
+          ("nu", _sweep_large_nu)),
+    Claim("E53-near-one", "ASSERT", 0.12, _run_near_one,
+          ("z", _sweep_near_one)),
+    Claim("E54-power-slope", "ASSERT", 0.02, _run_power_slope),
 ], key=lambda c: c.id))
 
 _BY_ID = {c.id: c for c in REGISTRY}
@@ -521,32 +532,15 @@ class RunSummary:
 def run_all(cfg: RunConfig | None = None) -> RunSummary:
     """Execute every registered claim; exit status 1 iff an ASSERT failed."""
     cfg = cfg or RunConfig()
-
-    def timed(claim: Claim):
-        t0 = time.perf_counter()
-        verdicts = claim.run(cfg)
-        return claim.id, verdicts, int(1000 * (time.perf_counter() - t0))
-
-    if cfg.parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = dict(
-                (cid, (v, ms))
-                for cid, v, ms in pool.map(timed, REGISTRY)
-            )
-    else:
-        results = {}
-        for claim in REGISTRY:
-            cid, v, ms = timed(claim)
-            results[cid] = (v, ms)
-
     rows = []
     verdicts: list[ClaimVerdict] = []
     runtimes = {}
     any_fail = False
-    for claim in REGISTRY:  # fixed output order regardless of execution
-        v, ms = results[claim.id]
+    for claim in REGISTRY:
+        t0 = time.perf_counter()
+        v = claim.run(cfg)
+        runtimes[claim.id] = int(1000 * (time.perf_counter() - t0))
         verdicts.extend(v)
-        runtimes[claim.id] = ms
         failures = sum(1 for x in v if x.status == "FAIL")
         any_fail = any_fail or failures > 0
         rows.append({
@@ -559,68 +553,23 @@ def run_all(cfg: RunConfig | None = None) -> RunSummary:
     return RunSummary(rows, verdicts, runtimes, 1 if any_fail else 0)
 
 
-# ------------------------------------------------------------------- sweeps
-
-_SWEEP_KINDS = {
-    "eps": ("E12-beta-delta", "E16-mellin-forward", "E17-mellin-inverse",
-            "E31-weak-limit-2f1"),
-    "z": ("E35-oscillatory", "E53-near-one"),
-    "nu": ("E49-large-nu-asym",),
-}
+def sweep_choices() -> dict[str, list[str]]:
+    """Sweep kind -> ids of the claims that serve it, in registry order."""
+    out: dict[str, list[str]] = {}
+    for c in REGISTRY:
+        if c.sweep:
+            out.setdefault(c.sweep[0], []).append(c.id)
+    return out
 
 
 def sweep(kind: str, claim_id: str, cfg: RunConfig | None = None,
           ladder: tuple[float, ...] | None = None):
     """Ladder rows (param, value, err_estimate, deviation) for plotting."""
-    cfg = cfg or RunConfig()
-    if kind not in _SWEEP_KINDS:
+    choices = sweep_choices()
+    if kind not in choices:
         raise KeyError(f"unknown sweep kind {kind!r}")
-    if claim_id not in _SWEEP_KINDS[kind]:
+    claim = _BY_ID.get(claim_id)
+    if claim is None or claim.sweep is None or claim.sweep[0] != kind:
         raise KeyError(f"claim {claim_id!r} does not support kind {kind!r}; "
-                       f"choices: {', '.join(_SWEEP_KINDS[kind])}")
-    probe = PROBES[cfg.probe]
-
-    if kind == "eps":
-        lad = EpsilonLadder(ladder) if ladder else cfg.ladder()
-        if claim_id == "E12-beta-delta":
-            s = distrib.delta_claim_sweep(probe, (-1.0, 1.0), lad)
-            target = distrib.delta_target(probe, -1.0, 1.0)
-        elif claim_id == "E16-mellin-forward":
-            s = distrib.mellin_forward_sweep(probe, (-1.0, 1.0), lad)
-            target = TWO_PI * probe.value_at_zero
-        elif claim_id == "E17-mellin-inverse":
-            s = distrib.mellin_inverse_sweep(math.e, lad)
-            target = 1.0
-        else:
-            s = hyper.family_weak_limit_sweep(probe, (-1.0, 1.0), lad)
-            target = 0.0
-        rows = [(p, v, e, abs(v - target)) for (p, v, e) in s.points]
-        return "epsilon", rows
-
-    if kind == "z":
-        if claim_id == "E35-oscillatory":
-            vals = ladder or tuple(math.exp(-k) for k in _OSC_KS)
-            s = hyper.oscillatory_limit_sweep(probe, "cos", vals,
-                                              interval=(-5.0, 5.0))
-            rows = []
-            for (d, v, e) in s.points:
-                k = -math.log(d)
-                oracle = SQRT_PI * math.exp(-k * k / 4.0)
-                rows.append((d, v, e, abs(v - oracle)))
-            return "abs_one_minus_z", rows
-        vals = ladder or (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        rows = []
-        for d in vals:
-            law = legendre.near_one_laws(0.0, 1.0 + d, kind="log")
-            q = legendre.q_nu(0.0, 1.0 + d)
-            ratio = complex(abs(law / q))
-            rows.append((d, ratio, 1e-9, abs(ratio.real - 1.0)))
-        return "z_minus_one", rows
-
-    vals = ladder or (10.0, 50.0, 250.0)
-    rows = []
-    for nu in vals:
-        asym = legendre.asymptotic_large_nu(nu, 0.0, 2.0, with_quadrature=True)
-        ratio = asym.via_q_nu / asym.explicit
-        rows.append((nu, ratio, 1e-9, abs(ratio - 1.0)))
-    return "nu", rows
+                       f"choices: {', '.join(choices[kind])}")
+    return claim.sweep[1](cfg or RunConfig(), ladder)

@@ -20,14 +20,18 @@ import sys
 
 from . import claims, distrib, hyper, legendre
 from .complexfn import (
+    DIGAMMA_CONTRACT,
     DomainError,
     GAMMA_CONTRACT,
+    TRIGAMMA_CONTRACT,
     digamma,
     gamma,
     log_gamma,
     trigamma,
 )
-from .config import build_run_config, load_config_file
+from .config import build_run_config, load_config_file, parse_floats
+from .hyper import SeriesError
+from .quad import ConvergenceError
 from .report import (
     fmt_float,
     relation_grid_csv,
@@ -40,71 +44,62 @@ from .report import (
 __all__ = ["main"]
 
 
-def _contract_err(value: complex) -> float:
-    return abs(value) * GAMMA_CONTRACT.target_rel_err
+def _valued(err):
+    """Renderer of a complex value with the error estimate err(value)."""
+    def render(value) -> dict:
+        return {
+            "value": {"re": fmt_float(value.real), "im": fmt_float(value.imag)},
+            "error_estimate": fmt_float(err(value)),
+        }
+    return render
 
 
-# name -> (parameter names, callable(params) -> (value, error_estimate))
-_EVAL_CATALOG = {
-    "gamma": (("z",), lambda p: (gamma(p["z"]), _contract_err(gamma(p["z"])))),
-    "log_gamma": (("z",), lambda p: (log_gamma(p["z"]),
-                                     _contract_err(log_gamma(p["z"])))),
-    "digamma": (("z",), lambda p: (digamma(p["z"]),
-                                   abs(digamma(p["z"])) * 1e-10)),
-    "trigamma": (("z",), lambda p: (trigamma(p["z"]),
-                                    abs(trigamma(p["z"])) * 1e-8)),
-    "beta": (("alpha", "beta"),
-             lambda p: (distrib.beta(p["alpha"], p["beta"]),
-                        _contract_err(distrib.beta(p["alpha"], p["beta"])))),
-    "beta_reg": (("tau", "eps"),
-                 lambda p: (distrib.beta_reg(p["tau"].real, p["eps"].real),
-                            _contract_err(distrib.beta_reg(p["tau"].real,
-                                                           p["eps"].real)))),
-    "omega_eps": (("x", "eps"),
-                  lambda p: (complex(distrib.omega_eps(p["x"].real,
-                                                       p["eps"].real)), 0.0)),
-    "hyp2f1": (("a", "b", "c", "z"),
-               lambda p: (hyper.hyp2f1(p["a"], p["b"], p["c"], p["z"]),
-                          abs(hyper.hyp2f1(p["a"], p["b"], p["c"],
-                                           p["z"])) * 1e-12)),
-    "gauss_sum": (("a", "b", "c"),
-                  lambda p: (hyper.gauss_sum(p["a"], p["b"], p["c"]),
-                             _contract_err(hyper.gauss_sum(p["a"], p["b"],
-                                                           p["c"])))),
-    "family_closed_form": (("tau", "eps"),
-                           lambda p: (hyper.family_closed_form(
-                               p["tau"].real, p["eps"].real), 0.0)),
-    "f_factor": (("eps", "tau"),
-                 lambda p: (hyper.f_factor(p["eps"].real, p["tau"].real), 0.0)),
-    "mellin_forward": (("tau", "eps"),
-                       lambda p: (distrib.mellin_reg_forward(
-                           p["tau"].real, p["eps"].real), 1e-9)),
-    "mellin_inverse": (("t", "eps"),
-                       lambda p: (distrib.mellin_inverse_check(
-                           p["t"].real, p["eps"].real), 1e-9)),
+def _rel(factor: float):
+    return _valued(lambda value: abs(value) * factor)
+
+
+def _abs(estimate: float):
+    return _valued(lambda value: estimate)
+
+
+def _eta_fields(sol) -> dict:
+    return {
+        "eta": fmt_float(sol.eta),
+        "cos_value": fmt_float(sol.cos_value),
+        "branch_index": sol.branch_index,
+        "degenerate": sol.degenerate,
+    }
+
+
+_GAMMA_REL = GAMMA_CONTRACT.target_rel_err
+
+# name -> (parameter names, function of them in that order, renderer of its
+# result).  Closed forms state a relative error (their accuracy contract);
+# quadrature values state a fixed absolute estimate.
+_EVALS = {
+    "gamma": (("z",), gamma, _rel(_GAMMA_REL)),
+    "log_gamma": (("z",), log_gamma, _rel(_GAMMA_REL)),
+    "digamma": (("z",), digamma, _rel(DIGAMMA_CONTRACT.target_rel_err)),
+    "trigamma": (("z",), trigamma, _rel(TRIGAMMA_CONTRACT.target_rel_err)),
+    "beta": (("alpha", "beta"), distrib.beta, _rel(_GAMMA_REL)),
+    "beta_reg": (("tau", "eps"), distrib.beta_reg, _rel(_GAMMA_REL)),
+    "omega_eps": (("x", "eps"), distrib.omega_eps, _abs(0.0)),
+    "hyp2f1": (("a", "b", "c", "z"), hyper.hyp2f1, _rel(1e-12)),
+    "gauss_sum": (("a", "b", "c"), hyper.gauss_sum, _rel(_GAMMA_REL)),
+    "family_closed_form": (("tau", "eps"), hyper.family_closed_form, _abs(0.0)),
+    "f_factor": (("eps", "tau"), hyper.f_factor, _abs(0.0)),
+    "mellin_forward": (("tau", "eps"), distrib.mellin_reg_forward, _abs(1e-9)),
+    "mellin_inverse": (("t", "eps"), distrib.mellin_inverse_check, _abs(1e-9)),
+    "q_nu": (("nu", "z"), legendre.q_nu, _abs(1e-10)),
+    "q_nu_mu": (("nu", "mu", "z"), legendre.q_nu_mu, _abs(1e-10)),
+    "q_nu_itau": (("nu", "tau", "z"), legendre.q_nu_itau_direct, _abs(1e-10)),
+    "relation_rhs": (("nu", "tau", "z"), legendre.relation_rhs, _abs(1e-10)),
+    "solve_eta": (("nu", "tau"),
+                  lambda nu, tau: legendre.solve_eta(nu.real, tau), _eta_fields),
 }
 
-
-def _eval_quadrature(name, params):
-    if name == "q_nu":
-        return legendre.q_nu(params["nu"], params["z"]), 1e-10
-    if name == "q_nu_mu":
-        return legendre.q_nu_mu(params["nu"], params["mu"], params["z"]), 1e-10
-    if name == "q_nu_itau":
-        return legendre.q_nu_itau_direct(params["nu"], params["tau"].real,
-                                         params["z"]), 1e-10
-    if name == "relation_rhs":
-        return legendre.relation_rhs(params["nu"], params["tau"].real,
-                                     params["z"]), 1e-10
-    raise KeyError(name)
-
-
-_QUAD_EVALS = {
-    "q_nu": ("nu", "z"),
-    "q_nu_mu": ("nu", "mu", "z"),
-    "q_nu_itau": ("nu", "tau", "z"),
-    "relation_rhs": ("nu", "tau", "z"),
-}
+# Parameters on a real axis; the real part of their parsed value is passed.
+_REAL_PARAMS = ("tau", "eps", "x", "t")
 
 
 def _parse_params(tokens, wanted):
@@ -120,47 +115,26 @@ def _parse_params(tokens, wanted):
                               f"unexpected parameter {key!r}; "
                               f"wanted: {', '.join(wanted)}")
         try:
-            params[key] = complex(val.strip().replace("i", "j"))
+            value = complex(val.strip().replace("i", "j"))
         except ValueError:
             raise DomainError("numeric parameters",
                               f"cannot parse value in {tok!r}") from None
+        params[key] = value.real if key in _REAL_PARAMS else value
     missing = [w for w in wanted if w not in params]
     if missing:
         raise DomainError("all parameters present",
                           f"missing parameters: {', '.join(missing)}")
-    return params
+    return [params[w] for w in wanted]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cfg) -> int:
     name = args.function
-    if name == "solve_eta":
-        params = _parse_params(args.params, ("nu", "tau"))
-        sol = legendre.solve_eta(params["nu"].real, params["tau"].real)
-        print(json.dumps({
-            "function": "solve_eta",
-            "eta": fmt_float(sol.eta),
-            "cos_value": fmt_float(sol.cos_value),
-            "branch_index": sol.branch_index,
-            "degenerate": sol.degenerate,
-        }, indent=2))
-        return 0
-    if name in _EVAL_CATALOG:
-        wanted, fn = _EVAL_CATALOG[name]
-        params = _parse_params(args.params, wanted)
-        value, err = fn(params)
-    elif name in _QUAD_EVALS:
-        params = _parse_params(args.params, _QUAD_EVALS[name])
-        value, err = _eval_quadrature(name, params)
-    else:
-        known = sorted([*_EVAL_CATALOG, *_QUAD_EVALS, "solve_eta"])
-        print(f"unknown function {name!r}; known: {', '.join(known)}",
-              file=sys.stderr)
-        return 2
-    print(json.dumps({
-        "function": name,
-        "value": {"re": fmt_float(value.real), "im": fmt_float(value.imag)},
-        "error_estimate": fmt_float(err),
-    }, indent=2))
+    if name not in _EVALS:
+        raise KeyError(f"unknown function {name!r}; "
+                       f"known: {', '.join(sorted(_EVALS))}")
+    wanted, fn, render = _EVALS[name]
+    result = fn(*_parse_params(args.params, wanted))
+    print(json.dumps({"function": name, **render(result)}, indent=2))
     return 0
 
 
@@ -214,9 +188,8 @@ def _cmd_verify_all(args, cfg) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    ladder = None
-    if args.eps_ladder:
-        ladder = tuple(float(x) for x in args.eps_ladder.split(","))
+    ladder = (parse_floats("eps_ladder", args.eps_ladder)
+              if args.eps_ladder else None)
     param_name, rows = claims.sweep(args.kind, args.claim_id, cfg, ladder)
     _emit(sweep_rows_csv(param_name, rows), cfg.out)
     return 0
@@ -239,61 +212,55 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--probe", help="probe name for pairings")
     common.add_argument("--tol", type=float,
                         help="tolerance override for every sub-check")
-    common.add_argument("--parallel", action="store_true", default=None,
-                        help="run claims concurrently (same output order)")
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate one catalog function")
     p_eval.add_argument("function")
     p_eval.add_argument("params", nargs="*", help="key=value arguments")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run one claim")
     p_verify.add_argument("claim_id")
+    p_verify.set_defaults(run=_cmd_verify)
 
-    sub.add_parser("verify-all", parents=[common], help="run every claim")
+    p_all = sub.add_parser("verify-all", parents=[common],
+                           help="run every claim")
+    p_all.set_defaults(run=_cmd_verify_all)
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="emit ladder rows for one claim")
-    p_sweep.add_argument("kind", choices=("eps", "z", "nu"))
+    p_sweep.add_argument("kind", choices=tuple(claims.sweep_choices()))
     p_sweep.add_argument("claim_id")
+    p_sweep.set_defaults(run=_cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         file_values = load_config_file(args.config) if args.config else {}
         flag_values = {
             "out": args.out,
             "format": args.format,
             "probe": args.probe,
+            "tol": args.tol,
         }
-        if args.eps_ladder and args.command != "sweep":
+        if args.command != "sweep":  # a sweep's ladder need not be eps
             flag_values["eps_ladder"] = args.eps_ladder
-        if args.tol is not None:
-            flag_values["tol"] = str(args.tol)
-        if args.parallel:
-            flag_values["parallel"] = True
         cfg = build_run_config(file_values, flag_values)
-
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        if args.command == "verify-all":
-            return _cmd_verify_all(args, cfg)
-        if args.command == "sweep":
-            return _cmd_sweep(args, cfg)
-        parser.error(f"unknown command {args.command!r}")
-    except DomainError as exc:
+        unknown = sorted(set(cfg.tol_overrides) - set(claims.claim_ids()))
+        if unknown:
+            raise DomainError("tol.<claim> names a registered claim",
+                              f"no registered claim {', '.join(unknown)} "
+                              f"for a tol.<claim> override")
+        return args.run(args, cfg)
+    except (DomainError, ConvergenceError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,16 +1,8 @@
 """Run configuration: flat key=value config files merged with CLI flags.
 
-Recognized keys:
-
-    eps_ladder   comma-separated decreasing positive floats
-    probe        probe catalog name (gaussian, cauchy, bump, const)
-    out          output path
-    format       json | csv | md
-    parallel     true | false
-    tol          global tolerance override (applies to every ASSERT claim)
-    tol.<claim>  per-claim tolerance override
-
-Unknown keys are errors.  Flags win over file values.
+The recognized keys are those of ``_KEYS`` below, plus ``tol.<claim>`` for a
+per-claim tolerance override.  Unknown keys are errors.  Flags win over file
+values.
 """
 
 from __future__ import annotations
@@ -20,10 +12,9 @@ from dataclasses import dataclass, field
 from .complexfn import DomainError
 from .distrib import PROBES, EpsilonLadder
 
-__all__ = ["RunConfig", "load_config_file", "build_run_config"]
+__all__ = ["RunConfig", "load_config_file", "build_run_config", "parse_floats"]
 
 _FORMATS = ("json", "csv", "md")
-_SCALAR_KEYS = ("eps_ladder", "probe", "out", "format", "parallel", "tol")
 
 
 @dataclass
@@ -32,7 +23,6 @@ class RunConfig:
     probe: str = "gaussian"
     out: str | None = None
     format: str = "json"
-    parallel: bool = False
     global_tol: float | None = None
     tol_overrides: dict = field(default_factory=dict)
 
@@ -44,8 +34,11 @@ class RunConfig:
             raise DomainError("probe in catalog",
                               f"unknown probe {self.probe!r}; "
                               f"choices: {sorted(PROBES)}")
-        if self.global_tol is not None and not self.global_tol > 0.0:
-            raise DomainError("tol > 0")
+        tols = {"tol": self.global_tol,
+                **{f"tol.{c}": t for c, t in self.tol_overrides.items()}}
+        for key, tol in tols.items():
+            if tol is not None and not tol > 0.0:
+                raise DomainError("tol > 0", f"{key} = {tol!r} is not > 0")
 
     def ladder(self) -> EpsilonLadder:
         return self.eps_ladder or EpsilonLadder.default()
@@ -58,22 +51,41 @@ class RunConfig:
         return default
 
 
-def _parse_ladder(text: str) -> EpsilonLadder:
+def _number(key: str, text: str) -> float:
     try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
+        return float(text)
     except ValueError:
-        raise DomainError("eps_ladder numeric",
-                          f"cannot parse ladder {text!r}") from None
-    return EpsilonLadder(values)
+        raise DomainError(f"{key} numeric",
+                          f"cannot parse {key} value {text!r}") from None
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise DomainError("boolean value", f"cannot parse boolean {text!r}")
+def parse_floats(key: str, text: str) -> tuple[float, ...]:
+    """Comma-separated numbers; a token that does not parse is a DomainError."""
+    return tuple(_number(key, x) for x in text.split(",") if x.strip())
+
+
+def _text(key: str, text: str) -> str:
+    return text
+
+
+# key -> (RunConfig field, parser(key, text)); values that are not text
+# (flags argparse already typed) are taken as they are.
+_KEYS = {
+    "eps_ladder": ("eps_ladder",         # decreasing positive floats
+                   lambda k, t: EpsilonLadder(parse_floats(k, t))),
+    "probe": ("probe", _text),           # gaussian, cauchy, bump, const
+    "out": ("out", _text),               # output path
+    "format": ("format", _text),         # json | csv | md
+    "tol": ("global_tol", _number),      # override for every ASSERT claim
+    "tol.": ("tol_overrides", _number),  # tol.<claim>: one claim's override
+}
+
+
+def _key_entry(key: str, where: str = ""):
+    entry = _KEYS.get("tol." if key.startswith("tol.") else key)
+    if entry is None:
+        raise DomainError("known config keys", f"{where}unknown key {key!r}")
+    return entry
 
 
 def load_config_file(path: str) -> dict:
@@ -89,12 +101,8 @@ def load_config_file(path: str) -> dict:
                                   f"{path}:{lineno}: missing '=' in {raw!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            val = val.strip()
-            if key in _SCALAR_KEYS or key.startswith("tol."):
-                values[key] = val
-            else:
-                raise DomainError("known config keys",
-                                  f"{path}:{lineno}: unknown key {key!r}")
+            _key_entry(key, f"{path}:{lineno}: ")
+            values[key] = val.strip()
     return values
 
 
@@ -106,27 +114,12 @@ def build_run_config(file_values: dict | None = None,
         if v is not None:
             merged[k] = v
 
-    kwargs: dict = {}
-    overrides: dict = {}
+    kwargs: dict = {"tol_overrides": {}}
     for key, val in merged.items():
-        if key == "eps_ladder":
-            kwargs["eps_ladder"] = (val if isinstance(val, EpsilonLadder)
-                                    else _parse_ladder(val))
-        elif key == "probe":
-            kwargs["probe"] = val
-        elif key == "out":
-            kwargs["out"] = val
-        elif key == "format":
-            kwargs["format"] = val
-        elif key == "parallel":
-            kwargs["parallel"] = (val if isinstance(val, bool)
-                                  else _parse_bool(val))
-        elif key == "tol":
-            kwargs["global_tol"] = float(val)
-        elif key.startswith("tol."):
-            overrides[key[4:]] = float(val)
+        name, parse = _key_entry(key)
+        value = parse(key, val) if isinstance(val, str) else val
+        if name == "tol_overrides":
+            kwargs[name][key[len("tol."):]] = value
         else:
-            raise DomainError("known config keys", f"unknown key {key!r}")
-    cfg = RunConfig(**kwargs)
-    cfg.tol_overrides.update(overrides)
-    return cfg
+            kwargs[name] = value
+    return RunConfig(**kwargs)

@@ -147,10 +147,6 @@ class PairingSweepResult:
     fitted_order: float
 
     @property
-    def params(self):
-        return [p for p, _, _ in self.points]
-
-    @property
     def values(self):
         return [v for _, v, _ in self.points]
 
@@ -212,8 +208,18 @@ def _fit_sweep(params, values, errs) -> tuple[complex, float]:
     return limit, order
 
 
-def _sweep_result(params, values, errs) -> PairingSweepResult:
-    limit, order = _fit_sweep(list(params), list(values), list(errs))
+def _ladder_sweep(params, measure) -> PairingSweepResult:
+    """Measure each ladder parameter in order and fit the limit.
+
+    ``measure(p)`` returns (value, error estimate) at parameter p.
+    """
+    params = list(params)
+    values, errs = [], []
+    for p in params:
+        value, err = measure(p)
+        values.append(value)
+        errs.append(err)
+    limit, order = _fit_sweep(params, values, errs)
     pts = tuple((float(p), complex(v), float(er))
                 for p, v, er in zip(params, values, errs))
     return PairingSweepResult(pts, limit, order)
@@ -282,17 +288,14 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
                       ladder: EpsilonLadder | None = None,
                       spec: QuadratureSpec | None = None) -> PairingSweepResult:
     """Pair the regularized Beta kernel against a probe along the ladder."""
-    ladder = ladder or EpsilonLadder.default()
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-    a, b = interval
-    params, values, errs = [], [], []
-    for eps in ladder.values:
-        kern = lambda ts, e=eps: np.array([beta_reg(float(t), e) for t in ts])
-        res = integrate_pairing(probe, kern, a, b, spec, origin_scale=eps / 4.0)
-        params.append(eps)
-        values.append(res.value)
-        errs.append(res.error_estimate)
-    return _sweep_result(params, values, errs)
+
+    def measure(eps):
+        kern = lambda ts: np.array([beta_reg(float(t), eps) for t in ts])
+        res = integrate_pairing(probe, kern, *interval, spec,
+                                origin_scale=eps / 4.0)
+        return res.value, res.error_estimate
+    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
 
 
 # ------------------------------------------------------- regularized Mellin
@@ -392,17 +395,14 @@ def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
                          ladder: EpsilonLadder | None = None,
                          spec: QuadratureSpec | None = None) -> PairingSweepResult:
     """Pair the quadrature-computed Mellin values against a probe."""
-    ladder = ladder or EpsilonLadder.default()
     spec = spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
-    a, b = interval
-    params, values, errs = [], [], []
-    for eps in ladder.values:
-        kern = lambda ts, e=eps: _mellin_forward_grid(ts, e)
-        res = integrate_pairing(probe, kern, a, b, spec, origin_scale=eps / 4.0)
-        params.append(eps)
-        values.append(res.value)
-        errs.append(res.error_estimate)
-    return _sweep_result(params, values, errs)
+
+    def measure(eps):
+        kern = lambda ts: _mellin_forward_grid(ts, eps)
+        res = integrate_pairing(probe, kern, *interval, spec,
+                                origin_scale=eps / 4.0)
+        return res.value, res.error_estimate
+    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
 
 
 # --------------------------------------------------------- mollified inverse
@@ -460,11 +460,5 @@ def mellin_inverse_check(t: float, eps: float,
 def mellin_inverse_sweep(t: float, ladder: EpsilonLadder | None = None,
                          spec: QuadratureSpec | None = None) -> PairingSweepResult:
     """Mollified inverse values along the ladder; the limit targets 1."""
-    ladder = ladder or EpsilonLadder.default()
-    params, values, errs = [], [], []
-    for eps in ladder.values:
-        v = mellin_inverse_check(t, eps, spec)
-        params.append(eps)
-        values.append(v)
-        errs.append(1e-9)
-    return _sweep_result(params, values, errs)
+    return _ladder_sweep((ladder or EpsilonLadder.default()).values,
+                         lambda eps: (mellin_inverse_check(t, eps, spec), 1e-9))

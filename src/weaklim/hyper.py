@@ -37,7 +37,7 @@ from .distrib import (
     EpsilonLadder,
     PairingSweepResult,
     Probe,
-    _sweep_result,
+    _ladder_sweep,
 )
 from .quad import QuadratureSpec, integrate_pairing
 
@@ -187,18 +187,14 @@ def family_weak_limit_sweep(probe: Probe, interval: tuple[float, float],
                             ladder: EpsilonLadder | None = None,
                             spec: QuadratureSpec | None = None) -> PairingSweepResult:
     """Pair the family against a probe along the ladder; the limit is 0."""
-    ladder = ladder or EpsilonLadder.default()
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-    a, b = interval
-    params, values, errs = [], [], []
-    for eps in ladder.values:
-        kern = lambda ts, e=eps: np.array(
-            [family_closed_form(float(t), e) for t in ts])
-        res = integrate_pairing(probe, kern, a, b, spec, origin_scale=eps / 4.0)
-        params.append(eps)
-        values.append(res.value)
-        errs.append(res.error_estimate)
-    return _sweep_result(params, values, errs)
+
+    def measure(eps):
+        kern = lambda ts: np.array([family_closed_form(float(t), eps) for t in ts])
+        res = integrate_pairing(probe, kern, *interval, spec,
+                                origin_scale=eps / 4.0)
+        return res.value, res.error_estimate
+    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
 
 
 def oscillatory_limit_sweep(probe: Probe, kind: str,
@@ -219,18 +215,16 @@ def oscillatory_limit_sweep(probe: Probe, kind: str,
         raise DomainError("z ladder strictly decreasing toward 0 in |1 - z|")
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     a, b = interval if interval else probe.support_hint
-    params, values, errs = [], [], []
-    for d in vals:
+
+    def measure(d):
         L = math.log(d)
         if kind == "cos":
-            kern = lambda ts, L=L: np.cos(L * ts)
+            kern = lambda ts: np.cos(L * ts)
         elif kind == "sin":
-            kern = lambda ts, L=L: np.sin(L * ts)
+            kern = lambda ts: np.sin(L * ts)
         else:
-            kern = lambda ts, L=L: np.exp(-1j * L * ts)
+            kern = lambda ts: np.exp(-1j * L * ts)
         res = integrate_pairing(probe, kern, a, b, spec,
                                 osc_period=2.0 * math.pi / max(abs(L), 1e-12))
-        params.append(d)
-        values.append(res.value)
-        errs.append(res.error_estimate)
-    return _sweep_result(params, values, errs)
+        return res.value, res.error_estimate
+    return _ladder_sweep(vals, measure)

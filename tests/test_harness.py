@@ -7,9 +7,18 @@ import sys
 
 import pytest
 
-from weaklim.claims import REGISTRY, claim_ids, run_all, run_claim, sweep
+from weaklim import cli
+from weaklim.claims import (
+    REGISTRY,
+    claim_ids,
+    run_all,
+    run_claim,
+    sweep,
+    sweep_choices,
+)
 from weaklim.complexfn import DomainError
 from weaklim.config import RunConfig, build_run_config, load_config_file
+from weaklim.distrib import EpsilonLadder
 from weaklim.report import relation_grid_csv, verdicts_to_csv, verdicts_to_json
 
 CLI = [sys.executable, "-m", "weaklim"]
@@ -67,12 +76,13 @@ def test_every_claim_in_summary_once():
     assert sum(r["failures"] for r in summary.rows) == 0
 
 
-def test_parallel_matches_serial():
-    serial = run_all(RunConfig())
-    parallel = run_all(RunConfig(parallel=True))
-    a = verdicts_to_json(serial.verdicts, serial.summary_dict())
-    b = verdicts_to_json(parallel.verdicts, parallel.summary_dict())
-    assert a == b
+def test_short_ladder_named_error(capsys):
+    cfg = RunConfig(eps_ladder=EpsilonLadder((1e-1, 1e-2)))
+    with pytest.raises(DomainError, match="at least 3 ladder values"):
+        run_claim("E31-weak-limit-2f1", cfg)
+    assert cli.main(["verify", "E31-weak-limit-2f1",
+                     "--eps-ladder", "1e-1,1e-2"]) == 2
+    assert "at least 3 ladder values" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- config
@@ -96,9 +106,10 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     p = tmp_path / "bad.cfg"
-    p.write_text("probes = gaussian\n", encoding="utf-8")
-    with pytest.raises(DomainError):
-        load_config_file(str(p))
+    for line in ("probes = gaussian\n", "parallel = true\n"):
+        p.write_text(line, encoding="utf-8")
+        with pytest.raises(DomainError):
+            load_config_file(str(p))
 
 
 def test_flags_beat_file(tmp_path):
@@ -117,6 +128,8 @@ def test_config_validation():
         RunConfig(probe="spline")
     with pytest.raises(DomainError):
         build_run_config({}, {"tol": "-1"})
+    with pytest.raises(DomainError):
+        build_run_config({"tol.E46-eta-solver": "-1"}, {})
 
 
 # ------------------------------------------------------------------ reports
@@ -172,6 +185,15 @@ def test_nu_sweep_ratio_rows():
     assert [p for (p, _, _, _) in rows] == [10.0, 50.0, 250.0]
     devs = [d for (_, _, _, d) in rows]
     assert devs[0] > devs[-1]  # approaching the kernel-width constant
+
+
+def test_sweep_choices_are_the_claims_own():
+    assert sweep_choices() == {
+        "eps": ["E12-beta-delta", "E16-mellin-forward", "E17-mellin-inverse",
+                "E31-weak-limit-2f1"],
+        "z": ["E35-oscillatory", "E53-near-one"],
+        "nu": ["E49-large-nu-asym"],
+    }
 
 
 def test_sweep_rejects_mismatched_kind():
@@ -253,3 +275,64 @@ def test_cli_config_unknown_key(tmp_path):
     p.write_text("frobnicate = 1\n", encoding="utf-8")
     r = run_cli("verify", "E46-eta-solver", "--config", str(p))
     assert r.returncode == 2
+
+
+# One fixed point per eval-table entry.
+_EVAL_POINTS = {
+    "gamma": ["z=0.5"],
+    "log_gamma": ["z=0.5+1i"],
+    "digamma": ["z=1.5"],
+    "trigamma": ["z=2"],
+    "beta": ["alpha=1.5", "beta=2"],
+    "beta_reg": ["tau=0.5", "eps=0.1"],
+    "omega_eps": ["x=0.1", "eps=0.01"],
+    "hyp2f1": ["a=0.5", "b=1", "c=2", "z=0.5"],
+    "gauss_sum": ["a=0.5", "b=1", "c=3"],
+    "family_closed_form": ["tau=0.5", "eps=0.1"],
+    "f_factor": ["eps=0.1", "tau=0.5"],
+    "mellin_forward": ["tau=0.5", "eps=0.1"],
+    "mellin_inverse": ["t=2", "eps=0.1"],
+    "q_nu": ["nu=0", "z=2"],
+    "q_nu_mu": ["nu=1", "mu=0.5", "z=2"],
+    "q_nu_itau": ["nu=0", "tau=1", "z=2"],
+    "relation_rhs": ["nu=1", "tau=0.5", "z=2"],
+    "solve_eta": ["nu=0", "tau=1"],
+}
+
+
+def test_cli_eval_every_entry(capsys):
+    assert sorted(_EVAL_POINTS) == sorted(cli._EVALS)
+    for name, params in _EVAL_POINTS.items():
+        assert cli.main(["eval", name, *params]) == 0, name
+        payload = json.loads(capsys.readouterr().out)
+        if name == "solve_eta":
+            keys = ["function", "eta", "cos_value", "branch_index",
+                    "degenerate"]
+        else:
+            keys = ["function", "value", "error_estimate"]
+            assert list(payload["value"]) == ["re", "im"]
+        assert list(payload) == keys
+        assert payload["function"] == name
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "q_nu_itau", "nu=0", "tau=1000", "z=2"],      # ConvergenceError
+    ["eval", "hyp2f1", "a=1000i", "b=1", "c=1", "z=0.9"],  # SeriesError
+    ["sweep", "eps", "E12-beta-delta", "--eps-ladder", "1e-1,x"],
+], ids=["convergence", "series", "sweep-ladder"])
+def test_cli_library_error_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", [
+    "tol = small",
+    "tol.E46-eta-solver = x",
+    "tol.E46-eta-solver = -1",
+    "tol.E99-nope = 1e-3",
+], ids=["tol-text", "claim-tol-text", "claim-tol-negative", "claim-unknown"])
+def test_cli_config_tolerance_rejected(tmp_path, capsys, line):
+    p = tmp_path / "run.cfg"
+    p.write_text(line + "\n", encoding="utf-8")
+    assert cli.main(["verify", "E46-eta-solver", "--config", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
