@@ -62,7 +62,7 @@ def _verdict(claim: Claim, cfg: RunConfig, point: str, deviation: float,
         status = "PASS" if deviation <= tol else "FAIL"
     else:
         status = "REPORTED"
-    return ClaimVerdict(claim.id, point, deviation, order, status, 0, extra)
+    return ClaimVerdict(claim.id, point, deviation, order, status, extra)
 
 
 def _fmt_c(z: complex) -> str:
@@ -369,31 +369,22 @@ def _run_eta_solver(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 
 # --------------------------------------------------------------------- E47
 
-_RELATION_TAU0_GRID = [(nu, z) for nu in (0.0, 1.0, 2.0) for z in (2.0, 5.0)]
+_RELATION_TAU0_GRID = [(nu, 0.0, z) for nu in (0.0, 1.0, 2.0) for z in (2.0, 5.0)]
 _RELATION_GRID = [(nu, tau, z)
                   for nu in (0.0, 1.0, 2.0)
                   for tau in (0.25, 0.5, 1.0)
                   for z in (1.5, 2.0, 5.0)]
 
 
-def _run_relation_exact(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    out = []
-    for nu, z in _RELATION_TAU0_GRID:
-        v = legendre.adjudicate_relation(nu, 0.0, z, mode="ASSERT",
-                                         tolerance=cfg.tolerance_for(
-                                             claim.id, claim.tolerance))
-        out.append(ClaimVerdict(claim.id, v.point, v.deviation, None,
-                                v.status, 0, v.extra))
-    return out
-
-
-def _run_relation_grid(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    out = []
-    for nu, tau, z in _RELATION_GRID:
-        v = legendre.adjudicate_relation(nu, tau, z, mode="REPORT")
-        out.append(ClaimVerdict(claim.id, v.point, v.deviation, None,
-                                "REPORTED", 0, v.extra))
-    return out
+def _relation_runner(grid):
+    def run(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
+        out = []
+        for nu, tau, z in grid:
+            v = legendre.adjudicate_relation(nu, tau, z)
+            out.append(_verdict(claim, cfg, v.point, v.deviation,
+                                claim.tolerance, extra=v.extra))
+        return out
+    return run
 
 
 # --------------------------------------------------------------------- E49
@@ -485,8 +476,10 @@ REGISTRY: tuple[Claim, ...] = tuple(sorted([
           ("z", _sweep_oscillatory)),
     Claim("E45-large-z-asym", "ASSERT", 1e-2, _run_large_z),
     Claim("E46-eta-solver", "ASSERT", 1e-10, _run_eta_solver),
-    Claim("E47-legendre-exact", "ASSERT", 1e-8, _run_relation_exact),
-    Claim("E47-legendre-relation", "REPORT", math.inf, _run_relation_grid),
+    Claim("E47-legendre-exact", "ASSERT", 1e-8,
+          _relation_runner(_RELATION_TAU0_GRID)),
+    Claim("E47-legendre-relation", "REPORT", math.inf,
+          _relation_runner(_RELATION_GRID)),
     Claim("E49-large-nu-asym", "ASSERT", 1e-3, _run_large_nu,
           ("nu", _sweep_large_nu)),
     Claim("E53-near-one", "ASSERT", 0.12, _run_near_one,

@@ -93,7 +93,6 @@ class AccuracyContract:
     """Stated accuracy guarantee of a scalar routine."""
 
     target_rel_err: float = 1e-12
-    valid_region: str = "|z| <= 100, off the non-positive integers"
 
     def __post_init__(self):
         if not self.target_rel_err > 0.0:

@@ -225,6 +225,17 @@ def _ladder_sweep(params, measure) -> PairingSweepResult:
     return PairingSweepResult(pts, limit, order)
 
 
+def _pairing_ladder(kernel, probe: Probe, interval: tuple[float, float],
+                    ladder: EpsilonLadder | None,
+                    spec: QuadratureSpec) -> PairingSweepResult:
+    """Pair kernel(ts, eps) with a probe at each ladder eps, panels down to eps / 4."""
+    def measure(eps):
+        res = integrate_pairing(probe, lambda ts: kernel(ts, eps), *interval,
+                                spec, origin_scale=eps / 4.0)
+        return res.value, res.error_estimate
+    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
+
+
 # ---------------------------------------------------------------- beta family
 
 def beta(alpha, beta_arg) -> complex:
@@ -268,9 +279,7 @@ def beta_reg(tau: float, eps: float) -> complex:
     """B(eps + i tau, eps - i tau) through the Euler closed form."""
     if not eps > 0.0:
         raise DomainError("eps > 0")
-    zp = complex(eps, tau)
-    zm = complex(eps, -tau)
-    return cmath.exp(log_gamma(zp) + log_gamma(zm) - log_gamma(complex(2.0 * eps)))
+    return beta(complex(eps, tau), complex(eps, -tau))
 
 
 # ----------------------------------------------------------- delta pairings
@@ -288,14 +297,10 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
                       ladder: EpsilonLadder | None = None,
                       spec: QuadratureSpec | None = None) -> PairingSweepResult:
     """Pair the regularized Beta kernel against a probe along the ladder."""
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-
-    def measure(eps):
-        kern = lambda ts: np.array([beta_reg(float(t), eps) for t in ts])
-        res = integrate_pairing(probe, kern, *interval, spec,
-                                origin_scale=eps / 4.0)
-        return res.value, res.error_estimate
-    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
+    return _pairing_ladder(
+        lambda ts, eps: np.array([beta_reg(float(t), eps) for t in ts]),
+        probe, interval, ladder,
+        spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
 
 
 # ------------------------------------------------------- regularized Mellin
@@ -395,14 +400,8 @@ def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
                          ladder: EpsilonLadder | None = None,
                          spec: QuadratureSpec | None = None) -> PairingSweepResult:
     """Pair the quadrature-computed Mellin values against a probe."""
-    spec = spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
-
-    def measure(eps):
-        kern = lambda ts: _mellin_forward_grid(ts, eps)
-        res = integrate_pairing(probe, kern, *interval, spec,
-                                origin_scale=eps / 4.0)
-        return res.value, res.error_estimate
-    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
+    return _pairing_ladder(_mellin_forward_grid, probe, interval, ladder,
+                           spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
 
 
 # --------------------------------------------------------- mollified inverse

@@ -5,7 +5,7 @@ closed form at unit argument, and the one-parameter family
 
     a = 2 i tau,  b = eps + i tau,  c = 2 eps + 2 i tau
 
-whose unit-argument value has the gamma closed form
+whose unit-argument value is Gauss's sum ``gauss_sum(a, b, c)``:
 
     Gamma(2 eps + 2 i tau) Gamma(eps - i tau)
     -----------------------------------------
@@ -25,19 +25,13 @@ import math
 
 import numpy as np
 
-from .complexfn import (
-    DomainError,
-    PoleError,
-    _pole_index,
-    digamma,
-    log_gamma,
-    trigamma,
-)
+from .complexfn import DomainError, _check_pole, digamma, log_gamma, trigamma
 from .distrib import (
     EpsilonLadder,
     PairingSweepResult,
     Probe,
     _ladder_sweep,
+    _pairing_ladder,
 )
 from .quad import QuadratureSpec, integrate_pairing
 
@@ -81,8 +75,7 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13,
     b = complex(b)
     c = complex(c)
     z = complex(z)
-    if _pole_index(c) is not None:
-        raise PoleError(c, _pole_index(c))
+    _check_pole(c)
     if abs(z) > _MAX_ABS_Z:
         raise DomainError("|z| <= 1 - 1e-4",
                           f"|z| = {abs(z):.6f} is too close to the unit circle")
@@ -94,12 +87,15 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13,
     for n in range(max_terms):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) <= rel_tol * abs(total):
+        if abs(term) > rel_tol * abs(total):
+            small = 0
+        else:  # settled, or non-finite: NaN and inf > inf compare false
+            if not cmath.isfinite(total):
+                raise SeriesError("hypergeometric series is not finite",
+                                  total, n + 1)
             small += 1
             if small >= _CONSECUTIVE_SMALL:
                 return total
-        else:
-            small = 0
     raise SeriesError("hypergeometric series did not converge", total, max_terms)
 
 
@@ -125,16 +121,13 @@ def gauss_sum(a, b, c) -> complex:
 # ------------------------------------------------------ the imaginary family
 
 def family_closed_form(tau: float, eps: float) -> complex:
-    """Unit-argument value of the family; equals 1 identically at tau = 0."""
+    """Unit-argument value of the family: Gauss's sum, 1 identically at tau = 0."""
     if not eps > 0.0:
         raise DomainError("eps > 0")
     t = float(tau)
     if t == 0.0:
         return 1.0 + 0j  # the four gamma factors cancel pairwise
-    return cmath.exp(
-        log_gamma(complex(2 * eps, 2 * t)) + log_gamma(complex(eps, -t))
-        - log_gamma(complex(2 * eps)) - log_gamma(complex(eps, t))
-    )
+    return gauss_sum(2j * t, complex(eps, t), complex(2 * eps, 2 * t))
 
 
 def family_duplication_form(tau: float, eps: float) -> complex:
@@ -187,14 +180,10 @@ def family_weak_limit_sweep(probe: Probe, interval: tuple[float, float],
                             ladder: EpsilonLadder | None = None,
                             spec: QuadratureSpec | None = None) -> PairingSweepResult:
     """Pair the family against a probe along the ladder; the limit is 0."""
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-
-    def measure(eps):
-        kern = lambda ts: np.array([family_closed_form(float(t), eps) for t in ts])
-        res = integrate_pairing(probe, kern, *interval, spec,
-                                origin_scale=eps / 4.0)
-        return res.value, res.error_estimate
-    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
+    return _pairing_ladder(
+        lambda ts, eps: np.array([family_closed_form(float(t), eps) for t in ts]),
+        probe, interval, ladder,
+        spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
 
 
 def oscillatory_limit_sweep(probe: Probe, kind: str,
@@ -209,10 +198,7 @@ def oscillatory_limit_sweep(probe: Probe, kind: str,
     """
     if kind not in ("cos", "sin", "power"):
         raise DomainError("kind in {cos, sin, power}")
-    vals = tuple(float(d) for d in z_ladder)
-    if any(not d > 0.0 for d in vals) or \
-            any(vals[i + 1] >= vals[i] for i in range(len(vals) - 1)):
-        raise DomainError("z ladder strictly decreasing toward 0 in |1 - z|")
+    vals = EpsilonLadder(tuple(float(d) for d in z_ladder)).values
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     a, b = interval if interval else probe.support_hint
 

@@ -1,20 +1,21 @@
 """Legendre functions of the second kind and the imaginary-order relation.
 
-Q_nu and Q_nu^mu are evaluated from their half-line cosh-kernel integral
-representations, valid for Re(nu) > -1 off the cut (-inf, 1].  The branch
-sqrt(z^2 - 1) is always computed as sqrt(z - 1) * sqrt(z + 1) with principal
-square roots, which realizes that cut.
+Q_nu^mu is evaluated from its half-line cosh(mu t)-weighted kernel integral,
+valid for Re(nu + mu) > -1 and Re(nu + 1) > |Re mu| off the cut (-inf, 1];
+``q_nu`` is its mu = 0 case and ``q_nu_itau_direct`` its mu = i tau case.
+The branch sqrt(z^2 - 1) is always computed as sqrt(z - 1) * sqrt(z + 1)
+with principal square roots, which realizes that cut.
 
 The purely-imaginary-order relation
 
     Q_nu^{i tau}(z) = exp(-pi tau) Gamma(nu + i tau + 1) / Gamma(nu + 1) Q_nu(z)
 
 is treated as a claim under test, never an axiom: ``q_nu_itau_direct``
-computes the left side from its own oscillatory integral, ``relation_rhs``
-builds the right side from gamma data and Q_nu, and ``adjudicate_relation``
-reports the measured deviation.  The deviation vanishes identically at
-tau = 0 and in the large-|z| and large-|nu| regimes; at desk-scale grid
-points it is a first-class measurement, not an assertion.
+computes the left side from its own oscillatory integral, never from the
+relation, ``relation_rhs`` builds the right side from gamma data and Q_nu,
+and ``adjudicate_relation`` reports the measured deviation.  The deviation
+vanishes identically at tau = 0 and in the large-|z| and large-|nu| regimes;
+at desk-scale grid points it is a first-class measurement, not an assertion.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import DomainError, PoleError, _pole_index, log_gamma
+from .complexfn import DomainError, _pole_index, log_gamma
 from .quad import QuadratureSpec, integrate_semi_infinite
 from .report import ClaimVerdict
 
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_MIN_DEGREE_MARGIN = 1e-6  # Re(nu) <= -1 + margin is rejected as too weak
+_MIN_DEGREE_MARGIN = 1e-6  # kernel decay at or below this is rejected
 
 
 class BranchCutError(DomainError):
@@ -71,14 +72,6 @@ def sqrt_cut(z) -> complex:
     return cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
 
 
-def _check_degree(nu: complex) -> complex:
-    nu = complex(nu)
-    if not nu.real > -1.0 + _MIN_DEGREE_MARGIN:
-        raise DomainError("Re(nu) > -1",
-                          f"degree {nu!r} gives too weak kernel decay")
-    return nu
-
-
 def _kernel(nu: complex, z: complex):
     w = sqrt_cut(z)
 
@@ -90,18 +83,16 @@ def _kernel(nu: complex, z: complex):
 
 
 def q_nu(nu, z, spec: QuadratureSpec | None = None) -> complex:
-    """Q_nu(z) by semi-infinite quadrature of the cosh-kernel integral."""
-    nu = _check_degree(nu)
-    z = _off_cut(z)
-    res = integrate_semi_infinite(_kernel(nu, z), nu.real + 1.0, spec)
-    return res.value
+    """Q_nu(z) = Q_nu^0(z) by semi-infinite quadrature of the cosh kernel."""
+    return q_nu_mu(nu, 0.0, z, spec)
 
 
 def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
     """Associated Q_nu^mu(z) from the cosh(mu t)-weighted kernel integral.
 
     Requires Re(nu + mu) > -1, nu off the negative integers, and
-    Re(nu + 1) > |Re mu| so the integral converges.
+    Re(nu + 1) > |Re mu| so the integral converges; the last also keeps
+    nu - mu + 1 off the poles of the gamma prefactor.
     """
     nu = complex(nu)
     mu = complex(mu)
@@ -114,14 +105,11 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
     if not decay > _MIN_DEGREE_MARGIN:
         raise DomainError("Re(nu + 1) > |Re(mu)|",
                           "kernel decay too weak for the order")
-    _check_degree(nu)
-    try:
-        pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0)
-                         - log_gamma(nu - mu + 1.0))
-    except PoleError:
-        return 0j  # 1/Gamma at a pole: the prefactor vanishes
-    base = _kernel(nu, z)
-    f = lambda t: np.cosh(mu * t) * base(t)
+    pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0)
+                     - log_gamma(nu - mu + 1.0))
+    f = base = _kernel(nu, z)
+    if mu != 0:  # cosh(0 t) = 1: the bare kernel is exact
+        f = lambda t: np.cosh(mu * t) * base(t)
     per = (TWO_PI / abs(mu.imag)) if abs(mu.imag) > 1e-12 else None
     res = integrate_semi_infinite(f, decay, spec, osc_period=per)
     return pref * res.value
@@ -129,21 +117,12 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
 
 def q_nu_itau_direct(nu, tau: float, z,
                      spec: QuadratureSpec | None = None) -> complex:
-    """Q_nu^{i tau}(z) straight from its oscillatory integral.
+    """Q_nu^{i tau}(z) straight from its oscillatory integral (mu = i tau).
 
     Panels are tied to the cos(tau t) period, so this route never leans on
     the imaginary-order relation it is used to adjudicate.
     """
-    nu = _check_degree(nu)
-    z = _off_cut(z)
-    t = float(tau)
-    pref = cmath.exp(-math.pi * t + log_gamma(nu + 1.0)
-                     - log_gamma(nu + 1.0 - 1j * t))
-    base = _kernel(nu, z)
-    f = lambda ts: np.cos(t * ts) * base(ts)
-    per = (TWO_PI / abs(t)) if abs(t) > 1e-12 else None
-    res = integrate_semi_infinite(f, nu.real + 1.0, spec, osc_period=per)
-    return pref * res.value
+    return q_nu_mu(nu, 1j * float(tau), z, spec)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ independent integrations may run concurrently.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,21 +159,36 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec, *, scale_abs_tol=False):
             err_total = sum(item[5] for item in heap)
     total = sum(item[4] for item in heap)
     err_total = sum(item[5] for item in heap)
+    if not (cmath.isfinite(total) and math.isfinite(err_total)):
+        # A NaN estimate ends the loop above as if it had converged.
+        raise ConvergenceError("quadrature produced a non-finite value",
+                               IntegralResult(total, err_total, evals))
     return IntegralResult(total, err_total, evals)
 
 
-def _geometric_points(outer: float, inner: float, ratio: float = 4.0):
-    """Decreasing scales outer, outer/ratio, ... down to inner."""
-    pts = []
-    s = outer
-    while s > inner:
-        pts.append(s)
-        s /= ratio
-    return pts
+def _breakpoints(a: float, b: float, inner: float | None = None,
+                 period: float | None = None) -> list[float]:
+    """Sorted initial partition of [a, b].
+
+    Edges at +-(b - a) / 4^k down to ``inner`` (and 0 when interior) cluster
+    panels at an origin in [a, b]; ``period`` adds an edge every half period.
+    """
+    pts = {a, b}
+    if inner is not None and a <= 0.0 <= b:
+        s = b - a
+        while s > inner:
+            pts.update(x for x in (s, -s) if a < x < b)
+            s /= 4.0
+        if a < 0.0 < b:
+            pts.add(0.0)
+    if period is not None and period > 0.0:
+        width = 0.5 * period
+        pts.update(a + i * width for i in range(1, int((b - a) / width) + 1))
+    return sorted(pts)
 
 
-def _substituted_left(f, a: float, width: float, p: complex):
-    """Integrand over s in [0, width^r] realizing t = a + s^(1/r), r = Re p.
+def _substituted_left(f, width: float, p: complex):
+    """Integrand over s in [0, width^r] realizing t = s^(1/r), r = Re p.
 
     Absorbs the t^(p-1) endpoint factor: the transformed integrand behaves
     like s^(p/r - 1), whose real exponent part is 1.
@@ -181,8 +197,7 @@ def _substituted_left(f, a: float, width: float, p: complex):
     inv = 1.0 / r
 
     def g(s):
-        t = a + s ** inv
-        return f(t) * inv * s ** (inv - 1.0)
+        return f(s ** inv) * inv * s ** (inv - 1.0)
 
     return g, width ** r
 
@@ -209,50 +224,29 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("a < b finite")
 
-    pieces = []
     mid = 0.5 * (a + b)
     left_p = complex(exps.left_p) if exps else 1.0 + 0j
     right_p = complex(exps.right_p) if exps else 1.0 + 0j
-    src_left = left_edge if left_edge is not None else (lambda u: f(a + u))
-    src_right = right_edge if right_edge is not None else (lambda u: f(b - u))
-
-    def seed(lo, hi, cluster_at_lo):
-        # Geometric clustering toward a delicate end helps the adaptive pass
-        # resolve log-scale oscillation early.
-        if not cluster_at_lo:
-            return [lo, hi]
-        width = hi - lo
-        pts = [min(lo + s, hi) for s in reversed(_geometric_points(width, width * 1e-8))]
-        return sorted({lo, hi, *pts})
-
-    # Left end, in distance coordinates u = t - a.
-    if left_p.real < 1.0 - 1e-12:
-        g, s_hi = _substituted_left(src_left, 0.0, mid - a, left_p)
-        pieces.append((g, seed(0.0, s_hi, True)))
-    elif abs(left_p.imag) > 1e-12:
-        pieces.append((src_left, seed(0.0, mid - a, True)))
-    else:
-        pieces.append((f, [a, mid]))
-
-    # Right end, mirrored onto distances u = b - t.
-    if right_p.real < 1.0 - 1e-12:
-        g, s_hi = _substituted_left(src_right, 0.0, b - mid, right_p)
-        pieces.append((g, seed(0.0, s_hi, True)))
-    elif abs(right_p.imag) > 1e-12:
-        pieces.append((src_right, seed(0.0, b - mid, True)))
-    else:
-        pieces.append((f, [mid, b]))
-
-    sub_spec = QuadratureSpec(
-        abs_tol=0.5 * spec.abs_tol,
-        rel_tol=0.5 * spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-        truncation_tail_tol=spec.truncation_tail_tol,
+    # Each end in distance coordinates u = t - a (left) or u = b - t (right).
+    ends = (
+        (left_p, a, mid, left_edge or (lambda u: f(a + u))),
+        (right_p, mid, b, right_edge or (lambda u: f(b - u))),
     )
+    sub_spec = replace(spec, abs_tol=0.5 * spec.abs_tol,
+                       rel_tol=0.5 * spec.rel_tol)
     value = 0j
     err = 0.0
     evals = 0
-    for g, pts in pieces:
+    for p, lo, hi, edge in ends:
+        if p.real < 1.0 - 1e-12:
+            g, width = _substituted_left(edge, hi - lo, p)
+        elif abs(p.imag) > 1e-12:
+            g, width = edge, hi - lo
+        else:
+            g, width = f, None
+        # Geometric clustering toward a delicate end helps the adaptive pass
+        # resolve log-scale oscillation early.
+        pts = [lo, hi] if width is None else _breakpoints(0.0, width, width * 1e-8)
         res = _adaptive(g, pts, sub_spec)
         value += res.value
         err += res.error_estimate
@@ -300,17 +294,12 @@ def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = 
     T = force_truncation if force_truncation is not None else \
         _truncation_point(f, decay_rate, spec.truncation_tail_tol)
 
-    pts = [0.0] + sorted(set(_geometric_points(T, min(0.25 / decay_rate, T / 4.0)))) + [T]
-    pts = sorted(set(pts))
-    if osc_period is not None and osc_period > 0.0:
-        width = 0.5 * osc_period
-        need = int(T / width) + 1
-        if need > spec.max_subdivisions // 2:
-            raise ConvergenceError(
-                "oscillation too fast for the subdivision budget",
-                IntegralResult(0j, math.inf, 0),
-            )
-        pts = sorted(set(pts) | {i * width for i in range(1, need)})
+    if osc_period and int(T / (0.5 * osc_period)) + 1 > spec.max_subdivisions // 2:
+        raise ConvergenceError(
+            "oscillation too fast for the subdivision budget",
+            IntegralResult(0j, math.inf, 0),
+        )
+    pts = _breakpoints(0.0, T, min(0.25 / decay_rate, T / 4.0), osc_period)
     res = _adaptive(f, pts, spec, scale_abs_tol=scale_abs_tol)
     res.truncation_point = T
     return res
@@ -335,19 +324,7 @@ def integrate_pairing(phi, kernel, a: float, b: float,
     def g(ts):
         return np.asarray(phi_fn(ts), dtype=complex) * np.asarray(kernel(ts), dtype=complex)
 
-    pts = {a, b}
-    if a <= 0.0 <= b:
-        inner = origin_scale if origin_scale else 1e-6 * (b - a)
-        for s in _geometric_points(b - a, inner):
-            if a < s < b:
-                pts.add(s)
-            if a < -s < b:
-                pts.add(-s)
-        if a < 0.0 < b:
-            pts.add(0.0)
-    if osc_period is not None and osc_period > 0.0:
-        width = 0.5 * osc_period
-        n = int((b - a) / width) + 1
-        if n <= spec.max_subdivisions // 2:
-            pts |= {a + i * width for i in range(1, n)}
-    return _adaptive(g, sorted(pts), spec)
+    if osc_period and int((b - a) / (0.5 * osc_period)) + 1 > spec.max_subdivisions // 2:
+        osc_period = None  # too fast for the budget: the adaptive pass splits
+    pts = _breakpoints(a, b, origin_scale or 1e-6 * (b - a), osc_period)
+    return _adaptive(g, pts, spec)

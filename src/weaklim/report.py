@@ -1,8 +1,8 @@
 """Verdict records and deterministic serialization.
 
 All floats are printed with 17 significant digits and a lowercase exponent,
-grid order is fixed by the claim runners, and the recorded runtime field is
-zeroed in serialized artifacts, so two runs with the same configuration
+grid order is fixed by the claim runners, and the artifacts' runtime_ms
+field is always written as 0, so two runs with the same configuration
 produce byte-identical files.  Live timings are console-only.
 """
 
@@ -39,7 +39,6 @@ class ClaimVerdict:
     deviation: float
     order: float | None = None
     status: str = "REPORTED"
-    runtime_ms: int = 0
     extra: dict | None = field(default=None, repr=False)
 
     def as_record(self) -> dict:

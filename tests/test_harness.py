@@ -1,9 +1,11 @@
 """Claim registry, CLI, config handling, and output determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from weaklim.distrib import EpsilonLadder
 from weaklim.report import relation_grid_csv, verdicts_to_csv, verdicts_to_json
 
 CLI = [sys.executable, "-m", "weaklim"]
+EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
+                       / "bench" / "expected_verify_all.json")
 
 
 def run_cli(*args, **kw):
@@ -74,6 +78,10 @@ def test_every_claim_in_summary_once():
     assert [r["claim"] for r in summary.rows] == claim_ids()
     assert summary.exit_status == 0
     assert sum(r["failures"] for r in summary.rows) == 0
+    # The verify-all JSON is pinned digit for digit to the benchmark's record.
+    text = verdicts_to_json(summary.verdicts, summary.summary_dict())
+    expected = json.loads(EXPECTED_VERIFY_ALL.read_text(encoding="utf-8"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected["sha256"]
 
 
 def test_short_ladder_named_error(capsys):

@@ -9,6 +9,7 @@ import pytest
 from weaklim.complexfn import DomainError, PoleError, gamma, log_gamma
 from weaklim.distrib import PROBES, omega_eps
 from weaklim.hyper import (
+    SeriesError,
     f_derivatives,
     f_factor,
     family_closed_form,
@@ -78,6 +79,18 @@ def test_series_budget_exhaustion_flagged():
         hyp2f1(0.5, 0.25, 2.0, 0.995, max_terms=10)
     assert exc.value.terms == 10
     assert abs(exc.value.partial) > 0.0
+
+
+def test_series_overflow_raises():
+    # The terms overflow to inf; an infinite sum must not come back as a value.
+    with pytest.raises(SeriesError):
+        hyp2f1(60.0, 60.0, 1.0, 0.9999)
+
+
+def test_series_stops_at_first_non_finite_term():
+    with pytest.raises(SeriesError) as exc:
+        hyp2f1(1000j, 1.0, 1.0, 0.9)
+    assert exc.value.terms < 10_000
 
 
 # ------------------------------------------------------------ gauss summation
@@ -270,7 +283,12 @@ def test_oscillatory_constant_probe_antiderivative():
 
 
 def test_oscillatory_rejects_bad_ladder():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="ladder strictly decreasing"):
         oscillatory_limit_sweep(PROBES["gaussian"], "cos", (0.1, 0.2))
     with pytest.raises(DomainError):
         oscillatory_limit_sweep(PROBES["gaussian"], "tan", (0.1,))
+    # The z ladder is validated as an EpsilonLadder.
+    with pytest.raises(DomainError, match="ladder values positive"):
+        oscillatory_limit_sweep(PROBES["gaussian"], "cos", (0.1, -0.1))
+    with pytest.raises(DomainError, match="ladder values positive"):
+        oscillatory_limit_sweep(PROBES["gaussian"], "cos", ())

@@ -20,7 +20,7 @@ from weaklim.legendre import (
     solve_eta,
     sqrt_cut,
 )
-from weaklim.quad import QuadratureSpec, integrate_semi_infinite
+from weaklim.quad import ConvergenceError, QuadratureSpec, integrate_semi_infinite
 
 mpmath.mp.dps = 30
 
@@ -60,6 +60,22 @@ def test_cut_rejections():
 def test_weak_decay_rejected():
     with pytest.raises(DomainError):
         q_nu(-1.0, 2.0)
+    # q_nu is the mu = 0 case of q_nu_mu and names its conditions.
+    with pytest.raises(DomainError) as exc:
+        q_nu(-1.5, 2.0)
+    assert exc.value.condition == "Re(nu + mu) > -1"
+    with pytest.raises(DomainError) as exc:
+        q_nu(-1.0 + 1e-7, 2.0)
+    assert exc.value.condition == "Re(nu + 1) > |Re(mu)|"
+
+
+def test_slow_decay_overflow_raises():
+    # At kernel decay 0.01 the truncation point lies far past t ~ 710, where
+    # cosh overflows; the NaN panels must not come back as a value.
+    with pytest.raises(ConvergenceError):
+        q_nu_mu(0.0, 0.99, 2.0)
+    with pytest.raises(ConvergenceError):
+        q_nu(-0.99, 2.0)
 
 
 def test_sqrt_cut_branch():

@@ -11,6 +11,7 @@ from weaklim.quad import (
     EndpointExponents,
     IntegralResult,
     QuadratureSpec,
+    _breakpoints,
     integrate_finite,
     integrate_pairing,
     integrate_semi_infinite,
@@ -160,6 +161,25 @@ def test_convergence_error_carries_best_estimate():
     assert isinstance(best, IntegralResult)
     assert best.evaluations > 0
     assert math.isfinite(abs(best.value))
+
+
+def test_non_finite_integrand_raises():
+    # A NaN panel makes the error estimate NaN, which ends the bisection loop
+    # as if it had converged.
+    nan_right = lambda t: np.where(t > 0.5, np.nan, 1.0)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate_finite(nan_right, 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate_semi_infinite(lambda t: np.exp(-t) * nan_right(t), 1.0)
+
+
+def test_breakpoints_partition():
+    assert _breakpoints(0.0, 1.0) == [0.0, 1.0]
+    # Origin clustering at +-4 / 4^k down to 0.2, 0 itself, and an edge every
+    # half period from a.
+    assert _breakpoints(-1.0, 3.0, 0.2, 2.0) == [-1.0, -0.25, 0.0, 0.25, 1.0, 2.0, 3.0]
+    # No clustering when the origin is outside [a, b].
+    assert _breakpoints(1.0, 2.0, 1e-3) == [1.0, 2.0]
 
 
 def test_spec_validation():
