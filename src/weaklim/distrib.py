@@ -28,7 +28,6 @@ import numpy as np
 
 from .complexfn import DomainError, log_gamma
 from .quad import (
-    DEFAULT_SPEC,
     IntegralResult,
     QuadratureSpec,
     integrate_pairing,
@@ -64,19 +63,9 @@ class Probe:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     value_at_zero: float
-    support_hint: tuple[float, float]
-    bound: float = 1.0
 
     def __call__(self, tau):
         return self.fn(np.asarray(tau, dtype=float))
-
-    def max_jump(self, step: float = 1e-4) -> float:
-        """Largest jump over dense sampling of the support (continuity check)."""
-        lo, hi = self.support_hint
-        n = min(int((hi - lo) / step) + 2, 2_000_001)
-        grid = np.linspace(lo, hi, n)
-        vals = self.fn(grid)
-        return float(np.max(np.abs(np.diff(vals))))
 
 
 def _gaussian(t):
@@ -101,10 +90,10 @@ def _const(t):
 
 
 PROBES = {
-    "gaussian": Probe("gaussian", _gaussian, 1.0, (-8.0, 8.0)),
-    "cauchy": Probe("cauchy", _cauchy, 1.0, (-8.0, 8.0)),
-    "bump": Probe("bump", _bump, math.exp(-1.0), (-1.0, 1.0)),
-    "const": Probe("const", _const, 1.0, (-8.0, 8.0)),
+    "gaussian": Probe("gaussian", _gaussian, 1.0),
+    "cauchy": Probe("cauchy", _cauchy, 1.0),
+    "bump": Probe("bump", _bump, math.exp(-1.0)),
+    "const": Probe("const", _const, 1.0),
 }
 
 
@@ -129,6 +118,8 @@ class EpsilonLadder:
         v = self.values
         if len(v) == 0 or any(not x > 0.0 for x in v):
             raise DomainError("ladder values positive")
+        if any(math.isinf(x) for x in v):
+            raise DomainError("ladder values finite")
         if any(v[i + 1] >= v[i] for i in range(len(v) - 1)):
             raise DomainError("ladder strictly decreasing")
 
@@ -258,21 +249,14 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
         raise DomainError("Re(alpha) > 0")
     if not b.real > 0.0:
         raise DomainError("Re(beta) > 0")
-    spec = spec or DEFAULT_SPEC
     s = a + b
 
-    def lower(v):  # u = e^{-v}, u in (0, 1]
-        ev = np.exp(-v)
-        return np.exp(-a * v) * (1.0 + ev) ** (-s)
+    def half(p: complex) -> complex:  # p = a: u = e^-v in (0, 1]; b: u = e^v
+        f = lambda v: np.exp(-p * v) * (1.0 + np.exp(-v)) ** (-s)
+        per = (TWO_PI / abs(p.imag)) if abs(p.imag) > 1e-12 else None
+        return integrate_semi_infinite(f, p.real, spec, osc_period=per).value
 
-    def upper(v):  # u = e^{+v}, u in [1, inf)
-        ev = np.exp(-v)
-        return np.exp(-b * v) * (1.0 + ev) ** (-s)
-
-    per = lambda im: (TWO_PI / abs(im)) if abs(im) > 1e-12 else None
-    r0 = integrate_semi_infinite(lower, a.real, spec, osc_period=per(a.imag))
-    r1 = integrate_semi_infinite(upper, b.real, spec, osc_period=per(b.imag))
-    return r0.value + r1.value
+    return half(a) + half(b)
 
 
 def beta_reg(tau: float, eps: float) -> complex:
@@ -294,13 +278,11 @@ def delta_target(probe: Probe, a: float, b: float) -> float:
 
 
 def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
-                      ladder: EpsilonLadder | None = None,
-                      spec: QuadratureSpec | None = None) -> PairingSweepResult:
+                      ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the regularized Beta kernel against a probe along the ladder."""
     return _pairing_ladder(
         lambda ts, eps: np.array([beta_reg(float(t), eps) for t in ts]),
-        probe, interval, ladder,
-        spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+        probe, interval, ladder, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
 
 
 # ------------------------------------------------------- regularized Mellin
@@ -309,7 +291,7 @@ _MELLIN_CUT = math.log(2.0)
 _MELLIN_FAR = 36.0
 
 
-def _mellin_tail(a: complex, s: complex, u0: float, kmax: int = 40) -> complex:
+def _mellin_tail(a: complex, s: complex, u0: float) -> complex:
     """Exact tail of the half integral beyond u0 via the binomial series.
 
     integral over [u0, inf) of exp(-a u) (1 - e^(-u))^(s-1) du with
@@ -317,7 +299,7 @@ def _mellin_tail(a: complex, s: complex, u0: float, kmax: int = 40) -> complex:
     """
     acc = 0j
     bk = 1.0 + 0j
-    for k in range(kmax):
+    for k in range(40):
         term = bk * cmath.exp(-(a + k) * u0) / (a + k)
         acc += term
         if abs(term) <= 1e-18 * max(abs(acc), 1e-30):
@@ -397,11 +379,10 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float) -> np.ndarray:
 
 
 def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
-                         ladder: EpsilonLadder | None = None,
-                         spec: QuadratureSpec | None = None) -> PairingSweepResult:
+                         ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the quadrature-computed Mellin values against a probe."""
     return _pairing_ladder(_mellin_forward_grid, probe, interval, ladder,
-                           spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
+                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
 
 
 # --------------------------------------------------------- mollified inverse
@@ -415,8 +396,7 @@ def _cauchy_kernel_derivs(x: float, eps: float):
     return g, gp, gpp
 
 
-def mellin_inverse_check(t: float, eps: float,
-                         spec: QuadratureSpec | None = None) -> complex:
+def mellin_inverse_check(t: float, eps: float) -> complex:
     """Mollified inverse-transform value: integral of t^(-ix) omega_eps(x).
 
     Quadrature over a finite window plus an oscillatory tail correction from
@@ -427,15 +407,14 @@ def mellin_inverse_check(t: float, eps: float,
         raise DomainError("t > 0")
     if not eps > 0.0:
         raise DomainError("eps > 0")
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
-                                  max_subdivisions=4000)
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=4000)
     L = abs(math.log(t))
-    kernel = lambda x: (eps / math.pi) / (eps * eps + x * x)
 
     if L < 1e-300:
         # Integrand reduces to the kernel itself; exact arctan tail.
         X = max(50.0 * eps, 1.0)
-        res = integrate_pairing(lambda x: np.ones_like(x), kernel, 0.0, X,
+        res = integrate_pairing(lambda x: np.ones_like(x),
+                                lambda x: omega_eps(x, eps), 0.0, X,
                                 spec, origin_scale=eps / 4.0)
         tail = math.atan2(eps, X) / math.pi
         return complex(2.0 * (res.value.real + tail), 0.0)
@@ -456,8 +435,8 @@ def mellin_inverse_check(t: float, eps: float,
     return complex(2.0 * (res.value.real + tail), 0.0)
 
 
-def mellin_inverse_sweep(t: float, ladder: EpsilonLadder | None = None,
-                         spec: QuadratureSpec | None = None) -> PairingSweepResult:
+def mellin_inverse_sweep(t: float,
+                         ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Mollified inverse values along the ladder; the limit targets 1."""
     return _ladder_sweep((ladder or EpsilonLadder.default()).values,
-                         lambda eps: (mellin_inverse_check(t, eps, spec), 1e-9))
+                         lambda eps: (mellin_inverse_check(t, eps), 1e-9))

@@ -177,30 +177,25 @@ def f_derivatives(eps: float, tau: float) -> tuple[complex, complex]:
 
 
 def family_weak_limit_sweep(probe: Probe, interval: tuple[float, float],
-                            ladder: EpsilonLadder | None = None,
-                            spec: QuadratureSpec | None = None) -> PairingSweepResult:
+                            ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the family against a probe along the ladder; the limit is 0."""
     return _pairing_ladder(
         lambda ts, eps: np.array([family_closed_form(float(t), eps) for t in ts]),
-        probe, interval, ladder,
-        spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+        probe, interval, ladder, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
 
 
-def oscillatory_limit_sweep(probe: Probe, kind: str,
-                            z_ladder: tuple[float, ...],
-                            interval: tuple[float, float] | None = None,
-                            spec: QuadratureSpec | None = None) -> PairingSweepResult:
+def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...],
+                            interval: tuple[float, float]) -> PairingSweepResult:
     """Pairings of cos/sin/power oscillations as |1 - z| shrinks.
 
     For each ladder value d = |1 - z| the pairing integrates
-    phi(tau) * cos(tau ln d) (resp. sin, resp. d^(-i tau)) over the interval;
-    the magnitudes fall to 0 at Riemann-Lebesgue speed in ln d.
+    phi(tau) * cos(tau ln d) (resp. sin, resp. d^(-i tau)) over ``interval``
+    (required); the magnitudes fall to 0 at Riemann-Lebesgue speed in ln d.
     """
     if kind not in ("cos", "sin", "power"):
         raise DomainError("kind in {cos, sin, power}")
     vals = EpsilonLadder(tuple(float(d) for d in z_ladder)).values
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-    a, b = interval if interval else probe.support_hint
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
 
     def measure(d):
         L = math.log(d)
@@ -210,7 +205,7 @@ def oscillatory_limit_sweep(probe: Probe, kind: str,
             kern = lambda ts: np.sin(L * ts)
         else:
             kern = lambda ts: np.exp(-1j * L * ts)
-        res = integrate_pairing(probe, kern, a, b, spec,
+        res = integrate_pairing(probe, kern, *interval, spec,
                                 osc_period=2.0 * math.pi / max(abs(L), 1e-12))
         return res.value, res.error_estimate
     return _ladder_sweep(vals, measure)

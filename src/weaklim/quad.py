@@ -40,6 +40,8 @@ __all__ = [
     "integrate_pairing",
 ]
 
+TAIL_TOL = 1e-12  # envelope bound on the tail cut off by integrate_semi_infinite
+
 _X_LO, _W_LO = np.polynomial.legendre.leggauss(10)
 _X_HI, _W_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_X_HI, _X_LO])
@@ -52,7 +54,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    truncation_tail_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
@@ -61,8 +62,6 @@ class QuadratureSpec:
             raise DomainError("rel_tol > 0")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions >= 1")
-        if not self.truncation_tail_tol > 0.0:
-            raise DomainError("truncation_tail_tol > 0")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -202,6 +201,17 @@ def _substituted_left(f, width: float, p: complex):
     return g, width ** r
 
 
+def _default_edge(f, end: float, sign: float, name: str):
+    """f(end + sign * u); a distance u > 0 that rounds onto the end raises."""
+    def g(u):
+        t = end + sign * u
+        if np.any(t == end):
+            raise DomainError(name, f"a distance to {end!r} rounds to 0; pass {name}")
+        return f(t)
+
+    return g
+
+
 def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = None,
                      spec: QuadratureSpec | None = None, *,
                      left_edge=None, right_edge=None) -> IntegralResult:
@@ -218,7 +228,8 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     see ``b`` exactly and cancel catastrophically.  ``left_edge`` and
     ``right_edge``, when given, are distance-parameterized integrands
     ``g(u) = f(endpoint -+ u)`` evaluated stably by the caller; they are used
-    instead of ``f`` on the substituted end pieces.
+    instead of ``f`` on the end pieces.  Without one, an end piece whose
+    distance rounds onto the endpoint raises DomainError naming the edge.
     """
     spec = spec or DEFAULT_SPEC
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -229,8 +240,8 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     right_p = complex(exps.right_p) if exps else 1.0 + 0j
     # Each end in distance coordinates u = t - a (left) or u = b - t (right).
     ends = (
-        (left_p, a, mid, left_edge or (lambda u: f(a + u))),
-        (right_p, mid, b, right_edge or (lambda u: f(b - u))),
+        (left_p, a, mid, left_edge or _default_edge(f, a, 1.0, "left_edge")),
+        (right_p, mid, b, right_edge or _default_edge(f, b, -1.0, "right_edge")),
     )
     sub_spec = replace(spec, abs_tol=0.5 * spec.abs_tol,
                        rel_tol=0.5 * spec.rel_tol)
@@ -254,8 +265,8 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     return IntegralResult(value, err, evals)
 
 
-def _truncation_point(f, decay_rate: float, tail_tol: float) -> float:
-    """Truncation T with C exp(-decay_rate T) / decay_rate <= tail_tol.
+def _truncation_point(f, decay_rate: float) -> float:
+    """Truncation T with C exp(-decay_rate T) / decay_rate <= TAIL_TOL.
 
     The envelope constant C is estimated from samples of log|f| + rate*t, so
     plateaus before the asymptotic decay sets in are accounted for.  All
@@ -274,7 +285,7 @@ def _truncation_point(f, decay_rate: float, tail_tol: float) -> float:
             t_last_seen = t
     if not math.isfinite(log_c):
         return 1.0  # integrand identically ~0 on samples; any T works
-    t_tail = (log_c - math.log(decay_rate * tail_tol)) / decay_rate
+    t_tail = (log_c - math.log(decay_rate * TAIL_TOL)) / decay_rate
     return max(t_tail, t_last_seen + 2.0 / decay_rate)
 
 
@@ -285,14 +296,14 @@ def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = 
     """Integrate f over [0, inf) for |f(t)| <= C exp(-decay_rate t).
 
     The domain is truncated at T such that the envelope tail bound drops
-    below ``spec.truncation_tail_tol``; T is recorded on the result.  When
+    below ``TAIL_TOL``; T is recorded on the result.  When
     ``osc_period`` is given, initial panels are no wider than half a period.
     """
     spec = spec or DEFAULT_SPEC
     if not decay_rate > 0.0:
         raise DomainError("decay_rate > 0")
     T = force_truncation if force_truncation is not None else \
-        _truncation_point(f, decay_rate, spec.truncation_tail_tol)
+        _truncation_point(f, decay_rate)
 
     if osc_period and int(T / (0.5 * osc_period)) + 1 > spec.max_subdivisions // 2:
         raise ConvergenceError(
@@ -313,12 +324,14 @@ def integrate_pairing(phi, kernel, a: float, b: float,
 
     ``phi`` may be a Probe (its ``fn`` is used) or any vectorized callable.
     When the origin lies in [a, b], panels are forcibly clustered around it
-    down to ``origin_scale`` so that a delta-approximant peak of that width
-    cannot slip between coarse nodes.
+    down to ``origin_scale`` (default 1e-6 (b - a)) so that a
+    delta-approximant peak of that width cannot slip between coarse nodes.
     """
     spec = spec or DEFAULT_SPEC
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("finite interval [a, b]")
+    if origin_scale is not None and not origin_scale > 0.0:
+        raise DomainError("origin_scale > 0")
     phi_fn = getattr(phi, "fn", phi)
 
     def g(ts):

@@ -55,10 +55,6 @@ class ClaimVerdict:
         }
 
 
-def _json_default(x):
-    raise TypeError(f"not serializable: {x!r}")
-
-
 def verdicts_to_json(verdicts, summary: dict | None = None) -> str:
     records = [v.as_record() for v in verdicts]
     for r in records:
@@ -67,7 +63,7 @@ def verdicts_to_json(verdicts, summary: dict | None = None) -> str:
     payload = {"verdicts": records}
     if summary is not None:
         payload = {"summary": summary, "verdicts": records}
-    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def verdicts_to_csv(verdicts) -> str:
@@ -84,14 +80,12 @@ def verdicts_to_csv(verdicts) -> str:
 
 def relation_grid_csv(verdicts) -> str:
     """Fixed grid schema for the imaginary-order relation claim."""
-    header = ("nu_re,nu_im,tau,z_re,z_im,"
-              "lhs_re,lhs_im,rhs_re,rhs_im,rel_dev")
-    lines = [header]
+    cols = ("nu_re", "nu_im", "tau", "z_re", "z_im",
+            "lhs_re", "lhs_im", "rhs_re", "rhs_im", "rel_dev")
+    lines = [",".join(cols)]
     for v in verdicts:
         e = v.extra or {}
-        lines.append(",".join(fmt_float(e.get(k, float("nan"))) for k in (
-            "nu_re", "nu_im", "tau", "z_re", "z_im",
-            "lhs_re", "lhs_im", "rhs_re", "rhs_im", "rel_dev")))
+        lines.append(",".join(fmt_float(e.get(k, float("nan"))) for k in cols))
     return "\n".join(lines) + "\n"
 
 

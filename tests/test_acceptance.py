@@ -14,8 +14,10 @@ purpose; the claim registry documents the measured bands instead.
 
 import cmath
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,15 @@ from weaklim.legendre import (
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
 CLI = [sys.executable, "-m", "weaklim"]
+SRC = Path(__file__).resolve().parent.parent / "src"
+# The CLI child imports this checkout's weaklim, installed or not.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+
+
+def run_cli(*args):
+    return subprocess.run([*CLI, *args], capture_output=True, text=True,
+                          env=CLI_ENV)
 
 
 def check(label: str, ok: bool, detail: str):
@@ -214,11 +225,8 @@ def test_criterion_13_relation_adjudication(tmp_path):
     exact = run_claim("E47-legendre-exact")
     worst = max(v.deviation for v in exact)
     out = tmp_path / "e47.csv"
-    r = subprocess.run(
-        [*CLI, "verify", "E47-legendre-relation", "--format", "csv",
-         "--out", str(out)],
-        capture_output=True, text=True,
-    )
+    r = run_cli("verify", "E47-legendre-relation", "--format", "csv",
+                "--out", str(out))
     lines = out.read_text().splitlines() if out.exists() else []
     grid_ok = (r.returncode == 0 and len(lines) == 28
                and lines[0].startswith("nu_re,nu_im,tau,"))
@@ -282,15 +290,10 @@ def test_criterion_15b_power_law_slope():
 def test_criterion_16_determinism_and_exit_contract(tmp_path):
     out1 = tmp_path / "all1.json"
     out2 = tmp_path / "all2.json"
-    r1 = subprocess.run([*CLI, "verify-all", "--out", str(out1)],
-                        capture_output=True, text=True)
-    r2 = subprocess.run([*CLI, "verify-all", "--out", str(out2)],
-                        capture_output=True, text=True)
+    r1 = run_cli("verify-all", "--out", str(out1))
+    r2 = run_cli("verify-all", "--out", str(out2))
     identical = out1.read_bytes() == out2.read_bytes()
-    forced = subprocess.run(
-        [*CLI, "verify", "E04-euler-beta", "--tol", "1e-30"],
-        capture_output=True, text=True,
-    )
+    forced = run_cli("verify", "E04-euler-beta", "--tol", "1e-30")
     ok = (r1.returncode == 0 and r2.returncode == 0 and identical
           and forced.returncode == 1)
     check("criterion 16 (byte-identical runs; exit-status contract)",

@@ -72,15 +72,17 @@ def test_probe_catalog_values_at_zero():
         assert abs(p(0.0) - p.value_at_zero) <= 1e-12
 
 
+_PROBE_GRID = np.linspace(-8.0, 8.0, 160001)  # step 1e-4
+
+
 def test_probe_continuity_spot_check():
     for p in PROBES.values():
-        assert p.max_jump(1e-4) <= p.bound
+        assert np.max(np.abs(np.diff(p(_PROBE_GRID)))) <= 1.0
 
 
 def test_probe_boundedness():
-    grid = np.linspace(-8.0, 8.0, 20001)
     for p in PROBES.values():
-        assert np.max(np.abs(p(grid))) <= p.bound + 1e-12
+        assert np.max(np.abs(p(_PROBE_GRID))) <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------------------- ladder
@@ -95,10 +97,15 @@ def test_default_ladder_shape():
 
 
 def test_ladder_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="ladder strictly decreasing"):
         EpsilonLadder((0.1, 0.2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="ladder values positive"):
         EpsilonLadder((0.1, -0.2))
+    with pytest.raises(DomainError, match="ladder values positive"):
+        EpsilonLadder((math.nan, 1e-2))
+    # An infinite value used to pass and surface as a non-finite quadrature.
+    with pytest.raises(DomainError, match="ladder values finite"):
+        EpsilonLadder((math.inf, 1e-2, 1e-3))
 
 
 def test_fit_sweep_recovers_synthetic_power_law():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,12 +25,17 @@ from weaklim.distrib import EpsilonLadder
 from weaklim.report import relation_grid_csv, verdicts_to_csv, verdicts_to_json
 
 CLI = [sys.executable, "-m", "weaklim"]
+SRC = Path(__file__).resolve().parent.parent / "src"
+# The CLI child imports this checkout's weaklim, installed or not.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
 EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
                        / "bench" / "expected_verify_all.json")
 
 
 def run_cli(*args, **kw):
-    return subprocess.run([*CLI, *args], capture_output=True, text=True, **kw)
+    return subprocess.run([*CLI, *args], capture_output=True, text=True,
+                          env=CLI_ENV, **kw)
 
 
 # ----------------------------------------------------------------- registry
@@ -323,14 +329,17 @@ def test_cli_eval_every_entry(capsys):
         assert payload["function"] == name
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "q_nu_itau", "nu=0", "tau=1000", "z=2"],      # ConvergenceError
-    ["eval", "hyp2f1", "a=1000i", "b=1", "c=1", "z=0.9"],  # SeriesError
-    ["sweep", "eps", "E12-beta-delta", "--eps-ladder", "1e-1,x"],
-], ids=["convergence", "series", "sweep-ladder"])
-def test_cli_library_error_exits_2(argv, capsys):
+@pytest.mark.parametrize("argv, says", [
+    (["eval", "q_nu_itau", "nu=0", "tau=1000", "z=2"], "subdivision budget"),
+    (["eval", "hyp2f1", "a=1000i", "b=1", "c=1", "z=0.9"], "not finite"),
+    (["sweep", "eps", "E12-beta-delta", "--eps-ladder", "1e-1,x"], "'x'"),
+    (["verify", "E12-beta-delta", "--eps-ladder", "inf,1e-2,1e-3"],
+     "ladder values finite"),
+], ids=["convergence", "series", "sweep-ladder", "infinite-ladder"])
+def test_cli_library_error_exits_2(argv, says, capsys):
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
 
 
 @pytest.mark.parametrize("line", [

@@ -284,11 +284,11 @@ def test_oscillatory_constant_probe_antiderivative():
 
 def test_oscillatory_rejects_bad_ladder():
     with pytest.raises(DomainError, match="ladder strictly decreasing"):
-        oscillatory_limit_sweep(PROBES["gaussian"], "cos", (0.1, 0.2))
+        oscillatory_limit_sweep(PROBES["gaussian"], "cos", (0.1, 0.2), (-5.0, 5.0))
     with pytest.raises(DomainError):
-        oscillatory_limit_sweep(PROBES["gaussian"], "tan", (0.1,))
+        oscillatory_limit_sweep(PROBES["gaussian"], "tan", (0.1,), (-5.0, 5.0))
     # The z ladder is validated as an EpsilonLadder.
     with pytest.raises(DomainError, match="ladder values positive"):
-        oscillatory_limit_sweep(PROBES["gaussian"], "cos", (0.1, -0.1))
+        oscillatory_limit_sweep(PROBES["gaussian"], "cos", (0.1, -0.1), (-5.0, 5.0))
     with pytest.raises(DomainError, match="ladder values positive"):
-        oscillatory_limit_sweep(PROBES["gaussian"], "cos", ())
+        oscillatory_limit_sweep(PROBES["gaussian"], "cos", (), (-5.0, 5.0))

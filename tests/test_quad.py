@@ -7,6 +7,7 @@ import pytest
 
 from weaklim.complexfn import DomainError, gamma
 from weaklim.quad import (
+    TAIL_TOL,
     ConvergenceError,
     EndpointExponents,
     IntegralResult,
@@ -81,8 +82,7 @@ def test_truncation_soundness():
     f = lambda t: np.exp(-1.5 * t) * np.cos(t)
     base = integrate_semi_infinite(f, 1.5)
     doubled = integrate_semi_infinite(f, 1.5, force_truncation=2 * base.truncation_point)
-    spec = QuadratureSpec()
-    assert abs(base.value - doubled.value) <= 10 * spec.truncation_tail_tol
+    assert abs(base.value - doubled.value) <= 10 * TAIL_TOL
 
 
 # ------------------------------------------------------------------ pairing
@@ -171,6 +171,32 @@ def test_non_finite_integrand_raises():
         integrate_finite(nan_right, 0.0, 1.0)
     with pytest.raises(ConvergenceError, match="non-finite"):
         integrate_semi_infinite(lambda t: np.exp(-t) * nan_right(t), 1.0)
+
+
+@pytest.mark.parametrize("scale", [-1e-3, 0.0, -math.inf, math.nan])
+def test_origin_scale_must_be_positive(scale):
+    # A negative scale used to hang the partition builder; 0 fell back to
+    # the default.
+    with pytest.raises(DomainError, match="origin_scale > 0"):
+        integrate_pairing(np.ones_like, lambda t: np.exp(-t * t), -1.0, 1.0,
+                          origin_scale=scale)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_singular_end_without_edge(side):
+    # [1, 2] keeps the singular end away from 0, where end +- u rounds to
+    # the end itself once the substituted distance u drops below ~1e-16.
+    def run(p):
+        if side == "left":
+            return integrate_finite(lambda t: (t - 1.0) ** (p - 1.0), 1.0, 2.0,
+                                    EndpointExponents(p, 1.0))
+        return integrate_finite(lambda t: (2.0 - t) ** (p - 1.0), 1.0, 2.0,
+                                EndpointExponents(1.0, p))
+
+    assert abs(run(0.8).value - 1.0 / 0.8) <= 1e-12
+    with pytest.raises(DomainError, match=f"pass {side}_edge") as exc:
+        run(0.5)
+    assert exc.value.condition == f"{side}_edge"
 
 
 def test_breakpoints_partition():
