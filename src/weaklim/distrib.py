@@ -12,9 +12,17 @@ continuous bounded test functions; the extrapolated pairing limit targets
 pairing interval.
 
 The regularized Mellin transform of f(t) = 1 on the imaginary axis equals
-the same Beta value; here it is evaluated by honest quadrature (after the
-exact change of variables u = -ln t, split at t = 1/2, with an analytic
-geometric-series tail) and cross-checked against the Euler closed form.
+the same Beta value; here it is evaluated by honest quadrature and
+cross-checked against the Euler closed form.  After the exact change of
+variables u = -ln t and the split at t = 1/2, the halves at heights +-tau
+are complex conjugates, so their sum is one real cosine transform,
+
+    integral over [ln 2, inf) of 2 e^(-eps u) (1 - e^-u)^(eps-1)
+                                 cos(tau (u + ln(1 - e^-u))) du,
+
+with an analytic binomial-series tail beyond u = 36.  For real tau the Beta
+value is real as well: B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2
+/ Gamma(2 eps), one log-gamma per node.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ import numpy as np
 
 from .complexfn import DomainError, log_gamma
 from .quad import (
-    IntegralResult,
     QuadratureSpec,
     integrate_pairing,
     integrate_semi_infinite,
@@ -259,11 +266,24 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
     return half(a) + half(b)
 
 
-def beta_reg(tau: float, eps: float) -> complex:
-    """B(eps + i tau, eps - i tau) through the Euler closed form."""
+def beta_reg(tau, eps: float):
+    """B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2 / Gamma(2 eps).
+
+    Euler's Beta at those two arguments, evaluated through conjugate
+    symmetry: log_gamma(eps - i tau) is the conjugate of log_gamma(eps + i tau),
+    so each node costs one log-gamma and the call one more for Gamma(2 eps).
+    The value is real; it is returned as a complex with zero imaginary part.
+    ``tau`` may be an array; a scalar tau gives a scalar.
+    """
     if not eps > 0.0:
         raise DomainError("eps > 0")
-    return beta(complex(eps, tau), complex(eps, -tau))
+    taus = np.asarray(tau, dtype=float)
+    lgs = [log_gamma(complex(eps, t)) for t in taus.ravel().tolist()]
+    lg_2eps = log_gamma(complex(2.0 * eps)).real
+    vals = [cmath.exp(lg + lg.conjugate() - lg_2eps) for lg in lgs]
+    if taus.ndim == 0:
+        return vals[0]
+    return np.array(vals, dtype=complex).reshape(taus.shape)
 
 
 # ----------------------------------------------------------- delta pairings
@@ -280,9 +300,8 @@ def delta_target(probe: Probe, a: float, b: float) -> float:
 def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
                       ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the regularized Beta kernel against a probe along the ladder."""
-    return _pairing_ladder(
-        lambda ts, eps: np.array([beta_reg(float(t), eps) for t in ts]),
-        probe, interval, ladder, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+    return _pairing_ladder(beta_reg, probe, interval, ladder,
+                           QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
 
 
 # ------------------------------------------------------- regularized Mellin
@@ -291,43 +310,41 @@ _MELLIN_CUT = math.log(2.0)
 _MELLIN_FAR = 36.0
 
 
-def _mellin_tail(a: complex, s: complex, u0: float) -> complex:
-    """Exact tail of the half integral beyond u0 via the binomial series.
+def _mellin_parts(u, eps: float):
+    """Phase and doubled weight of the paired Mellin integrand at u >= ln 2.
 
-    integral over [u0, inf) of exp(-a u) (1 - e^(-u))^(s-1) du with
-    (1-x)^(s-1) = sum b_k x^k; converges term by term since e^(-u0) < 1.
+    The half integrals at heights +-tau are the conjugate pair
+    integral of w(u) exp(-+i tau phase(u)) du, with the real weight
+    w = e^(-eps u) (1 - e^-u)^(eps-1) and phase = u + ln(1 - e^-u); their
+    sum is the cosine transform of 2 w.
     """
-    acc = 0j
-    bk = 1.0 + 0j
+    base = -np.expm1(-u)  # 1 - e^-u, accurate near u ~ ln 2
+    return u + np.log(base), 2.0 * np.exp(-eps * u) * base ** (eps - 1.0)
+
+
+def _mellin_tail(taus, eps: float):
+    """Exact tail beyond _MELLIN_FAR of both half integrals, for each tau.
+
+    The half at height tau, integral over [u0, inf) of
+    exp(-a u) (1 - e^(-u))^(s-1) du with a = eps + i tau, s = eps - i tau,
+    sums term by term through the binomial series (1-x)^(s-1) = sum b_k x^k
+    since e^(-u0) < 1.  The -tau half is its conjugate, so the pair is
+    2 Re of it.  Each element stops once a term falls below 1e-18 of its sum,
+    after at most 40 terms.
+    """
+    a = eps + 1j * np.asarray(taus, dtype=float)
+    s = a.conj()
+    acc = np.zeros_like(a)
+    bk = np.ones_like(a)
+    active = np.ones(a.shape, dtype=bool)
     for k in range(40):
-        term = bk * cmath.exp(-(a + k) * u0) / (a + k)
-        acc += term
-        if abs(term) <= 1e-18 * max(abs(acc), 1e-30):
+        term = bk * np.exp(-(a + k) * _MELLIN_FAR) / (a + k)
+        acc = np.where(active, acc + term, acc)
+        active &= np.abs(term) > 1e-18 * np.maximum(np.abs(acc), 1e-30)
+        if not active.any():
             break
         bk = bk * (k + 1 - s) / (k + 1)
-    return acc
-
-
-def _mellin_half(sigma: float, eps: float, spec: QuadratureSpec) -> IntegralResult:
-    """Half of the Beta integral in log variables: u in [ln 2, inf)."""
-    a = complex(eps, sigma)
-    s = complex(eps, -sigma)
-
-    def f(u):
-        return np.exp(-a * u) * (1.0 - np.exp(-u)) ** (s - 1.0)
-
-    per = (TWO_PI / abs(sigma)) if abs(sigma) > 1e-12 else None
-    # Shift to [0, far) so the semi-infinite machinery applies unchanged; the
-    # integrand decays only like e^(-eps u), so the far cutoff is fixed and
-    # the remaining tail is added analytically below.
-    g = lambda v: f(v + _MELLIN_CUT)
-    res = integrate_semi_infinite(
-        g, max(eps, 1e-12), spec, osc_period=per,
-        force_truncation=_MELLIN_FAR - _MELLIN_CUT, scale_abs_tol=False,
-    )
-    tail = _mellin_tail(a, s, _MELLIN_FAR)
-    return IntegralResult(res.value + tail, res.error_estimate,
-                          res.evaluations, _MELLIN_FAR)
+    return 2.0 * acc.real
 
 
 def mellin_reg_forward(tau: float, eps: float,
@@ -335,23 +352,38 @@ def mellin_reg_forward(tau: float, eps: float,
     """Regularized Mellin value of f(t) = 1 at height tau, by quadrature.
 
     Evaluates the Beta integral form obtained from the half-line transform by
-    the substitution u = t/(1-t): the two halves around t = 1/2 are mapped to
-    log variables and integrated; the far tail is summed in closed form.
-    Agrees with beta_reg(tau, eps) to combined tolerances.
+    the substitution u = t/(1-t): the two halves around t = 1/2 map to log
+    variables u in [ln 2, inf) as a conjugate pair, summed as one real cosine
+    integral; the tail beyond u = 36 is summed in closed form.  Agrees with
+    beta_reg(tau, eps) to combined tolerances.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError("eps in (0, 1/2)")
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    h1 = _mellin_half(float(tau), eps, spec)
-    h2 = _mellin_half(-float(tau), eps, spec)
-    return h1.value + h2.value
+    tau = float(tau)
+
+    def f(v):
+        # Shifted to [0, far) so the semi-infinite machinery applies unchanged.
+        phase, weight = _mellin_parts(v + _MELLIN_CUT, eps)
+        return weight * np.cos(tau * phase)
+
+    per = (TWO_PI / abs(tau)) if abs(tau) > 1e-12 else None
+    # The integrand decays only like e^(-eps u), so the far cutoff is fixed
+    # and the remaining tail is added analytically.
+    res = integrate_semi_infinite(
+        f, max(eps, 1e-12), spec, osc_period=per,
+        force_truncation=_MELLIN_FAR - _MELLIN_CUT, scale_abs_tol=False,
+    )
+    return res.value + float(_mellin_tail(tau, eps))
 
 
 def _mellin_forward_grid(taus: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized forward Mellin values on a fixed composite panel rule.
 
-    Used by the pairing sweep, where the kernel is evaluated at whole arrays
-    of tau nodes; validated against the adaptive scalar route in the tests.
+    One real cosine transform: cos(outer(taus, phase)) @ (w * 2 weight) over
+    the composite nodes u of [ln 2, 36], plus the closed-form tails.  Used by
+    the pairing sweep, where the kernel is evaluated at whole arrays of tau
+    nodes; validated against the adaptive scalar route in the tests.
     """
     taus = np.asarray(taus, dtype=float)
     freq = float(np.max(np.abs(taus))) if taus.size else 1.0
@@ -364,18 +396,9 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float) -> np.ndarray:
     halves = 0.5 * (edges[1:] - edges[:-1])
     u = (mids[:, None] + halves[:, None] * _X_HI[None, :]).ravel()
     w = (halves[:, None] * _W_HI[None, :]).ravel()
-    base = -np.expm1(-u)  # 1 - e^-u, accurate near u ~ ln 2
-
-    out = np.empty(taus.shape, dtype=complex)
-    for i, t in enumerate(taus):
-        total = 0j
-        for sigma in (t, -t):
-            A = complex(eps, sigma)
-            S = complex(eps, -sigma)
-            vals = np.exp(-A * u) * base ** (S - 1.0)
-            total += complex(vals @ w) + _mellin_tail(A, S, _MELLIN_FAR)
-        out[i] = total
-    return out
+    phase, weight = _mellin_parts(u, eps)
+    return np.cos(np.multiply.outer(taus, phase)) @ (w * weight) \
+        + _mellin_tail(taus, eps)
 
 
 def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],

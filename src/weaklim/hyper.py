@@ -120,14 +120,30 @@ def gauss_sum(a, b, c) -> complex:
 
 # ------------------------------------------------------ the imaginary family
 
-def family_closed_form(tau: float, eps: float) -> complex:
-    """Unit-argument value of the family: Gauss's sum, 1 identically at tau = 0."""
+def family_closed_form(tau, eps: float):
+    """Unit-argument value of the family: Gauss's sum, 1 identically at tau = 0.
+
+    ``gauss_sum(2 i tau, eps + i tau, 2 eps + 2 i tau)`` term for term, with
+    log_gamma(eps - i tau) taken as the conjugate of log_gamma(eps + i tau):
+    two log-gammas per nonzero node, and one for Gamma(2 eps) when any node
+    is nonzero.  ``tau`` may be an array; a scalar tau gives a scalar.
+    """
     if not eps > 0.0:
         raise DomainError("eps > 0")
-    t = float(tau)
-    if t == 0.0:
-        return 1.0 + 0j  # the four gamma factors cancel pairwise
-    return gauss_sum(2j * t, complex(eps, t), complex(2 * eps, 2 * t))
+    taus = np.asarray(tau, dtype=float)
+    lg_2eps = log_gamma(complex(2 * eps)) if taus.any() else 0j
+
+    def node(t: float) -> complex:
+        if t == 0.0:
+            return 1.0 + 0j  # the four gamma factors cancel pairwise
+        lg_b = log_gamma(complex(eps, t))
+        return cmath.exp(log_gamma(complex(2 * eps, 2 * t)) + lg_b.conjugate()
+                         - lg_2eps - lg_b)
+
+    vals = [node(t) for t in taus.ravel().tolist()]
+    if taus.ndim == 0:
+        return vals[0]
+    return np.array(vals, dtype=complex).reshape(taus.shape)
 
 
 def family_duplication_form(tau: float, eps: float) -> complex:
@@ -179,9 +195,8 @@ def f_derivatives(eps: float, tau: float) -> tuple[complex, complex]:
 def family_weak_limit_sweep(probe: Probe, interval: tuple[float, float],
                             ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the family against a probe along the ladder; the limit is 0."""
-    return _pairing_ladder(
-        lambda ts, eps: np.array([family_closed_form(float(t), eps) for t in ts]),
-        probe, interval, ladder, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+    return _pairing_ladder(family_closed_form, probe, interval, ladder,
+                           QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
 
 
 def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...],

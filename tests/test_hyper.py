@@ -4,8 +4,10 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from weaklim import hyper
 from weaklim.complexfn import DomainError, PoleError, gamma, log_gamma
 from weaklim.distrib import PROBES, omega_eps
 from weaklim.hyper import (
@@ -129,8 +131,54 @@ def test_gauss_sum_vs_series_five_sets():
 # ----------------------------------------------------------------- family
 
 def test_family_collapses_at_tau_zero():
-    for eps in (1e-3, 0.05, 0.7):
+    # eps = 1e-15 puts Gamma(2 eps) on the pole tolerance; tau = 0 never
+    # evaluates it.
+    for eps in (1e-15, 1e-3, 0.05, 0.7):
         assert family_closed_form(0.0, eps) == 1.0 + 0j
+
+
+def test_family_array_matches_scalar():
+    rng = np.random.default_rng(5)
+    taus = np.concatenate([[0.0, -0.0], rng.uniform(-30.0, 30.0, 200)])
+    for eps in (1e-5, 0.01, 0.3, 0.5, 7.0):
+        arr = family_closed_form(taus, eps)
+        assert arr.shape == taus.shape
+        assert arr[0] == arr[1] == 1.0 + 0j
+        for t, v in zip(taus, arr):
+            got = family_closed_form(float(t), eps)
+            assert type(got) is complex
+            assert got.real == v.real and got.imag == v.imag
+        grid = family_closed_form(taus.reshape(2, -1), eps)
+        assert np.array_equal(grid.ravel(), arr)
+
+
+def test_family_equals_gauss_sum_bit_for_bit():
+    # Conjugate symmetry of log_gamma makes the two-log-gamma form exact.
+    rng = np.random.default_rng(11)
+    taus = rng.uniform(-50.0, 50.0, 2000)
+    epss = 10.0 ** rng.uniform(-5.0, 1.0, 2000)
+    for tau, eps in zip(taus, epss):
+        tau, eps = float(tau), float(eps)
+        got = family_closed_form(tau, eps)
+        want = gauss_sum(2j * tau, complex(eps, tau), complex(2 * eps, 2 * tau))
+        assert got.real == want.real and got.imag == want.imag, (tau, eps)
+
+
+def test_family_log_gamma_count(monkeypatch):
+    calls = []
+    inner = hyper.log_gamma
+    monkeypatch.setattr(hyper, "log_gamma",
+                        lambda z: calls.append(z) or inner(z))
+    for n in (1, 6, 31):
+        calls.clear()
+        family_closed_form(np.linspace(0.1, 2.0, n), 0.01)
+        assert len(calls) == 2 * n + 1
+    calls.clear()
+    family_closed_form(np.array([-1.0, 0.0, 1.0]), 0.01)
+    assert len(calls) == 2 * 2 + 1
+    calls.clear()
+    family_closed_form(np.zeros(4), 0.01)
+    assert calls == []
 
 
 def test_family_dual_route():
