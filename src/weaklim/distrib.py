@@ -35,11 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .complexfn import DomainError, log_gamma
-from .quad import (
-    QuadratureSpec,
-    integrate_pairing,
-    integrate_semi_infinite,
-)
+from .quad import QuadratureSpec, integrate_pairing, integrate_semi_infinite
 
 __all__ = [
     "Probe",
@@ -354,8 +350,12 @@ def mellin_reg_forward(tau: float, eps: float,
     Evaluates the Beta integral form obtained from the half-line transform by
     the substitution u = t/(1-t): the two halves around t = 1/2 map to log
     variables u in [ln 2, inf) as a conjugate pair, summed as one real cosine
-    integral; the tail beyond u = 36 is summed in closed form.  Agrees with
-    beta_reg(tau, eps) to combined tolerances.
+    integral.  The window [ln 2, 36] is paired against ones on the same path
+    as the mollified inverse, with initial edges at quarters toward its
+    start down to 1/(4 eps); the tail beyond u = 36 is summed in closed
+    form.  Agrees with beta_reg(tau, eps) to combined tolerances.  An
+    oscillation too fast to resolve within the subdivision budget raises
+    ConvergenceError.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError("eps in (0, 1/2)")
@@ -363,17 +363,13 @@ def mellin_reg_forward(tau: float, eps: float,
     tau = float(tau)
 
     def f(v):
-        # Shifted to [0, far) so the semi-infinite machinery applies unchanged.
+        # Shifted to start at 0, where the window's panels cluster.
         phase, weight = _mellin_parts(v + _MELLIN_CUT, eps)
         return weight * np.cos(tau * phase)
 
     per = (TWO_PI / abs(tau)) if abs(tau) > 1e-12 else None
-    # The integrand decays only like e^(-eps u), so the far cutoff is fixed
-    # and the remaining tail is added analytically.
-    res = integrate_semi_infinite(
-        f, max(eps, 1e-12), spec, osc_period=per,
-        force_truncation=_MELLIN_FAR - _MELLIN_CUT, scale_abs_tol=False,
-    )
+    res = integrate_pairing(PROBES["const"], f, 0.0, _MELLIN_FAR - _MELLIN_CUT,
+                            spec, origin_scale=0.25 / eps, osc_period=per)
     return res.value + float(_mellin_tail(tau, eps))
 
 

@@ -51,6 +51,7 @@ _LN4 = math.log(4.0)
 _SQRT_PI = math.sqrt(math.pi)
 _MAX_ABS_Z = 1.0 - 1e-4
 _CONSECUTIVE_SMALL = 50
+_MAX_TERMS = 2_000_000  # term budget of the hyp2f1 series
 
 
 class SeriesError(RuntimeError):
@@ -62,14 +63,14 @@ class SeriesError(RuntimeError):
         super().__init__(f"{message} (partial sum {partial!r} after {terms} terms)")
 
 
-def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13,
-           max_terms: int = 2_000_000) -> complex:
+def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     """2F1(a, b; c; z) by the power series, symmetric in a and b.
 
     Valid for |z| < 1; the series is summed until 50 consecutive terms fall
-    below rel_tol times the partial sum.  Arguments with |z| above
-    1 - 1e-4 are rejected: convergence there is too slow for the budget and
-    the unit-argument closed forms take over.
+    below rel_tol times the partial sum; an unsettled series after
+    _MAX_TERMS terms, or a non-finite sum, raises SeriesError.  Arguments
+    with |z| above 1 - 1e-4 are rejected: convergence there is too slow for
+    the budget and the unit-argument closed forms take over.
     """
     a = complex(a)
     b = complex(b)
@@ -84,7 +85,7 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13,
     total = 1.0 + 0j
     term = 1.0 + 0j
     small = 0
-    for n in range(max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if abs(term) > rel_tol * abs(total):
@@ -96,7 +97,7 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13,
             small += 1
             if small >= _CONSECUTIVE_SMALL:
                 return total
-    raise SeriesError("hypergeometric series did not converge", total, max_terms)
+    raise SeriesError("hypergeometric series did not converge", total, _MAX_TERMS)
 
 
 def gauss_sum(a, b, c) -> complex:

@@ -1,13 +1,13 @@
 """Adaptive complex-valued quadrature on embedded Gauss-Legendre panels.
 
 Three entry points cover the integral shapes used by the rest of the
-library:
+library, one policy per shape and no per-caller overrides:
 
     integrate_finite         finite interval, algebraic endpoint behavior
-    integrate_semi_infinite  [0, inf) with exponential decay and an explicit,
-                             recorded truncation point
-    integrate_pairing        test function against a kernel family, with
-                             forced panel refinement around the origin peak
+    integrate_semi_infinite  [0, inf) with exponential decay, a recorded
+                             truncation point and a scale-tied abs floor
+    integrate_pairing        test function against a kernel family on a
+                             finite window, refined around the origin peak
 
 Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
 estimate is the difference against the embedded 10-point rule.  The panel
@@ -277,9 +277,8 @@ def _truncation_point(f, decay_rate: float) -> float:
     samples = sorted({min(s, 1e4) for s in samples})
     log_c = -math.inf
     t_last_seen = 0.0
-    for t in samples:
-        v = complex(np.asarray(f(np.array([t])), dtype=complex)[0])
-        m = abs(v)
+    mags = np.abs(np.asarray(f(np.array(samples)), dtype=complex)).tolist()
+    for t, m in zip(samples, mags):
         if m > 0.0:
             log_c = max(log_c, math.log(m) + decay_rate * t)
             t_last_seen = t
@@ -290,20 +289,19 @@ def _truncation_point(f, decay_rate: float) -> float:
 
 
 def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = None,
-                            *, osc_period: float | None = None,
-                            scale_abs_tol: bool = True,
-                            force_truncation: float | None = None) -> IntegralResult:
+                            *, osc_period: float | None = None) -> IntegralResult:
     """Integrate f over [0, inf) for |f(t)| <= C exp(-decay_rate t).
 
     The domain is truncated at T such that the envelope tail bound drops
-    below ``TAIL_TOL``; T is recorded on the result.  When
-    ``osc_period`` is given, initial panels are no wider than half a period.
+    below ``TAIL_TOL``; T is recorded on the result.  The absolute floor is
+    capped at rel_tol times the integrand's scale.  When ``osc_period`` is
+    given, initial panels are no wider than half a period; a period too
+    short for the subdivision budget raises ConvergenceError.
     """
     spec = spec or DEFAULT_SPEC
     if not decay_rate > 0.0:
         raise DomainError("decay_rate > 0")
-    T = force_truncation if force_truncation is not None else \
-        _truncation_point(f, decay_rate)
+    T = _truncation_point(f, decay_rate)
 
     if osc_period and int(T / (0.5 * osc_period)) + 1 > spec.max_subdivisions // 2:
         raise ConvergenceError(
@@ -311,7 +309,7 @@ def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = 
             IntegralResult(0j, math.inf, 0),
         )
     pts = _breakpoints(0.0, T, min(0.25 / decay_rate, T / 4.0), osc_period)
-    res = _adaptive(f, pts, spec, scale_abs_tol=scale_abs_tol)
+    res = _adaptive(f, pts, spec, scale_abs_tol=True)
     res.truncation_point = T
     return res
 
@@ -322,20 +320,21 @@ def integrate_pairing(phi, kernel, a: float, b: float,
                       osc_period: float | None = None) -> IntegralResult:
     """Integrate phi(tau) * kernel(tau) over the finite interval [a, b].
 
-    ``phi`` may be a Probe (its ``fn`` is used) or any vectorized callable.
-    When the origin lies in [a, b], panels are forcibly clustered around it
-    down to ``origin_scale`` (default 1e-6 (b - a)) so that a
-    delta-approximant peak of that width cannot slip between coarse nodes.
+    ``phi`` and ``kernel`` are vectorized callables (a Probe is one); their
+    product is the integrand.  When the origin lies in [a, b], panels are
+    forcibly clustered around it down to ``origin_scale`` (default
+    1e-6 (b - a)) so that a delta-approximant peak of that width cannot slip
+    between coarse nodes; ``osc_period`` adds an edge every half period
+    while the subdivision budget allows.
     """
     spec = spec or DEFAULT_SPEC
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("finite interval [a, b]")
     if origin_scale is not None and not origin_scale > 0.0:
         raise DomainError("origin_scale > 0")
-    phi_fn = getattr(phi, "fn", phi)
 
     def g(ts):
-        return np.asarray(phi_fn(ts), dtype=complex) * np.asarray(kernel(ts), dtype=complex)
+        return np.asarray(phi(ts)) * np.asarray(kernel(ts))
 
     if osc_period and int((b - a) / (0.5 * osc_period)) + 1 > spec.max_subdivisions // 2:
         osc_period = None  # too fast for the budget: the adaptive pass splits

@@ -25,7 +25,7 @@ from weaklim.distrib import (
     _mellin_tail,
     omega_eps,
 )
-from weaklim.quad import QuadratureSpec, integrate_pairing
+from weaklim.quad import ConvergenceError, QuadratureSpec, integrate_pairing
 
 TWO_PI = 2.0 * math.pi
 
@@ -321,6 +321,16 @@ def test_mellin_routes_match_beta_reg_on_ladder():
         for t, want in zip(taus, closed):
             got = mellin_reg_forward(float(t), eps)
             assert abs(got - want) <= max(1e-12, 1e-11 * abs(want)), (t, eps)
+
+
+def test_mellin_forward_fast_oscillation():
+    # The window adapts to a period finer than the initial partition can
+    # afford; past the subdivision budget it raises.
+    want = beta_reg(100.0, 0.1).real
+    got = mellin_reg_forward(100.0, 0.1)
+    assert abs(got - want) <= max(1e-12, 1e-11 * abs(want))
+    with pytest.raises(ConvergenceError):
+        mellin_reg_forward(300.0, 1e-5)
 
 
 def test_mellin_forward_sweep_reaches_two_pi():

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weaklim.complexfn import DomainError, gamma
+from weaklim.complexfn import EULER_GAMMA, DomainError, digamma, gamma
 from weaklim.legendre import (
     BranchCutError,
     adjudicate_relation,
@@ -23,6 +23,7 @@ from weaklim.legendre import (
 from weaklim.quad import (
     TAIL_TOL,
     ConvergenceError,
+    integrate_pairing,
     integrate_semi_infinite,
 )
 
@@ -73,6 +74,7 @@ def test_weak_decay_rejected():
     assert exc.value.condition == "Re(nu + 1) > |Re(mu)|"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_slow_decay_overflow_raises():
     # At kernel decay 0.01 the truncation point lies far past t ~ 710, where
     # cosh overflows; the NaN panels must not come back as a value.
@@ -187,8 +189,8 @@ def test_truncation_stability():
     base = _kernel(complex(nu), complex(z))
     f = lambda ts: np.cos(tau * ts) * base(ts)
     r1 = integrate_semi_infinite(f, nu + 1.0, osc_period=2 * math.pi / tau)
-    r2 = integrate_semi_infinite(f, nu + 1.0, osc_period=2 * math.pi / tau,
-                                 force_truncation=2.0 * r1.truncation_point)
+    r2 = integrate_pairing(np.ones_like, f, 0.0, 2.0 * r1.truncation_point,
+                           osc_period=2 * math.pi / tau)
     assert abs(r1.value - r2.value) <= 10 * TAIL_TOL
 
 
@@ -334,6 +336,27 @@ def test_near_one_power_slopes():
         slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) \
             / sum((x - mx) ** 2 for x in xs)
         assert abs(slope + 0.5 * mu) <= 0.02, (nu, mu)
+
+
+# Companions of the red criteria 14b and 15a: the laws that do hold, with
+# bands set by the measured deviations.
+
+@pytest.mark.parametrize("nu, bound", [(0.0, 1e-7), (1.0, 5e-6), (2.5, 2e-5)])
+def test_near_one_law_with_constant(nu, bound):
+    # DLMF 14.8.9: Q_nu(z) = -ln((z-1)/2) / 2 - gamma - psi(nu+1) + O(z-1).
+    z = 1.0 + 1e-6
+    law = -0.5 * math.log((z - 1.0) / 2.0) - EULER_GAMMA - digamma(nu + 1.0).real
+    assert abs(q_nu(nu, z) - law) <= bound * abs(law)
+
+
+@pytest.mark.parametrize("nu", [10.0, 50.0, 250.0])
+def test_large_degree_deviation_is_order_one_over_nu(nu):
+    # DLMF 14.15.13 at z = cosh xi = 2: the leading term is off by ~0.39 / nu.
+    xi = math.acosh(2.0)
+    lead = (math.sqrt(math.pi / (2.0 * nu * math.sinh(xi)))
+            * math.exp(-(nu + 0.5) * xi))
+    scaled = nu * abs(q_nu(nu, 2.0) / lead - 1.0)
+    assert 0.35 <= scaled <= 0.42
 
 
 def test_near_one_power_law_requires_positive_order():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weaklim.complexfn import DomainError, gamma
+from weaklim.distrib import PROBES
 from weaklim.quad import (
     TAIL_TOL,
     ConvergenceError,
@@ -79,10 +80,20 @@ def test_decay_rate_rejected():
 
 
 def test_truncation_soundness():
+    # The window [0, 2 T] holds the whole tail the truncation cut off.
     f = lambda t: np.exp(-1.5 * t) * np.cos(t)
     base = integrate_semi_infinite(f, 1.5)
-    doubled = integrate_semi_infinite(f, 1.5, force_truncation=2 * base.truncation_point)
+    doubled = integrate_pairing(np.ones_like, f, 0.0, 2 * base.truncation_point)
     assert abs(base.value - doubled.value) <= 10 * TAIL_TOL
+
+
+def test_absolute_floor_scales_with_integrand():
+    # A fixed 1e-12 floor would accept any value of this 1e-20-sized
+    # integral; the floor tied to the first-pass scale keeps it relative.
+    f = lambda t: 1e-20 * np.exp(-t) * np.cos(40 * t)
+    want = 1e-20 / 1601
+    res = integrate_semi_infinite(f, 1.0)
+    assert abs(res.value - want) <= 1e-8 * want
 
 
 # ------------------------------------------------------------------ pairing
@@ -122,6 +133,14 @@ def test_pairing_linearity():
     r12 = integrate_pairing(both, omega(eps), -1.0, 1.0, origin_scale=eps / 4)
     budget = 2.0 * (r1.error_estimate + r2.error_estimate + r12.error_estimate)
     assert abs(r12.value - (r1.value + r2.value)) <= max(budget, 1e-12)
+
+
+def test_pairing_probe_is_a_plain_callable():
+    probe = PROBES["gaussian"]
+    kernel = lambda t: np.cos(3.0 * t) + 1j * omega(1e-2)(t)
+    as_probe = integrate_pairing(probe, kernel, -1.0, 1.0, origin_scale=2.5e-3)
+    as_fn = integrate_pairing(probe.fn, kernel, -1.0, 1.0, origin_scale=2.5e-3)
+    assert as_probe == as_fn
 
 
 # ------------------------------------------------------------- diagnostics
