@@ -172,13 +172,16 @@ def log_gamma(z) -> complex:
     # cancellation near the poles stays fully accurate.
     n = round(z.real)
     one_minus = -_expm1c(2j * math.pi * (z - n))
-    return (
+    value = (
         _LN_2PI
         - 0.5j * math.pi
         + 1j * math.pi * z
         - cmath.log(one_minus)
         - _log_gamma_right(1.0 - z)
     )
+    if z.imag == 0.0 and z.real > 0.0:  # the phases cancel only to rounding
+        return complex(value.real, 0.0)
+    return value
 
 
 def gamma(z) -> complex:

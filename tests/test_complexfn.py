@@ -4,6 +4,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,13 @@ def test_gamma_one_plus_i_modulus():
 def test_log_gamma_matches_mpmath(z):
     want = complex(mpmath.loggamma(mpmath.mpc(z)))
     assert abs(log_gamma(z) - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def test_log_gamma_real_on_reflected_positive_axis():
+    # (0, 1/2) goes through the reflection formula, whose imaginary parts
+    # cancel only up to rounding.
+    xs = [0.02, *np.linspace(0.0, 0.5, 2002)[1:-1].tolist()]
+    assert [x for x in xs if log_gamma(x).imag != 0.0] == []
 
 
 def test_log_gamma_principal_branch_continuity():
