@@ -35,7 +35,11 @@ from typing import Callable
 import numpy as np
 
 from .complexfn import DomainError, log_gamma
-from .quad import QuadratureSpec, integrate_pairing, integrate_semi_infinite
+from .quad import (
+    QuadratureSpec,
+    integrate_pairing,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "Probe",
@@ -350,12 +354,10 @@ def mellin_reg_forward(tau: float, eps: float,
     Evaluates the Beta integral form obtained from the half-line transform by
     the substitution u = t/(1-t): the two halves around t = 1/2 map to log
     variables u in [ln 2, inf) as a conjugate pair, summed as one real cosine
-    integral.  The window [ln 2, 36] is paired against ones on the same path
-    as the mollified inverse, with initial edges at quarters toward its
-    start down to 1/(4 eps); the tail beyond u = 36 is summed in closed
-    form.  Agrees with beta_reg(tau, eps) to combined tolerances.  An
-    oscillation too fast to resolve within the subdivision budget raises
-    ConvergenceError.
+    integral.  The window [ln 2, 36] is paired against ones, as in the
+    mollified inverse, and the tail beyond u = 36 is summed in closed form.
+    Agrees with beta_reg(tau, eps) to combined tolerances; an oscillation
+    too fast for the subdivision budget raises ConvergenceError.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError("eps in (0, 1/2)")

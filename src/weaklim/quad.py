@@ -295,8 +295,7 @@ def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = 
     The domain is truncated at T such that the envelope tail bound drops
     below ``TAIL_TOL``; T is recorded on the result.  The absolute floor is
     capped at rel_tol times the integrand's scale.  When ``osc_period`` is
-    given, initial panels are no wider than half a period; a period too
-    short for the subdivision budget raises ConvergenceError.
+    given, initial panels are no wider than half a period.
     """
     spec = spec or DEFAULT_SPEC
     if not decay_rate > 0.0:
@@ -320,12 +319,10 @@ def integrate_pairing(phi, kernel, a: float, b: float,
                       osc_period: float | None = None) -> IntegralResult:
     """Integrate phi(tau) * kernel(tau) over the finite interval [a, b].
 
-    ``phi`` and ``kernel`` are vectorized callables (a Probe is one); their
-    product is the integrand.  When the origin lies in [a, b], panels are
-    forcibly clustered around it down to ``origin_scale`` (default
-    1e-6 (b - a)) so that a delta-approximant peak of that width cannot slip
-    between coarse nodes; ``osc_period`` adds an edge every half period
-    while the subdivision budget allows.
+    ``phi`` and ``kernel`` are vectorized callables (a Probe is one).
+    When the origin lies in [a, b], panels are forcibly clustered around it
+    down to ``origin_scale`` (default 1e-6 (b - a)) so that a
+    delta-approximant peak of that width cannot slip between coarse nodes.
     """
     spec = spec or DEFAULT_SPEC
     if not (math.isfinite(a) and math.isfinite(b) and a < b):

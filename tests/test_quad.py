@@ -80,7 +80,7 @@ def test_decay_rate_rejected():
 
 
 def test_truncation_soundness():
-    # The window [0, 2 T] holds the whole tail the truncation cut off.
+    # Integrating on to 2 T adds back most of the tail that T cut off.
     f = lambda t: np.exp(-1.5 * t) * np.cos(t)
     base = integrate_semi_infinite(f, 1.5)
     doubled = integrate_pairing(np.ones_like, f, 0.0, 2 * base.truncation_point)
