@@ -30,8 +30,8 @@ from .distrib import PROBES, EpsilonLadder
 from .quad import EndpointExponents, integrate_finite
 from .report import ClaimVerdict
 
-__all__ = ["Claim", "REGISTRY", "claim_ids", "run_claim", "run_all",
-           "sweep", "sweep_choices", "RunSummary"]
+__all__ = ["Claim", "REGISTRY", "claim_ids", "run_claim", "run_claims",
+           "run_all", "sweep", "sweep_choices", "RunSummary"]
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
@@ -487,11 +487,7 @@ def claim_ids() -> list[str]:
 
 def run_claim(claim_id: str, cfg: RunConfig | None = None) -> list[ClaimVerdict]:
     """Execute one claim's grid; deterministic given the configuration."""
-    cfg = cfg or RunConfig()
-    if claim_id not in _BY_ID:
-        raise KeyError(f"unknown claim id {claim_id!r}; "
-                       f"known: {', '.join(claim_ids())}")
-    return _BY_ID[claim_id].run(cfg)
+    return run_claims([claim_id], cfg).verdicts
 
 
 @dataclass
@@ -515,26 +511,32 @@ class RunSummary:
 
 def run_all(cfg: RunConfig | None = None) -> RunSummary:
     """Execute every registered claim; exit status 1 iff an ASSERT failed."""
+    return run_claims(claim_ids(), cfg)
+
+
+def run_claims(ids, cfg: RunConfig | None = None) -> RunSummary:
+    """Execute the named claims in order, one summary row each."""
     cfg = cfg or RunConfig()
     rows = []
     verdicts: list[ClaimVerdict] = []
     runtimes = {}
-    any_fail = False
-    for claim in REGISTRY:
+    for cid in ids:
+        if cid not in _BY_ID:
+            raise KeyError(f"unknown claim id {cid!r}; "
+                           f"known: {', '.join(claim_ids())}")
         t0 = time.perf_counter()
-        v = claim.run(cfg)
-        runtimes[claim.id] = int(1000 * (time.perf_counter() - t0))
+        v = _BY_ID[cid].run(cfg)
+        runtimes[cid] = int(1000 * (time.perf_counter() - t0))
         verdicts.extend(v)
-        failures = sum(1 for x in v if x.status == "FAIL")
-        any_fail = any_fail or failures > 0
         rows.append({
-            "claim": claim.id,
-            "mode": claim.mode,
+            "claim": cid,
+            "mode": _BY_ID[cid].mode,
             "points": len(v),
-            "failures": failures,
+            "failures": sum(1 for x in v if x.status == "FAIL"),
             "max_deviation": max((x.deviation for x in v), default=0.0),
         })
-    return RunSummary(rows, verdicts, runtimes, 1 if any_fail else 0)
+    return RunSummary(rows, verdicts, runtimes,
+                      int(any(r["failures"] for r in rows)))
 
 
 def sweep_choices() -> dict[str, list[str]]:

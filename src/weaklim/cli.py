@@ -147,25 +147,18 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_verify(args, cfg) -> int:
-    verdicts = claims.run_claim(args.claim_id, cfg)
+    summary = claims.run_claims([args.claim_id], cfg)
     if cfg.format == "csv":
         if args.claim_id.startswith("E47"):
-            text = relation_grid_csv(verdicts)
+            text = relation_grid_csv(summary.verdicts)
         else:
-            text = verdicts_to_csv(verdicts)
+            text = verdicts_to_csv(summary.verdicts)
     elif cfg.format == "md":
-        failures = sum(1 for v in verdicts if v.status == "FAIL")
-        text = summary_to_md(
-            [{"claim": args.claim_id, "mode": "-", "points": len(verdicts),
-              "failures": failures,
-              "max_deviation": max(v.deviation for v in verdicts)}],
-            {"claims": 1, "verdicts": len(verdicts), "failures": failures,
-             "exit_status": 1 if failures else 0},
-        )
+        text = summary_to_md(summary.rows, summary.totals())
     else:
-        text = verdicts_to_json(verdicts)
+        text = verdicts_to_json(summary.verdicts)
     _emit(text, cfg.out)
-    return 1 if any(v.status == "FAIL" for v in verdicts) else 0
+    return summary.exit_status
 
 
 def _cmd_verify_all(args, cfg) -> int:

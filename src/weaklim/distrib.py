@@ -270,17 +270,22 @@ def beta_reg(tau, eps: float):
     """B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2 / Gamma(2 eps).
 
     Euler's Beta at those two arguments, evaluated through conjugate
-    symmetry: log_gamma(eps - i tau) is the conjugate of log_gamma(eps + i tau),
-    so each node costs one log-gamma and the call one more for Gamma(2 eps).
+    symmetry: log_gamma(eps -+ i tau) sum to 2 Re log_gamma(eps + i tau), so
+    each node costs one log-gamma and the call one more for Gamma(2 eps).
     The value is real; it is returned as a complex with zero imaginary part.
     ``tau`` may be an array; a scalar tau gives a scalar.
     """
     if not eps > 0.0:
         raise DomainError("eps > 0")
-    taus = np.asarray(tau, dtype=float)
-    lgs = [log_gamma(complex(eps, t)) for t in taus.ravel().tolist()]
     lg_2eps = log_gamma(complex(2.0 * eps)).real
-    vals = [cmath.exp(lg + lg.conjugate() - lg_2eps) for lg in lgs]
+    return _per_node(
+        lambda t: cmath.exp(2.0 * log_gamma(complex(eps, t)).real - lg_2eps), tau)
+
+
+def _per_node(node: Callable[[float], complex], tau):
+    """``node`` at each tau: a scalar for scalar tau, else an array of tau's shape."""
+    taus = np.asarray(tau, dtype=float)
+    vals = [node(t) for t in taus.ravel().tolist()]
     if taus.ndim == 0:
         return vals[0]
     return np.array(vals, dtype=complex).reshape(taus.shape)

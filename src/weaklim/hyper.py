@@ -32,6 +32,7 @@ from .distrib import (
     Probe,
     _ladder_sweep,
     _pairing_ladder,
+    _per_node,
 )
 from .quad import QuadratureSpec, integrate_pairing
 
@@ -48,7 +49,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
-_SQRT_PI = math.sqrt(math.pi)
 _MAX_ABS_Z = 1.0 - 1e-4
 _CONSECUTIVE_SMALL = 50
 _MAX_TERMS = 2_000_000  # term budget of the hyp2f1 series
@@ -131,8 +131,7 @@ def family_closed_form(tau, eps: float):
     """
     if not eps > 0.0:
         raise DomainError("eps > 0")
-    taus = np.asarray(tau, dtype=float)
-    lg_2eps = log_gamma(complex(2 * eps)) if taus.any() else 0j
+    lg_2eps = log_gamma(complex(2 * eps)) if np.any(tau) else 0j
 
     def node(t: float) -> complex:
         if t == 0.0:
@@ -141,10 +140,7 @@ def family_closed_form(tau, eps: float):
         return cmath.exp(log_gamma(complex(2 * eps, 2 * t)) + lg_b.conjugate()
                          - lg_2eps - lg_b)
 
-    vals = [node(t) for t in taus.ravel().tolist()]
-    if taus.ndim == 0:
-        return vals[0]
-    return np.array(vals, dtype=complex).reshape(taus.shape)
+    return _per_node(node, tau)
 
 
 def family_duplication_form(tau: float, eps: float) -> complex:

@@ -111,7 +111,9 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
     if mu != 0:  # cosh(0 t) = 1: the bare kernel is exact
         f = lambda t: np.cosh(mu * t) * base(t)
     per = (TWO_PI / abs(mu.imag)) if abs(mu.imag) > 1e-12 else None
-    res = integrate_semi_infinite(f, decay, spec, osc_period=per)
+    # cosh overflows past t ~ 710; _adaptive reports that as ConvergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate_semi_infinite(f, decay, spec, osc_period=per)
     return pref * res.value
 
 

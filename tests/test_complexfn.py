@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from weaklim.complexfn import (
     EULER_GAMMA,
+    GAMMA_CONTRACT,
     AccuracyContract,
     DomainError,
     PoleError,
@@ -52,10 +53,40 @@ def test_log_gamma_matches_mpmath(z):
 
 
 def test_log_gamma_real_on_reflected_positive_axis():
-    # (0, 1/2) goes through the reflection formula, whose imaginary parts
-    # cancel only up to rounding.
+    # (0, 1/2) takes the recurrence, which sums logs of positive reals, so
+    # the value is real by construction; through the reflection formula the
+    # imaginary parts would cancel only up to rounding.
     xs = [0.02, *np.linspace(0.0, 0.5, 2002)[1:-1].tolist()]
     assert [x for x in xs if log_gamma(x).imag != 0.0] == []
+
+
+# The strip 0 < Re z < 1/2 holds every pairing-kernel node eps +- i tau.
+_strip = st.builds(
+    complex,
+    st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-100.0, max_value=100.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_strip)
+def test_log_gamma_strip_matches_mpmath(z):
+    if abs(z) <= 1e-14:  # the pole window at 0
+        with pytest.raises(PoleError):
+            log_gamma(z)
+        return
+    got = log_gamma(z)
+    want = complex(mpmath.loggamma(mpmath.mpc(z)))
+    assert cmath.isfinite(got)
+    assert abs(got - want) <= GAMMA_CONTRACT.target_rel_err
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_strip.filter(lambda z: abs(z) > 1e-14))
+def test_log_gamma_strip_conjugate_symmetry_exact(z):
+    # beta_reg and family_closed_form take lg(eps - i tau) as the conjugate
+    # of lg(eps + i tau); that is exact, not merely accurate.
+    assert log_gamma(z.conjugate()) == log_gamma(z).conjugate()
 
 
 def test_log_gamma_principal_branch_continuity():

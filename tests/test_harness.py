@@ -33,9 +33,9 @@ EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
                        / "bench" / "expected_verify_all.json")
 # sha256 of the default verify-all JSON.  The verdict triples are shared with
 # the benchmark's record; the digest is pinned here, since the Mellin kernel's
-# cosine form (E16) and the real log_gamma on (0, 1/2) (E21, E22, E25) moved
-# last digits after that record was taken.
-VERIFY_ALL_SHA256 = "c732e9e958f7996d6effcbde8024926f46511b33113a50a488b0166020b010c0"
+# cosine form (E16) and log_gamma's recurrence on the whole right half plane
+# (E12, E21, E22, E25, E31) moved last digits after that record was taken.
+VERIFY_ALL_SHA256 = "0d210cb5560b2c244a0aabd581c7aaa4ead6fc5931a88ab0d3324f03d98751d6"
 
 
 def run_cli(*args, **kw):
@@ -270,6 +270,19 @@ def test_cli_verify_unknown_claim():
 def test_cli_forced_failure_exit_status():
     r = run_cli("verify", "E04-euler-beta", "--tol", "1e-30")
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("claim_id, mode", [
+    ("E04-euler-beta", "ASSERT"),
+    ("E47-legendre-relation", "REPORT"),
+])
+def test_cli_verify_md_mode_column(claim_id, mode, capsys):
+    # The single-claim table is built by the same row code as verify-all's.
+    assert cli.main(["verify", claim_id, "--format", "md"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(f"| {claim_id} |")]
+    assert len(rows) == 1
+    assert rows[0].split(" | ")[1] == mode
 
 
 def test_cli_e47_csv_grid(tmp_path):
