@@ -77,7 +77,7 @@ def test_weak_decay_rejected():
 def test_slow_decay_overflow_raises():
     # At kernel decay 0.01 the truncation point lies far past t ~ 710, where
     # cosh overflows; the NaN panels must not come back as a value, and no
-    # RuntimeWarning may leak (tier-1 turns them into errors).
+    # RuntimeWarning may leak (the pytest settings turn them into errors).
     with pytest.raises(ConvergenceError):
         q_nu_mu(0.0, 0.99, 2.0)
     with pytest.raises(ConvergenceError):
