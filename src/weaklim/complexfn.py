@@ -15,8 +15,8 @@ log_gamma returns the principal branch: continuous on the plane cut along
 the boundary value from the upper half plane.
 
 All functions are pure and reentrant; arguments and results are plain
-``complex`` values.  Poles raise :class:`PoleError` instead of returning
-non-finite numbers.
+``complex`` values.  Poles raise :class:`PoleError` and non-finite
+arguments :class:`DomainError` instead of returning non-finite numbers.
 """
 
 from __future__ import annotations
@@ -106,7 +106,9 @@ TRIGAMMA_CONTRACT = AccuracyContract(1e-8)
 
 
 def _pole_index(z: complex):
-    """Index of the non-positive-integer pole hit by z, or None."""
+    """Index of the non-positive-integer pole hit by z, or None; z must be finite."""
+    if not cmath.isfinite(z):
+        raise DomainError("finite argument", f"argument {z!r} is not finite")
     if z.real > 0.5:
         return None
     n = round(z.real)

@@ -260,8 +260,7 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
 
     def half(p: complex) -> complex:  # p = a: u = e^-v in (0, 1]; b: u = e^v
         f = lambda v: np.exp(-p * v) * (1.0 + np.exp(-v)) ** (-s)
-        per = (TWO_PI / abs(p.imag)) if abs(p.imag) > 1e-12 else None
-        return integrate_semi_infinite(f, p.real, spec, osc_period=per).value
+        return integrate_semi_infinite(f, p.real, spec, osc_freq=p.imag).value
 
     return half(a) + half(b)
 
@@ -374,9 +373,8 @@ def mellin_reg_forward(tau: float, eps: float,
         phase, weight = _mellin_parts(v + _MELLIN_CUT, eps)
         return weight * np.cos(tau * phase)
 
-    per = (TWO_PI / abs(tau)) if abs(tau) > 1e-12 else None
     res = integrate_pairing(PROBES["const"], f, 0.0, _MELLIN_FAR - _MELLIN_CUT,
-                            spec, origin_scale=0.25 / eps, osc_period=per)
+                            spec, origin_scale=0.25 / eps, osc_freq=tau)
     return res.value + float(_mellin_tail(tau, eps))
 
 
@@ -453,7 +451,7 @@ def mellin_inverse_check(t: float, eps: float) -> complex:
     )
     f = lambda x: np.cos(L * x) * (eps / math.pi) / (eps * eps + x * x)
     res = integrate_pairing(lambda x: np.ones_like(x), f, 0.0, X, spec,
-                            origin_scale=eps / 4.0, osc_period=TWO_PI / L)
+                            origin_scale=eps / 4.0, osc_freq=L)
     g, gp, gpp = _cauchy_kernel_derivs(X, eps)
     sin_lx = math.sin(L * X)
     cos_lx = math.cos(L * X)

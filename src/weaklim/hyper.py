@@ -217,7 +217,6 @@ def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...]
             kern = lambda ts: np.sin(L * ts)
         else:
             kern = lambda ts: np.exp(-1j * L * ts)
-        res = integrate_pairing(probe, kern, *interval, spec,
-                                osc_period=2.0 * math.pi / max(abs(L), 1e-12))
+        res = integrate_pairing(probe, kern, *interval, spec, osc_freq=L)
         return res.value, res.error_estimate
     return _ladder_sweep(vals, measure)

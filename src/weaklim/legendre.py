@@ -45,7 +45,6 @@ __all__ = [
     "near_one_laws",
 ]
 
-TWO_PI = 2.0 * math.pi
 _MIN_DEGREE_MARGIN = 1e-6  # kernel decay at or below this is rejected
 
 
@@ -110,10 +109,9 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
     f = base = _kernel(nu, z)
     if mu != 0:  # cosh(0 t) = 1: the bare kernel is exact
         f = lambda t: np.cosh(mu * t) * base(t)
-    per = (TWO_PI / abs(mu.imag)) if abs(mu.imag) > 1e-12 else None
     # cosh overflows past t ~ 710; _adaptive reports that as ConvergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = integrate_semi_infinite(f, decay, spec, osc_period=per)
+        res = integrate_semi_infinite(f, decay, spec, osc_freq=mu.imag)
     return pref * res.value
 
 
@@ -236,8 +234,8 @@ def near_one_laws(nu, z, tau: float = 0.0, mu=None, kind: str = "log") -> comple
     kind "log_itau": the same with the imaginary-order prefactor
                   -(1/2) exp(-pi tau) Gamma(nu + i tau + 1) / Gamma(nu+1)^2
                   times ln(z - 1)
-    kind "power": (1/2) exp(-i mu pi) 2^(mu/2 - 1) Gamma(mu) (z-1)^(-mu/2),
-                  requiring Re(mu) > 0.
+    kind "power": (1/2) exp(i mu pi) 2^(mu/2) Gamma(mu) (z-1)^(-mu/2),
+                  requiring Re(mu) > 0 (DLMF 14.8.12 with 14.3.10).
 
     The logarithmic laws converge only like 1/ln(z-1): the additive constant
     they drop is O(1), so at z - 1 = 1e-6 the "log" law still sits a few
@@ -260,7 +258,7 @@ def near_one_laws(nu, z, tau: float = 0.0, mu=None, kind: str = "log") -> comple
         if not mu.real > 0.0:
             raise DomainError("Re(mu) > 0")
         return 0.5 * cmath.exp(
-            -1j * math.pi * mu + (0.5 * mu - 1.0) * math.log(2.0)
+            1j * math.pi * mu + 0.5 * mu * math.log(2.0)
             + log_gamma(mu) - 0.5 * mu * log_zm1
         )
     raise DomainError("kind in {log, log_itau, power}")

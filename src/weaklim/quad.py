@@ -4,15 +4,19 @@ Three entry points cover the integral shapes used by the rest of the
 library, one policy per shape and no per-caller overrides:
 
     integrate_finite         finite interval, algebraic endpoint behavior
-    integrate_semi_infinite  [0, inf) with exponential decay, a recorded
-                             truncation point and a scale-tied abs floor
     integrate_pairing        test function against a kernel family on a
                              finite window, refined around the origin peak
+    integrate_semi_infinite  [0, inf) with exponential decay: the pairing
+                             window over [0, T], T a recorded truncation point
 
 Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
 estimate is the difference against the embedded 10-point rule.  The panel
 with the worst estimate is bisected until the total estimate meets
-max(abs_tol, rel_tol * |value|) or the subdivision budget is exhausted.
+max(floor, rel_tol * |value|) or the subdivision budget is exhausted.  The
+floor is abs_tol capped at rel_tol times the summed |value| of the initial
+panels, so a tiny integrand still meets the relative contract.  A window's
+angular frequency ``osc_freq`` cuts its initial panels at half periods
+while they fit half the budget; a faster oscillation is left to bisection.
 
 Integrands receive a numpy array of abscissae and must return an array of
 values (real or complex).  Everything here is pure and deterministic;
@@ -109,7 +113,7 @@ def _panel(f, a: float, b: float):
     return complex(hi), abs(hi - lo)
 
 
-def _adaptive(f, breakpoints, spec: QuadratureSpec, *, scale_abs_tol=False):
+def _adaptive(f, breakpoints, spec: QuadratureSpec):
     """Worst-panel bisection over the given initial partition."""
     heap = []
     seq = 0
@@ -124,12 +128,8 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec, *, scale_abs_tol=False):
     if not heap:
         raise DomainError("non-empty interval")
 
-    abs_tol = spec.abs_tol
-    if scale_abs_tol:
-        # Tie the absolute floor to the integrand's own scale so strongly
-        # decaying kernels still meet the relative contract.
-        scale = sum(abs(item[4]) for item in heap)
-        abs_tol = min(abs_tol, max(scale * spec.rel_tol, 1e-300))
+    scale = sum(abs(item[4]) for item in heap)
+    abs_tol = min(spec.abs_tol, max(scale * spec.rel_tol, 1e-300))
 
     total = sum(item[4] for item in heap)
     err_total = sum(item[5] for item in heap)
@@ -137,7 +137,7 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec, *, scale_abs_tol=False):
     while err_total > max(abs_tol, spec.rel_tol * abs(total)):
         if splits >= spec.max_subdivisions:
             raise ConvergenceError(
-                "quadrature did not converge within max_subdivisions",
+                "quadrature did not converge within the subdivision budget",
                 IntegralResult(total, err_total, evals),
             )
         _, _, a, b, val, err = heapq.heappop(heap)
@@ -166,11 +166,12 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec, *, scale_abs_tol=False):
 
 
 def _breakpoints(a: float, b: float, inner: float | None = None,
-                 period: float | None = None) -> list[float]:
+                 freq: float | None = None, max_edges: float = math.inf) -> list[float]:
     """Sorted initial partition of [a, b].
 
     Edges at +-(b - a) / 4^k down to ``inner`` (and 0 when interior) cluster
-    panels at an origin in [a, b]; ``period`` adds an edge every half period.
+    panels at an origin in [a, b]; ``freq`` adds an edge every half period
+    pi / |freq| from a, unless that takes more than ``max_edges`` edges.
     """
     pts = {a, b}
     if inner is not None and a <= 0.0 <= b:
@@ -180,10 +181,18 @@ def _breakpoints(a: float, b: float, inner: float | None = None,
             s /= 4.0
         if a < 0.0 < b:
             pts.add(0.0)
-    if period is not None and period > 0.0:
-        width = 0.5 * period
-        pts.update(a + i * width for i in range(1, int((b - a) / width) + 1))
+    if freq:
+        width = math.pi / abs(freq)  # 0 or NaN for a non-finite freq: no edges
+        if width > 0.0 and (b - a) / width < max_edges:
+            pts.update(a + i * width for i in range(1, int((b - a) / width) + 1))
     return sorted(pts)
+
+
+def _window(f, a: float, b: float, spec: QuadratureSpec, inner: float,
+            freq: float | None) -> IntegralResult:
+    """Adaptive pass over [a, b]; half periods may take half the budget."""
+    pts = _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
+    return _adaptive(f, pts, spec)
 
 
 def _substituted_left(f, width: float, p: complex):
@@ -289,26 +298,19 @@ def _truncation_point(f, decay_rate: float) -> float:
 
 
 def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = None,
-                            *, osc_period: float | None = None) -> IntegralResult:
+                            *, osc_freq: float | None = None) -> IntegralResult:
     """Integrate f over [0, inf) for |f(t)| <= C exp(-decay_rate t).
 
     The domain is truncated at T such that the envelope tail bound drops
-    below ``TAIL_TOL``; T is recorded on the result.  The absolute floor is
-    capped at rel_tol times the integrand's scale.  When ``osc_period`` is
-    given, initial panels are no wider than half a period.
+    below ``TAIL_TOL``; T is recorded on the result.  [0, T] is a pairing
+    window clustered at 0 down to min(1/(4 decay_rate), T/4), with the
+    integrand's angular frequency ``osc_freq``.
     """
     spec = spec or DEFAULT_SPEC
     if not decay_rate > 0.0:
         raise DomainError("decay_rate > 0")
     T = _truncation_point(f, decay_rate)
-
-    if osc_period and int(T / (0.5 * osc_period)) + 1 > spec.max_subdivisions // 2:
-        raise ConvergenceError(
-            "oscillation too fast for the subdivision budget",
-            IntegralResult(0j, math.inf, 0),
-        )
-    pts = _breakpoints(0.0, T, min(0.25 / decay_rate, T / 4.0), osc_period)
-    res = _adaptive(f, pts, spec, scale_abs_tol=True)
+    res = _window(f, 0.0, T, spec, min(0.25 / decay_rate, T / 4.0), osc_freq)
     res.truncation_point = T
     return res
 
@@ -316,13 +318,14 @@ def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = 
 def integrate_pairing(phi, kernel, a: float, b: float,
                       spec: QuadratureSpec | None = None, *,
                       origin_scale: float | None = None,
-                      osc_period: float | None = None) -> IntegralResult:
+                      osc_freq: float | None = None) -> IntegralResult:
     """Integrate phi(tau) * kernel(tau) over the finite interval [a, b].
 
     ``phi`` and ``kernel`` are vectorized callables (a Probe is one).
     When the origin lies in [a, b], panels are forcibly clustered around it
     down to ``origin_scale`` (default 1e-6 (b - a)) so that a
     delta-approximant peak of that width cannot slip between coarse nodes.
+    ``osc_freq`` is the integrand's angular frequency, if it oscillates.
     """
     spec = spec or DEFAULT_SPEC
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -333,7 +336,4 @@ def integrate_pairing(phi, kernel, a: float, b: float,
     def g(ts):
         return np.asarray(phi(ts)) * np.asarray(kernel(ts))
 
-    if osc_period and int((b - a) / (0.5 * osc_period)) + 1 > spec.max_subdivisions // 2:
-        osc_period = None  # too fast for the budget: the adaptive pass splits
-    pts = _breakpoints(a, b, origin_scale or 1e-6 * (b - a), osc_period)
-    return _adaptive(g, pts, spec)
+    return _window(g, a, b, spec, origin_scale or 1e-6 * (b - a), osc_freq)

@@ -21,6 +21,9 @@ from weaklim.complexfn import (
     log_gamma,
     trigamma,
 )
+from weaklim.distrib import beta_reg
+from weaklim.hyper import f_factor, family_closed_form
+from weaklim.legendre import q_nu
 
 mpmath.mp.dps = 30
 
@@ -115,6 +118,32 @@ def test_gamma_pole_error(z):
     with pytest.raises(PoleError) as exc:
         gamma(z)
     assert exc.value.pole == round(complex(z).real)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_gamma(_NAN),
+    lambda: gamma(_NAN),
+    lambda: digamma(_NAN),
+    lambda: trigamma(_NAN),
+    lambda: log_gamma(_INF),
+    lambda: log_gamma(complex(1.0, _INF)),
+    lambda: digamma(complex(_NAN, 1.0)),
+    lambda: f_factor(_NAN, 0.5),
+    lambda: q_nu(_NAN, 2.0),
+    lambda: beta_reg(_NAN, 0.1),
+    lambda: family_closed_form(_NAN, 0.1),
+], ids=["log_gamma-nan", "gamma-nan", "digamma-nan", "trigamma-nan",
+        "log_gamma-inf", "log_gamma-inf-imag", "digamma-nan-real",
+        "f_factor-nan", "q_nu-nan", "beta_reg-nan", "family_closed_form-nan"])
+def test_non_finite_argument_is_a_domain_error(call):
+    # round(nan) raised a bare ValueError, and inf or NaN arguments off the
+    # pole test returned NaN.
+    with pytest.raises(DomainError, match="not finite") as exc:
+        call()
+    assert exc.value.condition == "finite argument"
 
 
 def test_pole_tolerance_window():

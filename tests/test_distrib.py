@@ -145,6 +145,15 @@ def test_beta_semi_infinite_is_cosh_reciprocal():
     assert abs(got - oracle) <= 1e-10
 
 
+def test_beta_semi_infinite_fast_oscillation_slow_decay():
+    # The a-half decays at rate 0.03 and oscillates at frequency 3.5: more
+    # half periods up to its truncation point than half the subdivision
+    # budget, so the window drops the period edges and bisects instead.
+    a, b = 0.03 - 3.5j, 0.5 - 0.2j
+    want = beta(a, b)
+    assert abs(beta_semi_infinite(a, b) - want) <= 2e-10 * abs(want)
+
+
 def test_beta_semi_infinite_rejects_bad_domain():
     with pytest.raises(DomainError):
         beta_semi_infinite(-0.5, 1.0)

@@ -35,7 +35,7 @@ EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
 # the benchmark's record; the digest is pinned here, since the Mellin kernel's
 # cosine form (E16) and log_gamma's recurrence on the whole right half plane
 # (E12, E21, E22, E25, E31) moved last digits after that record was taken.
-VERIFY_ALL_SHA256 = "0d210cb5560b2c244a0aabd581c7aaa4ead6fc5931a88ab0d3324f03d98751d6"
+VERIFY_ALL_SHA256 = "774940e07d6bb0a0fbf788f5223148e1fd1766df3d9262659f1be78a890fb2cb"
 
 
 def run_cli(*args, **kw):
@@ -356,7 +356,10 @@ def test_cli_eval_every_entry(capsys):
     (["sweep", "eps", "E12-beta-delta", "--eps-ladder", "1e-1,x"], "'x'"),
     (["verify", "E12-beta-delta", "--eps-ladder", "inf,1e-2,1e-3"],
      "ladder values finite"),
-], ids=["convergence", "series", "sweep-ladder", "infinite-ladder"])
+    (["eval", "gamma", "z=nan"], "not finite"),
+    (["eval", "beta_reg", "tau=nan", "eps=0.1"], "not finite"),
+], ids=["convergence", "series", "sweep-ladder", "infinite-ladder",
+        "nan-gamma", "nan-beta-reg"])
 def test_cli_library_error_exits_2(argv, says, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

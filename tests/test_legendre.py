@@ -188,9 +188,9 @@ def test_truncation_stability():
     from weaklim.legendre import _kernel
     base = _kernel(complex(nu), complex(z))
     f = lambda ts: np.cos(tau * ts) * base(ts)
-    r1 = integrate_semi_infinite(f, nu + 1.0, osc_period=2 * math.pi / tau)
+    r1 = integrate_semi_infinite(f, nu + 1.0, osc_freq=tau)
     r2 = integrate_pairing(np.ones_like, f, 0.0, 2.0 * r1.truncation_point,
-                           osc_period=2 * math.pi / tau)
+                           osc_freq=tau)
     assert abs(r1.value - r2.value) <= 10 * TAIL_TOL
 
 
@@ -336,6 +336,19 @@ def test_near_one_power_slopes():
         slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) \
             / sum((x - mx) ** 2 for x in xs)
         assert abs(slope + 0.5 * mu) <= 0.02, (nu, mu)
+
+
+@pytest.mark.parametrize("nu, mu, bound", [(0.0, 0.5, 1e-3), (1.0, 1.0, 3e-5),
+                                           (2.0, 1.5, 1e-5)])
+def test_near_one_power_law(nu, mu, bound):
+    # DLMF 14.8.12 with 14.3.10: Q_nu^mu(z) ~ (1/2) e^{i mu pi} 2^{mu/2}
+    # Gamma(mu) (z-1)^{-mu/2}; measured 7.1e-4, 1.4e-5, 5.6e-6 at z-1 = 1e-6.
+    def dev(d):
+        law = near_one_laws(nu, 1.0 + d, mu=mu, kind="power")
+        return abs(law / q_nu_mu(nu, mu, 1.0 + d) - 1.0)
+
+    assert dev(1e-6) <= bound
+    assert dev(1e-6) < dev(1e-4)
 
 
 # Companions of the red criteria 14b and 15a: the laws that do hold, with

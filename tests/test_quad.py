@@ -7,13 +7,16 @@ import pytest
 
 from weaklim.complexfn import DomainError, gamma
 from weaklim.distrib import PROBES
+from weaklim.legendre import _kernel
 from weaklim.quad import (
+    DEFAULT_SPEC,
     TAIL_TOL,
     ConvergenceError,
     EndpointExponents,
     IntegralResult,
     QuadratureSpec,
     _breakpoints,
+    _window,
     integrate_finite,
     integrate_pairing,
     integrate_semi_infinite,
@@ -87,13 +90,40 @@ def test_truncation_soundness():
     assert abs(base.value - doubled.value) <= 10 * TAIL_TOL
 
 
-def test_absolute_floor_scales_with_integrand():
-    # A fixed 1e-12 floor would accept any value of this 1e-20-sized
-    # integral; the floor tied to the first-pass scale keeps it relative.
-    f = lambda t: 1e-20 * np.exp(-t) * np.cos(40 * t)
-    want = 1e-20 / 1601
-    res = integrate_semi_infinite(f, 1.0)
-    assert abs(res.value - want) <= 1e-8 * want
+def _q_itau(ts):  # Q_1^{i/2}(2) kernel: decay rate 2, frequency 1/2
+    return np.cos(0.5 * ts) * _kernel(1.0 + 0j, 2.0 + 0j)(ts)
+
+
+def _beta_half(vs):  # Beta half at p = 0.3 + 2i, a + b = 0.8 + 1.5i
+    return np.exp(-(0.3 + 2j) * vs) * (1.0 + np.exp(-vs)) ** (-(0.8 + 1.5j))
+
+
+@pytest.mark.parametrize("f, rate, freq", [(_q_itau, 2.0, 0.5),
+                                           (_beta_half, 0.3, 2.0)],
+                         ids=["q-kernel", "beta-half"])
+def test_semi_infinite_is_the_window_to_truncation(f, rate, freq):
+    res = integrate_semi_infinite(f, rate, osc_freq=freq)
+    T = res.truncation_point
+    win = _window(f, 0.0, T, DEFAULT_SPEC, min(0.25 / rate, T / 4.0), freq)
+    assert (res.value, res.error_estimate, res.evaluations) \
+        == (win.value, win.error_estimate, win.evaluations)
+
+
+@pytest.mark.parametrize("shape", ["semi-infinite", "finite", "pairing"])
+def test_absolute_floor_scales_with_integrand(shape):
+    # A fixed 1e-12 floor would accept any value of these 1e-20-sized
+    # integrals; the floor tied to the first-pass scale keeps them relative.
+    wave = lambda t: 1e-20 * np.cos(40 * t)
+    if shape == "semi-infinite":
+        res = integrate_semi_infinite(lambda t: np.exp(-t) * wave(t), 1.0)
+        want = 1e-20 / 1601
+    elif shape == "finite":
+        res = integrate_finite(wave, 0.0, 3.0)
+        want = 1e-20 * math.sin(120.0) / 40
+    else:
+        res = integrate_pairing(np.ones_like, wave, -3.0, 3.0)
+        want = 2e-20 * math.sin(120.0) / 40
+    assert abs(res.value - want) <= 1e-8 * abs(want)
 
 
 # ------------------------------------------------------------------ pairing
@@ -221,10 +251,19 @@ def test_singular_end_without_edge(side):
 def test_breakpoints_partition():
     assert _breakpoints(0.0, 1.0) == [0.0, 1.0]
     # Origin clustering at +-4 / 4^k down to 0.2, 0 itself, and an edge every
-    # half period from a.
-    assert _breakpoints(-1.0, 3.0, 0.2, 2.0) == [-1.0, -0.25, 0.0, 0.25, 1.0, 2.0, 3.0]
+    # half period pi / |freq| from a.
+    assert _breakpoints(-1.0, 3.0, 0.2, -math.pi) \
+        == [-1.0, -0.25, 0.0, 0.25, 1.0, 2.0, 3.0]
     # No clustering when the origin is outside [a, b].
     assert _breakpoints(1.0, 2.0, 1e-3) == [1.0, 2.0]
+    # Half periods count against max_edges; one too many drops them all.
+    assert _breakpoints(0.0, 1.0, None, 4 * math.pi, 5) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert _breakpoints(0.0, 1.0, None, 4 * math.pi, 4) == [0.0, 1.0]
+    assert _breakpoints(0.0, 1.0, None, 1e4, DEFAULT_SPEC.max_subdivisions // 2) \
+        == [0.0, 1.0]
+    # A non-finite frequency has no half period to cut at.
+    assert _breakpoints(0.0, 1.0, None, math.inf) == [0.0, 1.0]
+    assert _breakpoints(0.0, 1.0, None, math.nan) == [0.0, 1.0]
 
 
 def test_spec_validation():
