@@ -111,6 +111,8 @@ def omega_eps(x, eps: float):
     if not eps > 0.0:
         raise DomainError("eps > 0")
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():  # +-inf is fine: the kernel's limit there is 0
+        raise DomainError("x not NaN", "omega_eps of NaN x")
     out = (eps / math.pi) / (eps * eps + x * x)
     return float(out) if out.ndim == 0 else out
 
@@ -427,8 +429,8 @@ def mellin_inverse_check(t: float, eps: float) -> complex:
     two integrations by parts; the closed form is exp(-eps |ln t|), and the
     returned value matches it to ~1e-9, tending to 1 as eps -> 0+.
     """
-    if not t > 0.0:
-        raise DomainError("t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("0 < t < inf")
     if not eps > 0.0:
         raise DomainError("eps > 0")
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=4000)

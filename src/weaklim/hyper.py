@@ -52,6 +52,7 @@ _LN4 = math.log(4.0)
 _MAX_ABS_Z = 1.0 - 1e-4
 _CONSECUTIVE_SMALL = 50
 _MAX_TERMS = 2_000_000  # term budget of the hyp2f1 series
+_FIRST_CHUNK, _MAX_CHUNK = 256, 4096  # hyp2f1 chunk sizes: first, largest
 
 
 class SeriesError(RuntimeError):
@@ -66,38 +67,73 @@ class SeriesError(RuntimeError):
 def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     """2F1(a, b; c; z) by the power series, symmetric in a and b.
 
-    Valid for |z| < 1; the series is summed until 50 consecutive terms fall
-    below rel_tol times the partial sum; an unsettled series after
-    _MAX_TERMS terms, or a non-finite sum, raises SeriesError.  Arguments
-    with |z| above 1 - 1e-4 are rejected: convergence there is too slow for
-    the budget and the unit-argument closed forms take over.
+    Needs finite a, b, c, |z| <= 1 - 1e-4 (the unit-argument closed forms
+    cover the rest) and rel_tol in (0, 1), else DomainError.  The sum stops
+    once 50 consecutive terms fall below rel_tol times the partial sum; a
+    non-finite sum, or no stop within _MAX_TERMS terms, raises SeriesError.
+    Numpy chunks of 256 terms, doubling to 4096, round exactly as Python's
+    ``term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z; total += term``.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = complex(z)
+    a, b, c, z = (complex(v) for v in (a, b, c, z))
+    for name, v in zip("abcz", (a, b, c, z)):
+        if not cmath.isfinite(v):
+            raise DomainError(f"finite {name}", f"{name} = {v!r} is not finite")
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError("0 < rel_tol < 1", f"rel_tol = {rel_tol!r}")
     _check_pole(c)
     if abs(z) > _MAX_ABS_Z:
         raise DomainError("|z| <= 1 - 1e-4",
                           f"|z| = {abs(z):.6f} is too close to the unit circle")
     if z == 0:
         return 1.0 + 0j
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    small = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) > rel_tol * abs(total):
-            small = 0
-        else:  # settled, or non-finite: NaN and inf > inf compare false
-            if not cmath.isfinite(total):
+    total = term = 1.0 + 0j
+    start, size, budget, last = 0, _FIRST_CHUNK, _MAX_TERMS, -1.0
+    with np.errstate(all="ignore"):
+        while start < budget:
+            n = np.arange(start, min(start + size, budget), dtype=float)
+            terms = np.cumprod(np.concatenate(([term], _ratios(a, b, c, z, n))))[1:]
+            sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+            # Term n is quiet unless |term| > rel_tol |total|, and last is the
+            # latest loud n; a non-finite sum is quiet and stays non-finite.
+            loud = (np.hypot(terms.real, terms.imag)
+                    > rel_tol * np.hypot(sums.real, sums.imag))
+            last = np.maximum.accumulate(np.where(loud, n, last))
+            stop = np.flatnonzero(n - last >= _CONSECUTIVE_SMALL)
+            k = stop[0] if stop.size else -1
+            if not cmath.isfinite(sums[k]):
+                k = np.argmin(np.isfinite(sums))
                 raise SeriesError("hypergeometric series is not finite",
-                                  total, n + 1)
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total
-    raise SeriesError("hypergeometric series did not converge", total, _MAX_TERMS)
+                                  complex(sums[k]), start + int(k) + 1)
+            if stop.size:
+                return complex(sums[k])
+            term, total, last = complex(terms[-1]), complex(sums[-1]), last[-1]
+            start, size = start + len(n), min(2 * size, _MAX_CHUNK)
+    raise SeriesError("hypergeometric series did not converge", total, budget)
+
+
+def _ratios(a: complex, b: complex, c: complex, z: complex, n):
+    """(a + n)(b + n) / ((c + n)(n + 1.0)) * z, rounded as CPython rounds it.
+
+    Products are (ac - bd) + (ad + bc)i, a float enters as x + 0j (for finite
+    c its zero products leave the denominator d as it is), and the quotient is
+    Smith's, branching on |Re d| >= |Im d|; numpy's complex * and / differ.
+    """
+    ar, br, cr = a.real + n, b.real + n, c.real + n
+    ai, bi, ci = a.imag + 0.0, b.imag + 0.0, c.imag + 0.0
+    pr, pi = ar * br - ai * bi, ar * bi + ai * br
+    dr, di = cr * (n + 1.0), ci * (n + 1.0)
+    ratio = di / dr
+    denom = dr + di * ratio
+    qr, qi = (pr + pi * ratio) / denom, (pi - pr * ratio) / denom
+    other = np.abs(di) > np.abs(dr)
+    if other.any():
+        ratio = dr[other] / di[other]
+        denom = dr[other] * ratio + di[other]
+        qr[other] = (pr[other] * ratio + pi[other]) / denom
+        qi[other] = (pi[other] * ratio - pr[other]) / denom
+    out = np.empty(len(n), dtype=complex)
+    out.real, out.imag = qr * z.real - qi * z.imag, qr * z.imag + qi * z.real
+    return out
 
 
 def gauss_sum(a, b, c) -> complex:

@@ -60,6 +60,8 @@ class BranchCutError(DomainError):
 
 def _off_cut(z) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("finite z", f"z = {z!r} is not finite")
     if z.imag == 0.0 and z.real <= 1.0:
         raise BranchCutError(z)
     return z

@@ -45,6 +45,20 @@ def test_omega_rejects_nonpositive_eps():
         omega_eps(0.0, 0.0)
 
 
+def test_omega_rejects_nan_x():
+    for x in (math.nan, np.array([0.0, math.nan, 1.0])):
+        with pytest.raises(DomainError) as exc:
+            omega_eps(x, 0.1)
+        assert exc.value.condition == "x not NaN"
+
+
+def test_omega_infinite_x_is_its_limit():
+    assert omega_eps(math.inf, 0.1) == 0.0
+    assert omega_eps(-math.inf, 0.1) == 0.0
+    got = omega_eps(np.array([-math.inf, 0.0, math.inf]), 0.1)
+    assert got[0] == got[2] == 0.0 and got[1] == omega_eps(0.0, 0.1)
+
+
 def test_omega_normalization_by_quadrature():
     eps = 0.1
     X = 1e8
@@ -352,6 +366,13 @@ def test_mellin_forward_sweep_reaches_two_pi():
 def test_mellin_inverse_at_t_one():
     for eps in (0.5, 1e-2, 1e-4):
         assert abs(mellin_inverse_check(1.0, eps) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_mellin_inverse_rejects_t_outside_the_half_line(t):
+    with pytest.raises(DomainError) as exc:
+        mellin_inverse_check(t, 0.1)
+    assert exc.value.condition == "0 < t < inf"
 
 
 def test_mellin_inverse_characteristic_value():

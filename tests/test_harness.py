@@ -358,8 +358,10 @@ def test_cli_eval_every_entry(capsys):
      "ladder values finite"),
     (["eval", "gamma", "z=nan"], "not finite"),
     (["eval", "beta_reg", "tau=nan", "eps=0.1"], "not finite"),
+    (["eval", "hyp2f1", "a=nan", "b=1", "c=2", "z=0.5"], "a = (nan+0j) is not finite"),
+    (["eval", "omega_eps", "x=nan", "eps=0.1"], "NaN x"),
 ], ids=["convergence", "series", "sweep-ladder", "infinite-ladder",
-        "nan-gamma", "nan-beta-reg"])
+        "nan-gamma", "nan-beta-reg", "nan-hyp2f1", "nan-omega-eps"])
 def test_cli_library_error_exits_2(argv, says, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from weaklim import hyper
-from weaklim.complexfn import DomainError, PoleError, gamma, log_gamma
+from weaklim.complexfn import DomainError, PoleError, _check_pole, gamma, log_gamma
 from weaklim.distrib import PROBES, omega_eps
 from weaklim.hyper import (
     SeriesError,
@@ -93,6 +93,141 @@ def test_series_stops_at_first_non_finite_term():
     with pytest.raises(SeriesError) as exc:
         hyp2f1(1000j, 1.0, 1.0, 0.9)
     assert exc.value.terms < 10_000
+
+
+@pytest.mark.parametrize("args, kwargs, condition", [
+    ((math.nan, 1.0, 2.0, 0.5), {}, "finite a"),
+    ((1.0, complex(1.0, math.inf), 2.0, 0.5), {}, "finite b"),
+    ((1.0, 1.0, complex(2.0, math.nan), 0.5), {}, "finite c"),
+    ((1.0, 1.0, 2.0, math.nan), {}, "finite z"),
+    ((1.0, 1.0, 2.0, complex(0.0, -math.inf)), {}, "finite z"),
+    ((1.0, 1.0, 2.0, 0.5), {"rel_tol": math.nan}, "0 < rel_tol < 1"),
+    ((1.0, 1.0, 2.0, 0.5), {"rel_tol": 0.0}, "0 < rel_tol < 1"),
+    ((1.0, 1.0, 2.0, 0.5), {"rel_tol": -1e-13}, "0 < rel_tol < 1"),
+    ((1.0, 1.0, 2.0, 0.5), {"rel_tol": 1.0}, "0 < rel_tol < 1"),
+], ids=["nan-a", "inf-b", "nan-c", "nan-z", "inf-z", "nan-tol", "zero-tol",
+        "negative-tol", "unit-tol"])
+def test_series_rejects_bad_arguments_before_summing(monkeypatch, args, kwargs,
+                                                     condition):
+    # A named DomainError, raised before the first term is summed.
+    monkeypatch.setattr(hyper, "_ratios", lambda *a: pytest.fail("summed a term"))
+    with pytest.raises(DomainError) as exc:
+        hyp2f1(*args, **kwargs)
+    assert exc.value.condition == condition
+
+
+# ------------------------------------------- chunked series vs the scalar loop
+
+def _loop_hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
+    """The per-term loop the chunked sum replaced, kept as its reference."""
+    a = complex(a)
+    b = complex(b)
+    c = complex(c)
+    z = complex(z)
+    _check_pole(c)
+    if abs(z) > hyper._MAX_ABS_Z:
+        raise DomainError("|z| <= 1 - 1e-4",
+                          f"|z| = {abs(z):.6f} is too close to the unit circle")
+    if z == 0:
+        return 1.0 + 0j
+    total = 1.0 + 0j
+    term = 1.0 + 0j
+    small = 0
+    for n in range(hyper._MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        if abs(term) > rel_tol * abs(total):
+            small = 0
+        else:  # settled, or non-finite: NaN and inf > inf compare false
+            if not cmath.isfinite(total):
+                raise SeriesError("hypergeometric series is not finite",
+                                  total, n + 1)
+            small += 1
+            if small >= hyper._CONSECUTIVE_SMALL:
+                return total
+    raise SeriesError("hypergeometric series did not converge", total,
+                      hyper._MAX_TERMS)
+
+
+def _outcome(f, *args):
+    """Exact text of a value, or the error with its partial sum and count."""
+    try:
+        return repr(f(*args))
+    except SeriesError as exc:
+        return (str(exc), repr(exc.partial), exc.terms)
+
+
+def test_chunked_series_matches_loop_over_bench_domain():
+    # The benchmark's scalar_eval domain, where the series also cancels.
+    rng = np.random.default_rng(20)
+    draws = rng.uniform(size=(2000, 8))
+    for row in draws:
+        ar, ai, br, bi, cr, ci, r, t = row
+        args = (complex(-60.0 + 120.0 * ar, -5.0 + 10.0 * ai),
+                complex(-10.0 + 20.0 * br, -5.0 + 10.0 * bi),
+                complex(0.25 + 19.75 * cr, -5.0 + 10.0 * ci),
+                cmath.rect(0.9 * math.sqrt(r), math.pi * (2.0 * t - 1.0)))
+        assert _outcome(hyp2f1, *args) == _outcome(_loop_hyp2f1, *args), args
+
+
+@pytest.mark.parametrize("args", [
+    (1.5 + 0.5j, -2.25 + 1j, 0.5 + 20j, 0.7 + 0.2j),
+    (3.0 + 1j, 2.0 - 1j, -30.5 + 2j, -0.6 + 0.5j),
+    (-7.0, 1.5 + 0.5j, 2.25, 0.8 - 0.3j),
+    (200.0, 200.0, 1.0, 0.9),
+    *[(a, b, c, 1 - 1e-4) for a, b, c in
+      [(1, 1, 3), (0.5, 0.25, 2), (2, 1, 4.5), (0.5, 1, 3), (1.5, 0.5, 3.25)]],
+], ids=["smith-imag-branch", "smith-imag-branch-mid-chunk", "terminating",
+        "non-finite-in-second-chunk", "e18-1", "e18-2", "e18-3", "e18-4",
+        "e18-5"])
+def test_chunked_series_matches_loop(args):
+    # Smith's |Im d| > |Re d| branch holds for n < 19.5 with c = 0.5 + 20i,
+    # and for 28.5 < n < 32.5 with c = -30.5 + 2i.
+    assert _outcome(hyp2f1, *args) == _outcome(_loop_hyp2f1, *args)
+
+
+def test_non_finite_sum_inside_the_second_chunk():
+    with pytest.raises(SeriesError, match="not finite") as exc:
+        hyp2f1(200.0, 200.0, 1.0, 0.9)
+    assert hyper._FIRST_CHUNK < exc.value.terms <= 3 * hyper._FIRST_CHUNK
+
+
+def test_quiet_run_straddling_the_first_chunk_edge(monkeypatch):
+    # The terms fall like 0.89^n, so the 50 quiet terms that stop the sum
+    # are n = 237 .. 286, across the 256-term edge: with a budget of 287
+    # terms the sum settles, with 286 it does not.
+    args = (1.0, 2.5, 2.5, 0.89)
+    settled = _outcome(hyp2f1, *args)
+    assert settled == _outcome(_loop_hyp2f1, *args)
+    monkeypatch.setattr(hyper, "_MAX_TERMS", 287)
+    assert _outcome(hyp2f1, *args) == settled
+    monkeypatch.setattr(hyper, "_MAX_TERMS", 286)
+    unsettled = _outcome(hyp2f1, *args)
+    assert unsettled == _outcome(_loop_hyp2f1, *args)
+    assert unsettled[2] == 286
+
+
+@pytest.mark.parametrize("budget", [10, 300])
+def test_chunked_series_budget_matches_loop(monkeypatch, budget):
+    # 300 terms end inside the second chunk.
+    monkeypatch.setattr(hyper, "_MAX_TERMS", budget)
+    args = (0.5, 0.25, 2.0, 0.995)
+    got = _outcome(hyp2f1, *args)
+    assert got == _outcome(_loop_hyp2f1, *args)
+    assert got[2] == budget
+
+
+def test_modulus_overflow_is_a_series_error():
+    # |term| overflows while both its parts are finite.  abs() in the scalar
+    # loop raises a bare OverflowError; the chunked sum goes on to the first
+    # non-finite partial sum and raises the named SeriesError there.
+    args = (205.98844049314562 - 45.33553371737718j,
+            -5.838539226222239 - 6.537710084743278j, 18.437483751336185,
+            -0.81903582326945 + 0.5609134584308988j)
+    with pytest.raises(OverflowError):
+        _loop_hyp2f1(*args)
+    with pytest.raises(SeriesError, match="not finite"):
+        hyp2f1(*args)
 
 
 # ------------------------------------------------------------ gauss summation

@@ -377,3 +377,19 @@ def test_near_one_power_law_requires_positive_order():
         near_one_laws(0.0, 1.001, mu=0.5j, kind="power")
     with pytest.raises(DomainError):
         near_one_laws(0.0, 1.001, kind="power")
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0),
+                               complex(2.0, math.inf)],
+                         ids=["nan", "inf", "-inf", "nan+1j", "2+infj"])
+@pytest.mark.parametrize("call", [
+    lambda z: q_nu(0.0, z),
+    lambda z: q_nu_mu(1.0, 0.5, z),
+    lambda z: asymptotic_large_nu(10.0, 0.0, z),
+    lambda z: near_one_laws(1.0, z),
+], ids=["q_nu", "q_nu_mu", "asymptotic_large_nu", "near_one_laws"])
+def test_non_finite_z_is_a_domain_error(call, z):
+    # NaN fails every comparison, so the cut test alone would let it through.
+    with pytest.raises(DomainError) as exc:
+        call(z)
+    assert exc.value.condition == "finite z"
