@@ -108,8 +108,8 @@ PROBES = {
 
 def omega_eps(x, eps: float):
     """Scaled Cauchy kernel (1/pi) eps / (eps^2 + x^2); unit mass for eps > 0."""
-    if not eps > 0.0:
-        raise DomainError("eps > 0")
+    if not 0.0 < eps < math.inf:
+        raise DomainError("0 < eps < inf")
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():  # +-inf is fine: the kernel's limit there is 0
         raise DomainError("x not NaN", "omega_eps of NaN x")

@@ -45,6 +45,13 @@ def test_omega_rejects_nonpositive_eps():
         omega_eps(0.0, 0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_omega_rejects_non_finite_eps(eps):
+    with pytest.raises(DomainError) as exc:
+        omega_eps(0.0, eps)
+    assert exc.value.condition == "0 < eps < inf"
+
+
 def test_omega_rejects_nan_x():
     for x in (math.nan, np.array([0.0, math.nan, 1.0])):
         with pytest.raises(DomainError) as exc:
