@@ -84,15 +84,15 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     if abs(z) > _MAX_ABS_Z:
         raise DomainError("|z| <= 1 - 1e-4",
                           f"|z| = {abs(z):.6f} is too close to the unit circle")
-    if z == 0:
-        return 1.0 + 0j
     total = term = 1.0 + 0j
     start, size, budget, last = 0, _FIRST_CHUNK, _MAX_TERMS, -1.0
     with np.errstate(all="ignore"):
         while start < budget:
             n = np.arange(start, min(start + size, budget), dtype=float)
-            terms = np.cumprod(np.concatenate(([term], _ratios(a, b, c, z, n))))[1:]
-            sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+            terms = np.multiply.accumulate(_ratios(term, a, b, c, z, n))
+            sums = terms.copy()
+            sums[0] = total
+            terms, sums = terms[1:], np.add.accumulate(sums)[1:]
             # Term n is quiet unless |term| > rel_tol |total|, and last is the
             # latest loud n; a non-finite sum is quiet and stays non-finite.
             loud = (np.hypot(terms.real, terms.imag)
@@ -111,28 +111,28 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     raise SeriesError("hypergeometric series did not converge", total, budget)
 
 
-def _ratios(a: complex, b: complex, c: complex, z: complex, n):
-    """(a + n)(b + n) / ((c + n)(n + 1.0)) * z, rounded as CPython rounds it.
+def _ratios(term: complex, a: complex, b: complex, c: complex, z: complex, n):
+    """term, then (a + n)(b + n) / ((c + n)(n + 1.0)) * z as CPython rounds it:
 
-    Products are (ac - bd) + (ad + bc)i, a float enters as x + 0j (for finite
-    c its zero products leave the denominator d as it is), and the quotient is
-    Smith's, branching on |Re d| >= |Im d|; numpy's complex * and / differ.
+    (ac - bd) + (ad + bc)i products and Smith's p / d; numpy's complex ops
+    differ.  Only signs of zero may not match, and no partial sum keeps one.
     """
     ar, br, cr = a.real + n, b.real + n, c.real + n
-    ai, bi, ci = a.imag + 0.0, b.imag + 0.0, c.imag + 0.0
+    ai, bi, ci = a.imag, b.imag, c.imag
     pr, pi = ar * br - ai * bi, ar * bi + ai * br
-    dr, di = cr * (n + 1.0), ci * (n + 1.0)
+    dr, di = cr * (m := n + 1.0), ci * m
     ratio = di / dr
     denom = dr + di * ratio
     qr, qi = (pr + pi * ratio) / denom, (pi - pr * ratio) / denom
-    other = np.abs(di) > np.abs(dr)
-    if other.any():
+    if cr[0] < abs(ci) and cr[-1] > -abs(ci):  # cr rises with n: else |cr| >= |ci|
+        other = np.abs(di) > np.abs(dr)
         ratio = dr[other] / di[other]
         denom = dr[other] * ratio + di[other]
         qr[other] = (pr[other] * ratio + pi[other]) / denom
         qi[other] = (pi[other] * ratio - pr[other]) / denom
-    out = np.empty(len(n), dtype=complex)
-    out.real, out.imag = qr * z.real - qi * z.imag, qr * z.imag + qi * z.real
+    out = np.empty(len(n) + 1, dtype=complex)
+    out[0] = term  # leads the running product
+    out.real[1:], out.imag[1:] = qr * z.real - qi * z.imag, qr * z.imag + qi * z.real
     return out
 
 

@@ -175,14 +175,17 @@ def test_chunked_series_matches_loop_over_bench_domain():
     (3.0 + 1j, 2.0 - 1j, -30.5 + 2j, -0.6 + 0.5j),
     (-7.0, 1.5 + 0.5j, 2.25, 0.8 - 0.3j),
     (200.0, 200.0, 1.0, 0.9),
+    (complex(-3.0, -0.0), complex(2.5, -0.0), complex(-2.5, -0.0), complex(-0.5, -0.0)),
+    (0.3 + 1j, -2.5, 4.0, complex(-0.0, -0.0)),
     *[(a, b, c, 1 - 1e-4) for a, b, c in
       [(1, 1, 3), (0.5, 0.25, 2), (2, 1, 4.5), (0.5, 1, 3), (1.5, 0.5, 3.25)]],
 ], ids=["smith-imag-branch", "smith-imag-branch-mid-chunk", "terminating",
-        "non-finite-in-second-chunk", "e18-1", "e18-2", "e18-3", "e18-4",
+        "non-finite-in-second-chunk", "signed-zeros", "zero-z", "e18-1", "e18-2", "e18-3", "e18-4",
         "e18-5"])
 def test_chunked_series_matches_loop(args):
     # Smith's |Im d| > |Re d| branch holds for n < 19.5 with c = 0.5 + 20i,
-    # and for 28.5 < n < 32.5 with c = -30.5 + 2i.
+    # and for 28.5 < n < 32.5 with c = -30.5 + 2i.  Signs of zero never
+    # reach a partial sum, whose zero parts are +0.0.
     assert _outcome(hyp2f1, *args) == _outcome(_loop_hyp2f1, *args)
 
 
