@@ -180,8 +180,8 @@ def test_chunked_series_matches_loop_over_bench_domain():
     *[(a, b, c, 1 - 1e-4) for a, b, c in
       [(1, 1, 3), (0.5, 0.25, 2), (2, 1, 4.5), (0.5, 1, 3), (1.5, 0.5, 3.25)]],
 ], ids=["smith-imag-branch", "smith-imag-branch-mid-chunk", "terminating",
-        "non-finite-in-second-chunk", "signed-zeros", "zero-z", "e18-1", "e18-2", "e18-3", "e18-4",
-        "e18-5"])
+        "non-finite-in-second-chunk", "signed-zeros", "zero-z",
+        "e18-1", "e18-2", "e18-3", "e18-4", "e18-5"])
 def test_chunked_series_matches_loop(args):
     # Smith's |Im d| > |Re d| branch holds for n < 19.5 with c = 0.5 + 20i,
     # and for 28.5 < n < 32.5 with c = -30.5 + 2i.  Signs of zero never
