@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import claims, distrib, hyper, legendre
@@ -115,7 +116,8 @@ def _parse_params(tokens, wanted):
                               f"unexpected parameter {key!r}; "
                               f"wanted: {', '.join(wanted)}")
         try:
-            value = complex(val.strip().replace("i", "j"))
+            # A trailing i is the imaginary unit; the i of inf is not.
+            value = complex(re.sub(r"i(?=\)?$)", "j", val.strip()))
         except ValueError:
             raise DomainError("numeric parameters",
                               f"cannot parse value in {tok!r}") from None

@@ -22,7 +22,8 @@ are complex conjugates, so their sum is one real cosine transform,
 
 with an analytic binomial-series tail beyond u = 36.  For real tau the Beta
 value is real as well: B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2
-/ Gamma(2 eps), one log-gamma per node.
+/ Gamma(2 eps), one log-gamma per node.  Both kernels are even in tau, bit
+for bit, so a batch of pairing nodes is evaluated once per distinct |tau|.
 """
 
 from __future__ import annotations
@@ -272,24 +273,34 @@ def beta_reg(tau, eps: float):
 
     Euler's Beta at those two arguments, evaluated through conjugate
     symmetry: log_gamma(eps -+ i tau) sum to 2 Re log_gamma(eps + i tau), so
-    each node costs one log-gamma and the call one more for Gamma(2 eps).
+    each distinct |tau| costs one log-gamma, and the call one for Gamma(2 eps).
     The value is real; it is returned as a complex with zero imaginary part.
     ``tau`` may be an array; a scalar tau gives a scalar.
     """
     if not eps > 0.0:
         raise DomainError("eps > 0")
     lg_2eps = log_gamma(complex(2.0 * eps)).real
-    return _per_node(
+    return _even_in_tau(
         lambda t: cmath.exp(2.0 * log_gamma(complex(eps, t)).real - lg_2eps), tau)
 
 
-def _per_node(node: Callable[[float], complex], tau):
-    """``node`` at each tau: a scalar for scalar tau, else an array of tau's shape."""
+def _even_in_tau(node: Callable, tau, conj: bool = False, vectorized: bool = False):
+    """An even kernel at each tau, evaluated once per distinct |tau|.
+
+    ``node`` maps a float t, or with ``vectorized`` a 1-d array, to the
+    kernel there; with ``conj`` the kernel is conjugate-even instead,
+    K(-tau) = conj K(tau).  A 0-d tau calls a scalar ``node`` directly.
+    """
     taus = np.asarray(tau, dtype=float)
-    vals = [node(t) for t in taus.ravel().tolist()]
-    if taus.ndim == 0:
-        return vals[0]
-    return np.array(vals, dtype=complex).reshape(taus.shape)
+    if taus.ndim == 0 and not vectorized:
+        return node(float(taus))
+    mags, where = np.unique(np.abs(taus).ravel(), return_inverse=True)
+    vals = node(mags) if vectorized else \
+        np.array([node(t) for t in mags.tolist()], dtype=complex)
+    out = vals[where].reshape(taus.shape)
+    if conj:
+        np.conjugate(out, out=out, where=taus < 0.0)
+    return out
 
 
 # ----------------------------------------------------------- delta pairings
@@ -314,6 +325,7 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
 
 _MELLIN_CUT = math.log(2.0)
 _MELLIN_FAR = 36.0
+_MELLIN_ROWS = 32  # taus per cosine block of _mellin_forward_grid; a multiple of 4
 
 
 def _mellin_parts(u, eps: float):
@@ -384,9 +396,11 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized forward Mellin values on a fixed composite panel rule.
 
     One real cosine transform: cos(outer(taus, phase)) @ (w * 2 weight) over
-    the composite nodes u of [ln 2, 36], plus the closed-form tails.  Used by
-    the pairing sweep, where the kernel is evaluated at whole arrays of tau
-    nodes; validated against the adaptive scalar route in the tests.
+    the composite nodes u of [ln 2, 36] that resolve the largest |tau|, plus
+    the closed-form tails; once per distinct |tau|, in blocks of _MELLIN_ROWS
+    rows.  Used by the pairing sweep, where the kernel is evaluated at whole
+    arrays of tau nodes; validated against the adaptive scalar route in the
+    tests.
     """
     taus = np.asarray(taus, dtype=float)
     freq = float(np.max(np.abs(taus))) if taus.size else 1.0
@@ -400,8 +414,19 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float) -> np.ndarray:
     u = (mids[:, None] + halves[:, None] * _X_HI[None, :]).ravel()
     w = (halves[:, None] * _W_HI[None, :]).ravel()
     phase, weight = _mellin_parts(u, eps)
-    return np.cos(np.multiply.outer(taus, phase)) @ (w * weight) \
-        + _mellin_tail(taus, eps)
+    ww = w * weight
+
+    def transform(mags):
+        # BLAS gemv rounds a row by the kernel of its group of 4 rows: with
+        # 4k rows a tau gets the same bits wherever it sits in the batch.
+        rows = np.resize(mags, -(-mags.size // 4) * 4)
+        out = np.empty(rows.size)
+        for i in range(0, rows.size, _MELLIN_ROWS):
+            out[i:i + _MELLIN_ROWS] = \
+                np.cos(np.multiply.outer(rows[i:i + _MELLIN_ROWS], phase)) @ ww
+        return out[:mags.size] + _mellin_tail(mags, eps)
+
+    return _even_in_tau(transform, taus, vectorized=True)
 
 
 def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],

@@ -31,8 +31,8 @@ from .distrib import (
     PairingSweepResult,
     Probe,
     _ladder_sweep,
+    _even_in_tau,
     _pairing_ladder,
-    _per_node,
 )
 from .quad import QuadratureSpec, integrate_pairing
 
@@ -81,9 +81,10 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     if not 0.0 < rel_tol < 1.0:
         raise DomainError("0 < rel_tol < 1", f"rel_tol = {rel_tol!r}")
     _check_pole(c)
-    if abs(z) > _MAX_ABS_Z:
+    r = math.hypot(z.real, z.imag)  # inf where abs(z) would overflow
+    if r > _MAX_ABS_Z:
         raise DomainError("|z| <= 1 - 1e-4",
-                          f"|z| = {abs(z):.6f} is too close to the unit circle")
+                          f"|z| = {r:.6f} is too close to the unit circle")
     total = term = 1.0 + 0j
     start, size, budget, last = 0, _FIRST_CHUNK, _MAX_TERMS, -1.0
     with np.errstate(all="ignore"):
@@ -162,8 +163,8 @@ def family_closed_form(tau, eps: float):
 
     ``gauss_sum(2 i tau, eps + i tau, 2 eps + 2 i tau)`` term for term, with
     log_gamma(eps - i tau) taken as the conjugate of log_gamma(eps + i tau):
-    two log-gammas per nonzero node, and one for Gamma(2 eps) when any node
-    is nonzero.  ``tau`` may be an array; a scalar tau gives a scalar.
+    two log-gammas per distinct nonzero |tau| (F(-tau) = conj F(tau)), and one
+    for Gamma(2 eps) when any tau is nonzero.  A scalar tau gives a scalar.
     """
     if not eps > 0.0:
         raise DomainError("eps > 0")
@@ -176,7 +177,7 @@ def family_closed_form(tau, eps: float):
         return cmath.exp(log_gamma(complex(2 * eps, 2 * t)) + lg_b.conjugate()
                          - lg_2eps - lg_b)
 
-    return _per_node(node, tau)
+    return _even_in_tau(node, tau, conj=True)
 
 
 def family_duplication_form(tau: float, eps: float) -> complex:

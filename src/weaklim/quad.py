@@ -18,9 +18,13 @@ panels, so a tiny integrand still meets the relative contract.  A window's
 angular frequency ``osc_freq`` cuts its initial panels at half periods
 while they fit half the budget; a faster oscillation is left to bisection.
 
-Integrands receive a numpy array of abscissae and must return an array of
-values (real or complex).  Everything here is pure and deterministic;
-independent integrations may run concurrently.
+Panels are evaluated in batches, one integrand call each: the initial
+partition, then the two halves of each bisection.  Integrands receive a
+numpy array of abscissae, the batch's nodes panel by panel, and must return
+an array of values (real or complex); values that each depend on their own
+abscissa only give the same result, bit for bit, as one call per panel.
+Everything here is pure and deterministic; independent integrations may
+run concurrently.
 """
 
 from __future__ import annotations
@@ -104,29 +108,28 @@ class ConvergenceError(RuntimeError):
                          f"error estimate {best.error_estimate:.3e})")
 
 
-def _panel(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ys = np.asarray(f(mid + half * _NODES), dtype=complex)
-    hi = half * (_W_HI @ ys[:21])
-    lo = half * (_W_LO @ ys[21:])
-    return complex(hi), abs(hi - lo)
+def _panels(f, spans):
+    """(value, error estimate) of each panel (a, b) in spans, from one call of f."""
+    a, b = np.array(spans, dtype=float).T
+    halves = 0.5 * (b - a)
+    xs = (0.5 * (a + b))[:, None] + halves[:, None] * _NODES
+    ys = np.asarray(f(xs.ravel()), dtype=complex).reshape(xs.shape)
+    out = []
+    for half, y in zip(halves.tolist(), ys):
+        hi, lo = half * (_W_HI @ y[:21]), half * (_W_LO @ y[21:])
+        out.append((complex(hi), abs(hi - lo)))
+    return out
 
 
 def _adaptive(f, breakpoints, spec: QuadratureSpec):
     """Worst-panel bisection over the given initial partition."""
-    heap = []
-    seq = 0
-    evals = 0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        if not b > a:
-            continue
-        val, err = _panel(f, a, b)
-        evals += 31
-        heapq.heappush(heap, (-err, seq, a, b, val, err))
-        seq += 1
-    if not heap:
+    spans = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
+    if not spans:
         raise DomainError("non-empty interval")
+    heap = []
+    for seq, ((a, b), (val, err)) in enumerate(zip(spans, _panels(f, spans))):
+        heapq.heappush(heap, (-err, seq, a, b, val, err))
+    seq, evals = len(spans), 31 * len(spans)
 
     scale = sum(abs(item[4]) for item in heap)
     abs_tol = min(spec.abs_tol, max(scale * spec.rel_tol, 1e-300))
@@ -142,8 +145,7 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec):
             )
         _, _, a, b, val, err = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        v1, e1 = _panel(f, a, m)
-        v2, e2 = _panel(f, m, b)
+        (v1, e1), (v2, e2) = _panels(f, [(a, m), (m, b)])
         evals += 62
         heapq.heappush(heap, (-e1, seq, a, m, v1, e1))
         seq += 1

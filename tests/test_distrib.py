@@ -223,17 +223,34 @@ def test_beta_reg_is_real_and_equals_euler_beta():
 
 
 def test_beta_reg_log_gamma_count(monkeypatch):
+    # One log-gamma per distinct |tau|, one for Gamma(2 eps).
     calls = []
     inner = distrib.log_gamma
     monkeypatch.setattr(distrib, "log_gamma",
                         lambda z: calls.append(z) or inner(z))
     for n in (1, 7, 31):
+        ts = np.linspace(0.0, 1.0, n)
         calls.clear()
-        beta_reg(np.linspace(-1.0, 1.0, n), 0.01)
+        beta_reg(ts, 0.01)
+        assert len(calls) == n + 1
+        calls.clear()
+        beta_reg(np.concatenate([-ts[::-1], ts, ts]), 0.01)
         assert len(calls) == n + 1
     calls.clear()
-    beta_reg(0.5, 0.01)
-    assert len(calls) == 2
+    beta_reg(np.array([-1.0, -0.0, 0.0, 1.0]), 0.01)
+    assert len(calls) == 3
+    calls.clear()
+    beta_reg(-0.5, 0.01)  # a scalar evaluates at tau itself
+    assert calls == [complex(0.02), complex(0.01, -0.5)]
+
+
+def test_beta_reg_is_even_bit_for_bit():
+    rng = np.random.default_rng(13)
+    taus = rng.uniform(0.0, 50.0, 500)
+    for eps in (1e-5, 1e-2, 0.3, 7.0):
+        for t in taus.tolist():
+            plus, minus = beta_reg(t, eps), beta_reg(-t, eps)
+            assert minus.real == plus.real and minus.imag == plus.imag, (t, eps)
 
 
 def test_beta_reg_vs_quadrature_grid():
@@ -313,6 +330,41 @@ def test_mellin_grid_matches_scalar():
         for t, g in zip(taus, grid):
             want = mellin_reg_forward(float(t), eps)
             assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_mellin_grid_is_even_bit_for_bit():
+    taus = np.concatenate([[0.0], np.random.default_rng(19).uniform(0.0, 3.0, 60)])
+    for eps in (1e-1, 1e-3, 1e-5):
+        plus = _mellin_forward_grid(taus, eps)
+        assert np.array_equal(_mellin_forward_grid(-taus, eps), plus)
+        mixed = np.where(np.arange(taus.size) % 2 == 0, taus, -taus)
+        assert np.array_equal(_mellin_forward_grid(mixed, eps), plus)
+
+
+def test_mellin_grid_value_does_not_depend_on_the_batch():
+    # Up to |tau| = 1.5 the rule keeps its widest panels, so a tau's value
+    # must be the same alone, in a 31-node panel or in a whole batch: the
+    # matrix-vector product must not round a row by its position.
+    taus = np.random.default_rng(23).uniform(-1.5, 1.5, 124)
+    for eps in (1e-1, 1e-3, 1e-5):
+        whole = _mellin_forward_grid(taus, eps)
+        alone = [_mellin_forward_grid(taus[i:i + 1], eps)[0] for i in range(124)]
+        panels = np.concatenate([_mellin_forward_grid(taus[i:i + 31], eps)
+                                 for i in range(0, 124, 31)])
+        assert np.array_equal(whole, alone)
+        assert np.array_equal(whole, panels)
+
+
+def test_mellin_grid_cosine_blocks_are_bounded(monkeypatch):
+    shapes = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda x: shapes.append(np.shape(x)) or cos(x))
+    taus = np.linspace(0.01, 1.0, 620)
+    grid = _mellin_forward_grid(np.concatenate([-taus, taus]), 0.01)
+    assert grid.shape == (1240,)
+    # 620 distinct |tau| in blocks of at most 32 rows, one block at a time.
+    assert len(shapes) == 20
+    assert all(rows <= distrib._MELLIN_ROWS == 32 for rows, _ in shapes)
 
 
 def _mellin_half_tail(a: complex, s: complex, u0: float) -> complex:

@@ -360,12 +360,23 @@ def test_cli_eval_every_entry(capsys):
     (["eval", "beta_reg", "tau=nan", "eps=0.1"], "not finite"),
     (["eval", "hyp2f1", "a=nan", "b=1", "c=2", "z=0.5"], "a = (nan+0j) is not finite"),
     (["eval", "omega_eps", "x=nan", "eps=0.1"], "NaN x"),
+    (["eval", "mellin_inverse", "t=inf", "eps=0.1"], "0 < t < inf"),
+    (["eval", "omega_eps", "x=1", "eps=inf"], "0 < eps < inf"),
 ], ids=["convergence", "series", "sweep-ladder", "infinite-ladder",
-        "nan-gamma", "nan-beta-reg", "nan-hyp2f1", "nan-omega-eps"])
+        "nan-gamma", "nan-beta-reg", "nan-hyp2f1", "nan-omega-eps",
+        "inf-mellin-inverse", "inf-omega-eps"])
 def test_cli_library_error_exits_2(argv, says, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1+2i", 1 + 2j), ("-0.5i", -0.5j), ("1000i", 1000j), ("(1-2i)", 1 - 2j),
+    ("inf", math.inf), ("-inf", -math.inf), ("2.5", 2.5),
+])
+def test_cli_maps_only_the_imaginary_unit(text, value):
+    assert cli._parse_params([f"z={text}"], ["z"]) == [value]
 
 
 @pytest.mark.parametrize("line", [

@@ -105,8 +105,10 @@ def test_series_stops_at_first_non_finite_term():
     ((1.0, 1.0, 2.0, 0.5), {"rel_tol": 0.0}, "0 < rel_tol < 1"),
     ((1.0, 1.0, 2.0, 0.5), {"rel_tol": -1e-13}, "0 < rel_tol < 1"),
     ((1.0, 1.0, 2.0, 0.5), {"rel_tol": 1.0}, "0 < rel_tol < 1"),
+    # Finite, but abs(z) overflows.
+    ((1.0, 1.0, 2.0, complex(1.5e308, 1.5e308)), {}, "|z| <= 1 - 1e-4"),
 ], ids=["nan-a", "inf-b", "nan-c", "nan-z", "inf-z", "nan-tol", "zero-tol",
-        "negative-tol", "unit-tol"])
+        "negative-tol", "unit-tol", "huge-z"])
 def test_series_rejects_bad_arguments_before_summing(monkeypatch, args, kwargs,
                                                      condition):
     # A named DomainError, raised before the first term is summed.
@@ -303,6 +305,7 @@ def test_family_equals_gauss_sum_bit_for_bit():
 
 
 def test_family_log_gamma_count(monkeypatch):
+    # Two log-gammas per distinct nonzero |tau|, one for Gamma(2 eps).
     calls = []
     inner = hyper.log_gamma
     monkeypatch.setattr(hyper, "log_gamma",
@@ -311,12 +314,29 @@ def test_family_log_gamma_count(monkeypatch):
         calls.clear()
         family_closed_form(np.linspace(0.1, 2.0, n), 0.01)
         assert len(calls) == 2 * n + 1
+        calls.clear()
+        ts = np.linspace(0.1, 2.0, n)
+        family_closed_form(np.concatenate([-ts, ts, ts[::-1]]), 0.01)
+        assert len(calls) == 2 * n + 1
     calls.clear()
     family_closed_form(np.array([-1.0, 0.0, 1.0]), 0.01)
-    assert len(calls) == 2 * 2 + 1
+    assert len(calls) == 3
     calls.clear()
     family_closed_form(np.zeros(4), 0.01)
     assert calls == []
+    calls.clear()
+    family_closed_form(-0.5, 0.01)  # a scalar evaluates at tau itself
+    assert calls == [complex(0.02), complex(0.01, -0.5), complex(0.02, -1.0)]
+
+
+def test_family_is_conjugate_even_bit_for_bit():
+    rng = np.random.default_rng(17)
+    taus = rng.uniform(0.0, 50.0, 500)
+    for eps in (1e-5, 1e-2, 0.3, 7.0):
+        for t in taus.tolist():
+            plus = family_closed_form(t, eps)
+            minus = family_closed_form(-t, eps)
+            assert minus.real == plus.real and minus.imag == -plus.imag, (t, eps)
 
 
 def test_family_dual_route():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from weaklim.complexfn import DomainError, gamma
-from weaklim.distrib import PROBES
+from weaklim.distrib import PROBES, _mellin_forward_grid, beta_reg
+from weaklim.hyper import family_closed_form
 from weaklim.legendre import _kernel
 from weaklim.quad import (
     DEFAULT_SPEC,
@@ -15,6 +16,7 @@ from weaklim.quad import (
     EndpointExponents,
     IntegralResult,
     QuadratureSpec,
+    _adaptive,
     _breakpoints,
     _window,
     integrate_finite,
@@ -271,3 +273,53 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
+
+
+# ------------------------------------------------------ batched evaluation
+
+def _per_panel(f):
+    """f called on one 31-node panel at a time, the unbatched evaluation."""
+    def g(x):
+        return np.concatenate([np.asarray(f(x[i:i + 31]), dtype=complex)
+                               for i in range(0, x.size, 31)])
+    return g
+
+
+def test_adaptive_calls_the_integrand_once_per_batch():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return PROBES["gaussian"](x) * beta_reg(x, 1e-3)
+
+    pts = _breakpoints(-1.0, 1.0, 0.1)  # coarse: the peak needs bisection
+    res = _adaptive(f, pts, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+    # The initial partition in one call, then each split's two children.
+    assert sizes[0] == 31 * (len(pts) - 1)
+    assert len(sizes) > 1 and set(sizes[1:]) == {62}
+    assert res.evaluations == sum(sizes)
+    assert res == _adaptive(_per_panel(f), pts,
+                            QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+
+
+@pytest.mark.parametrize("run", [
+    lambda w: integrate_pairing(w(PROBES["gaussian"]),
+                                w(lambda t: beta_reg(t, 1e-4)), -1.0, 1.0,
+                                origin_scale=2.5e-5),
+    lambda w: integrate_pairing(w(PROBES["bump"]),
+                                w(lambda t: family_closed_form(t, 1e-3)), -1.0, 1.0,
+                                origin_scale=2.5e-4),
+    lambda w: integrate_pairing(w(PROBES["cauchy"]),
+                                w(lambda t: _mellin_forward_grid(t, 1e-3)), -1.0, 1.0,
+                                QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8),
+                                origin_scale=2.5e-4),
+    lambda w: integrate_finite(w(lambda t: t ** (-0.5 + 2j) * np.cos(t)), 0.0, 1.0,
+                               EndpointExponents(0.5 + 2j, 1.0)),
+    lambda w: integrate_semi_infinite(w(lambda t: np.exp(-(0.5 + 7j) * t)), 0.5,
+                                      osc_freq=7.0),
+], ids=["beta-pairing", "family-pairing", "mellin-pairing", "finite", "semi-infinite"])
+def test_batched_panels_match_per_panel_evaluation(run):
+    # Bit for bit: the same values, error estimates and evaluation counts.
+    batched = run(lambda f: f)
+    assert batched == run(_per_panel)
+
