@@ -14,9 +14,9 @@ log_gamma returns the principal branch: continuous on the plane cut along
 (-inf, 0], real on the positive real axis, and on the cut itself it takes
 the boundary value from the upper half plane.
 
-All functions are pure and reentrant; arguments and results are plain
-``complex`` values.  Poles raise :class:`PoleError` and non-finite
-arguments :class:`DomainError` instead of returning non-finite numbers.
+All functions are pure and reentrant; the public ones take and return
+plain ``complex`` values, and _log_gamma_right_array takes arrays.  Poles
+raise :class:`PoleError` and non-finite arguments :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "AccuracyContract",
@@ -151,6 +153,56 @@ def _log_gamma_right(z: complex) -> complex:
     for c in reversed(_LG_COEFF[:-1]):
         s = c + w2 * s
     return (z - 0.5) * cmath.log(z) - z + _LN_SQRT_2PI + w * s - acc
+
+
+def _log_gamma_right_array(x: float, y) -> np.ndarray:
+    """_log_gamma_right(complex(x, t)) for a float x > 0 and each t of y.
+
+    Bit for bit, up to signs of zero: the same steps, each rounded as
+    CPython's complex arithmetic.  Products are (ac - bd) + (ad + bc)i in
+    real ops (numpy's complex ``*`` uses FMA on AVX2 and up), 1/z is Smith's
+    (numpy's ``/`` differs), and cmath.log stands in where np.log may differ.
+    """
+    y = np.asarray(y, dtype=float)
+    # Non-finite t, the pole and |t| > 1e305 (t ln t overflows) take the scalar
+    # routine: it raises as log_gamma does, or gives inf where numpy would warn.
+    edge = ~((np.abs(y) > _POLE_TOL) & (np.abs(y) <= 1e305))
+    if edge.any():
+        out = np.empty(y.shape, complex)
+        out[edge] = [_log_gamma_right(_check_pole(complex(x, t))) for t in y[edge]]
+        out[~edge] = _log_gamma_right_array(x, y[~edge])
+        return out
+    shifts = []  # Re z at each `z += 1.0` of the scalar recurrence
+    while x < _SERIES_EDGE:
+        shifts.append(x)
+        x += 1.0
+    rows = np.array(shifts)[:, None] + 1j * y
+    # np.log rounds as cmath.log off the square max(|Re|, |Im|) < 2, not on it.
+    near = np.maximum(np.abs(rows.real), np.abs(rows.imag)) < 2.0
+    logs = np.log(rows, out=np.empty_like(rows), where=~near)
+    logs[near] = np.fromiter(map(cmath.log, rows[near].tolist()), complex)
+    acc = np.add.accumulate(logs, axis=0)[-1] if shifts else 0j  # in order
+    z = x + 1j * y
+    flip = np.abs(z.imag) > z.real  # Smith's 1/z; here |Re z| = Re z >= 10
+    big, small = np.where(flip, z.imag, z.real), np.where(flip, z.real, z.imag)
+    ratio = small / big
+    denom = big + small * ratio
+    w = np.empty_like(z)
+    w.real = np.where(flip, ratio, 1.0) / denom
+    w.imag = np.where(flip, -1.0, 0.0 - ratio) / denom
+    w2 = _times(w, w)
+    s = _LG_COEFF[-1]
+    for c in reversed(_LG_COEFF[:-1]):
+        s = c + _times(w2, s)
+    return _times(z - 0.5, np.log(z)) - z + _LN_SQRT_2PI + _times(w, s) - acc
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b rounded as CPython's complex product, (ac - bd) + (ad + bc)i."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def log_gamma(z) -> complex:

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .complexfn import DomainError, log_gamma
+from .complexfn import DomainError, _log_gamma_right_array, log_gamma
 from .quad import (
     QuadratureSpec,
     integrate_pairing,
@@ -272,32 +272,32 @@ def beta_reg(tau, eps: float):
     """B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2 / Gamma(2 eps).
 
     Euler's Beta at those two arguments, evaluated through conjugate
-    symmetry: log_gamma(eps -+ i tau) sum to 2 Re log_gamma(eps + i tau), so
-    each distinct |tau| costs one log-gamma, and the call one for Gamma(2 eps).
-    The value is real; it is returned as a complex with zero imaginary part.
-    ``tau`` may be an array; a scalar tau gives a scalar.
+    symmetry: log_gamma(eps -+ i tau) sum to 2 Re log_gamma(eps + i tau).  An
+    array tau takes one array log-gamma call over its distinct |tau|, with
+    the scalar route's bits, and one log-gamma for Gamma(2 eps).  The value
+    is real, returned as a complex; a scalar tau gives a scalar.
     """
     if not eps > 0.0:
         raise DomainError("eps > 0")
     lg_2eps = log_gamma(complex(2.0 * eps)).real
-    return _even_in_tau(
-        lambda t: cmath.exp(2.0 * log_gamma(complex(eps, t)).real - lg_2eps), tau)
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim == 0:
+        return cmath.exp(2.0 * log_gamma(complex(eps, float(taus))).real - lg_2eps)
+    # Complex np.exp rounds as cmath.exp; real-dtype np.exp is SIMD code.
+    return _even_in_tau(lambda mags: np.exp((
+        2.0 * _log_gamma_right_array(eps, mags).real - lg_2eps).astype(complex)), taus)
 
 
-def _even_in_tau(node: Callable, tau, conj: bool = False, vectorized: bool = False):
+def _even_in_tau(node: Callable, tau, conj: bool = False):
     """An even kernel at each tau, evaluated once per distinct |tau|.
 
-    ``node`` maps a float t, or with ``vectorized`` a 1-d array, to the
-    kernel there; with ``conj`` the kernel is conjugate-even instead,
-    K(-tau) = conj K(tau).  A 0-d tau calls a scalar ``node`` directly.
+    ``node`` maps the 1-d array of distinct |tau|, ascending, to the kernel
+    there; with ``conj`` the kernel is conjugate-even instead,
+    K(-tau) = conj K(tau).  The result has the shape of tau.
     """
     taus = np.asarray(tau, dtype=float)
-    if taus.ndim == 0 and not vectorized:
-        return node(float(taus))
     mags, where = np.unique(np.abs(taus).ravel(), return_inverse=True)
-    vals = node(mags) if vectorized else \
-        np.array([node(t) for t in mags.tolist()], dtype=complex)
-    out = vals[where].reshape(taus.shape)
+    out = node(mags)[where].reshape(taus.shape)
     if conj:
         np.conjugate(out, out=out, where=taus < 0.0)
     return out
@@ -392,19 +392,18 @@ def mellin_reg_forward(tau: float, eps: float,
     return res.value + float(_mellin_tail(tau, eps))
 
 
-def _mellin_forward_grid(taus: np.ndarray, eps: float) -> np.ndarray:
+def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarray:
     """Vectorized forward Mellin values on a fixed composite panel rule.
 
     One real cosine transform: cos(outer(taus, phase)) @ (w * 2 weight) over
-    the composite nodes u of [ln 2, 36] that resolve the largest |tau|, plus
-    the closed-form tails; once per distinct |tau|, in blocks of _MELLIN_ROWS
-    rows.  Used by the pairing sweep, where the kernel is evaluated at whole
-    arrays of tau nodes; validated against the adaptive scalar route in the
-    tests.
+    the composite nodes u of [ln 2, 36] that resolve |tau| up to ``reach``,
+    plus the closed-form tails; once per distinct |tau|, in blocks of
+    _MELLIN_ROWS rows.  The pairing sweep sets ``reach`` from its window, so
+    a node's value does not depend on its batch; validated against the
+    adaptive scalar route in the tests.
     """
     taus = np.asarray(taus, dtype=float)
-    freq = float(np.max(np.abs(taus))) if taus.size else 1.0
-    width = min(0.7, TWO_PI / (4.0 * (freq + 0.5)))
+    width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
     n_panels = int(math.ceil((_MELLIN_FAR - _MELLIN_CUT) / width))
     edges = np.linspace(_MELLIN_CUT, _MELLIN_FAR, n_panels + 1)
     from .quad import _X_HI, _W_HI  # composite rule shares the panel nodes
@@ -426,14 +425,15 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float) -> np.ndarray:
                 np.cos(np.multiply.outer(rows[i:i + _MELLIN_ROWS], phase)) @ ww
         return out[:mags.size] + _mellin_tail(mags, eps)
 
-    return _even_in_tau(transform, taus, vectorized=True)
+    return _even_in_tau(transform, taus)
 
 
 def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
                          ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the quadrature-computed Mellin values against a probe."""
-    return _pairing_ladder(_mellin_forward_grid, probe, interval, ladder,
-                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
+    reach = max(abs(interval[0]), abs(interval[1]))
+    return _pairing_ladder(lambda ts, eps: _mellin_forward_grid(ts, eps, reach), probe,
+                           interval, ladder, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
 
 
 # --------------------------------------------------------- mollified inverse

@@ -25,7 +25,8 @@ import math
 
 import numpy as np
 
-from .complexfn import DomainError, _check_pole, digamma, log_gamma, trigamma
+from .complexfn import (DomainError, _check_pole, _log_gamma_right_array, digamma,
+                        log_gamma, trigamma)
 from .distrib import (
     EpsilonLadder,
     PairingSweepResult,
@@ -163,21 +164,28 @@ def family_closed_form(tau, eps: float):
 
     ``gauss_sum(2 i tau, eps + i tau, 2 eps + 2 i tau)`` term for term, with
     log_gamma(eps - i tau) taken as the conjugate of log_gamma(eps + i tau):
-    two log-gammas per distinct nonzero |tau| (F(-tau) = conj F(tau)), and one
-    for Gamma(2 eps) when any tau is nonzero.  A scalar tau gives a scalar.
+    two array log-gammas over the distinct nonzero |tau| (F(-tau) = conj F(tau))
+    and one for Gamma(2 eps) if any tau is nonzero.  A scalar tau gives a scalar.
     """
     if not eps > 0.0:
         raise DomainError("eps > 0")
-    lg_2eps = log_gamma(complex(2 * eps)) if np.any(tau) else 0j
-
-    def node(t: float) -> complex:
+    taus = np.asarray(tau, dtype=float)
+    lg_2eps = log_gamma(complex(2 * eps)) if np.count_nonzero(taus) else 0j
+    if taus.ndim == 0:
+        t = float(taus)
         if t == 0.0:
             return 1.0 + 0j  # the four gamma factors cancel pairwise
         lg_b = log_gamma(complex(eps, t))
         return cmath.exp(log_gamma(complex(2 * eps, 2 * t)) + lg_b.conjugate()
                          - lg_2eps - lg_b)
 
-    return _even_in_tau(node, tau, conj=True)
+    def node(mags):  # sorted, so a zero |tau| (value 1) can only lead
+        t = mags[mags != 0.0]
+        lg_b = _log_gamma_right_array(eps, t)
+        return np.concatenate([np.ones(mags.size - t.size), np.exp(  # as cmath.exp
+            _log_gamma_right_array(2 * eps, 2 * t) + lg_b.conj() - lg_2eps - lg_b)])
+
+    return _even_in_tau(node, taus, conj=True)
 
 
 def family_duplication_form(tau: float, eps: float) -> complex:

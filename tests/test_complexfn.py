@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -15,6 +19,8 @@ from weaklim.complexfn import (
     AccuracyContract,
     DomainError,
     PoleError,
+    _log_gamma_right,
+    _log_gamma_right_array,
     digamma,
     duplication_residual,
     gamma,
@@ -103,6 +109,83 @@ def test_log_gamma_principal_branch_continuity():
         prev = val
 
 
+# ---------------------------------------------------------- array log_gamma
+
+def _kernel_batches(n: int, seed: int):
+    """Batches (x, ts) of the pairing kernels' log-gamma: eps + i t and
+    2 eps + 2 i t for eps in [1e-5, 8] and |t| <= 130, then the square
+    max(|Re z|, |Im z|) < 2 with Re z > 0; n batches of each."""
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** rng.uniform(-5.0, math.log10(8.0), n)
+    ts = [rng.uniform(-130.0, 130.0, k) for k in rng.integers(1, 100, n)]
+    square = [(2.0 - rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0, k))
+              for k in rng.integers(1, 100, n)]
+    return ([(e, t) for e, t in zip(eps.tolist(), ts)]
+            + [(2.0 * e, 2.0 * t) for e, t in zip(eps.tolist(), ts)] + square)
+
+
+def test_log_gamma_array_matches_scalar_bit_for_bit():
+    batches = _kernel_batches(700, 31)
+    got = np.concatenate([_log_gamma_right_array(x, ts) for x, ts in batches])
+    want = [_log_gamma_right(complex(x, t)) for x, ts in batches for t in ts.tolist()]
+    assert got.size == len(want) >= 100_000
+    bad = np.flatnonzero((got.real != np.real(want)) | (got.imag != np.imag(want)))
+    assert bad.size == 0, [(got[i], want[i]) for i in bad[:5]]
+
+
+def test_log_gamma_array_takes_the_scalar_route_past_the_overflow():
+    # Past |t| = 1e305, t ln t overflows.  CPython's complex ops give inf
+    # silently, where numpy's would warn, so the array form hands those t to
+    # the scalar routine; Beta's value there is 0 on both routes.
+    ts = np.array([0.5, 1e305, -3e305, 1e306, 1e307, -1.7e308, np.finfo(float).max])
+    for x in (1e-3, 0.7, 12.0):
+        got = _log_gamma_right_array(x, ts)
+        assert list(map(repr, got.tolist())) == \
+            [repr(_log_gamma_right(complex(x, t))) for t in ts.tolist()]
+    assert beta_reg(ts, 0.1).tolist() == [beta_reg(t, 0.1) for t in ts.tolist()]
+
+
+_DISPATCH_CHILD = """
+import sys
+import numpy as np
+from weaklim.complexfn import _log_gamma_right_array
+from weaklim.distrib import beta_reg
+from weaklim.hyper import family_closed_form
+ts = np.frombuffer(sys.stdin.buffer.read())
+for v in (*(_log_gamma_right_array(x, ts) for x in (1e-5, 0.3, 1.5, 7.0)),
+          beta_reg(ts, 1e-3), family_closed_form(ts, 1e-3)):
+    sys.stdout.buffer.write(v.tobytes())
+"""
+
+
+def test_array_kernels_give_the_same_bytes_at_every_dispatch_level():
+    # Each numpy SIMD level this host can emulate, from all dispatch targets
+    # off to only the highest one off, must give the bytes of this process.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    rng = np.random.default_rng(41)
+    ts = np.concatenate([rng.uniform(-2.0, 2.0, 1000), rng.uniform(-130.0, 130.0, 1000)])
+    want = b"".join(v.tobytes() for v in (
+        *(_log_gamma_right_array(x, ts) for x in (1e-5, 0.3, 1.5, 7.0)),
+        beta_reg(ts, 1e-3), family_closed_form(ts, 1e-3)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    children = {}
+    for k, target in enumerate(targets):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets[k:]),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        children[target] = subprocess.Popen(
+            [sys.executable, "-c", _DISPATCH_CHILD], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for target, child in children.items():
+        out, err = child.communicate(ts.tobytes(), timeout=120)
+        assert child.returncode == 0, (target, err.decode())
+        assert out == want, f"bytes differ with {target} and above disabled"
+
+
 # -------------------------------------------------------------------- gamma
 
 def test_gamma_factorial():
@@ -135,15 +218,30 @@ _NAN, _INF = math.nan, math.inf
     lambda: q_nu(_NAN, 2.0),
     lambda: beta_reg(_NAN, 0.1),
     lambda: family_closed_form(_NAN, 0.1),
+    lambda: beta_reg(np.array([0.1, _NAN]), 0.1),
+    lambda: beta_reg(np.array([0.1, _INF]), 0.1),
+    lambda: family_closed_form(np.array([0.1, _NAN]), 0.1),
+    lambda: family_closed_form(np.array([0.1, _INF]), 0.1),
 ], ids=["log_gamma-nan", "gamma-nan", "digamma-nan", "trigamma-nan",
         "log_gamma-inf", "log_gamma-inf-imag", "digamma-nan-real",
-        "f_factor-nan", "q_nu-nan", "beta_reg-nan", "family_closed_form-nan"])
+        "f_factor-nan", "q_nu-nan", "beta_reg-nan", "family_closed_form-nan",
+        "beta_reg-array-nan", "beta_reg-array-inf",
+        "family_closed_form-array-nan", "family_closed_form-array-inf"])
 def test_non_finite_argument_is_a_domain_error(call):
     # round(nan) raised a bare ValueError, and inf or NaN arguments off the
     # pole test returned NaN.
     with pytest.raises(DomainError, match="not finite") as exc:
         call()
     assert exc.value.condition == "finite argument"
+
+
+def test_kernel_arrays_hit_the_pole_as_the_scalar_route():
+    # eps + i tau within 1e-14 of 0 is log_gamma's pole at 0, array or not.
+    for kernel, tau in ((beta_reg, 0.0), (family_closed_form, 5e-324)):
+        with pytest.raises(PoleError, match="hits the pole at 0"):
+            kernel(tau, 1e-14)
+        with pytest.raises(PoleError, match="hits the pole at 0"):
+            kernel(np.array([0.5, tau]), 1e-14)
 
 
 def test_pole_tolerance_window():

@@ -223,25 +223,33 @@ def test_beta_reg_is_real_and_equals_euler_beta():
 
 
 def test_beta_reg_log_gamma_count(monkeypatch):
-    # One log-gamma per distinct |tau|, one for Gamma(2 eps).
-    calls = []
-    inner = distrib.log_gamma
+    # An array tau: one array log-gamma over the distinct |tau|, and one
+    # scalar log-gamma for Gamma(2 eps).
+    calls, arrays = [], []
+    inner, inner_array = distrib.log_gamma, distrib._log_gamma_right_array
     monkeypatch.setattr(distrib, "log_gamma",
                         lambda z: calls.append(z) or inner(z))
+    monkeypatch.setattr(distrib, "_log_gamma_right_array",
+                        lambda x, y: arrays.append((x, y)) or inner_array(x, y))
     for n in (1, 7, 31):
         ts = np.linspace(0.0, 1.0, n)
-        calls.clear()
-        beta_reg(ts, 0.01)
-        assert len(calls) == n + 1
-        calls.clear()
-        beta_reg(np.concatenate([-ts[::-1], ts, ts]), 0.01)
-        assert len(calls) == n + 1
+        for tau in (ts, np.concatenate([-ts[::-1], ts, ts])):
+            calls.clear()
+            arrays.clear()
+            beta_reg(tau, 0.01)
+            assert calls == [complex(0.02)]
+            assert len(arrays) == 1 and arrays[0][0] == 0.01
+            assert np.array_equal(arrays[0][1], ts)
     calls.clear()
+    arrays.clear()
     beta_reg(np.array([-1.0, -0.0, 0.0, 1.0]), 0.01)
-    assert len(calls) == 3
+    assert calls == [complex(0.02)]
+    assert len(arrays) == 1 and np.array_equal(arrays[0][1], [0.0, 1.0])
     calls.clear()
+    arrays.clear()
     beta_reg(-0.5, 0.01)  # a scalar evaluates at tau itself
     assert calls == [complex(0.02), complex(0.01, -0.5)]
+    assert arrays == []
 
 
 def test_beta_reg_is_even_bit_for_bit():
@@ -326,7 +334,7 @@ def test_mellin_forward_domain():
 def test_mellin_grid_matches_scalar():
     taus = np.array([0.0, 0.3, -0.9, 2.5])
     for eps in (0.2, 1e-2, 1e-4):
-        grid = _mellin_forward_grid(taus, eps)
+        grid = _mellin_forward_grid(taus, eps, 3.0)
         for t, g in zip(taus, grid):
             want = mellin_reg_forward(float(t), eps)
             assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
@@ -335,10 +343,10 @@ def test_mellin_grid_matches_scalar():
 def test_mellin_grid_is_even_bit_for_bit():
     taus = np.concatenate([[0.0], np.random.default_rng(19).uniform(0.0, 3.0, 60)])
     for eps in (1e-1, 1e-3, 1e-5):
-        plus = _mellin_forward_grid(taus, eps)
-        assert np.array_equal(_mellin_forward_grid(-taus, eps), plus)
+        plus = _mellin_forward_grid(taus, eps, 3.0)
+        assert np.array_equal(_mellin_forward_grid(-taus, eps, 3.0), plus)
         mixed = np.where(np.arange(taus.size) % 2 == 0, taus, -taus)
-        assert np.array_equal(_mellin_forward_grid(mixed, eps), plus)
+        assert np.array_equal(_mellin_forward_grid(mixed, eps, 3.0), plus)
 
 
 def test_mellin_grid_value_does_not_depend_on_the_batch():
@@ -347,9 +355,9 @@ def test_mellin_grid_value_does_not_depend_on_the_batch():
     # matrix-vector product must not round a row by its position.
     taus = np.random.default_rng(23).uniform(-1.5, 1.5, 124)
     for eps in (1e-1, 1e-3, 1e-5):
-        whole = _mellin_forward_grid(taus, eps)
-        alone = [_mellin_forward_grid(taus[i:i + 1], eps)[0] for i in range(124)]
-        panels = np.concatenate([_mellin_forward_grid(taus[i:i + 31], eps)
+        whole = _mellin_forward_grid(taus, eps, 1.5)
+        alone = [_mellin_forward_grid(taus[i:i + 1], eps, 1.5)[0] for i in range(124)]
+        panels = np.concatenate([_mellin_forward_grid(taus[i:i + 31], eps, 1.5)
                                  for i in range(0, 124, 31)])
         assert np.array_equal(whole, alone)
         assert np.array_equal(whole, panels)
@@ -360,11 +368,27 @@ def test_mellin_grid_cosine_blocks_are_bounded(monkeypatch):
     cos = np.cos
     monkeypatch.setattr(np, "cos", lambda x: shapes.append(np.shape(x)) or cos(x))
     taus = np.linspace(0.01, 1.0, 620)
-    grid = _mellin_forward_grid(np.concatenate([-taus, taus]), 0.01)
+    grid = _mellin_forward_grid(np.concatenate([-taus, taus]), 0.01, 1.0)
     assert grid.shape == (1240,)
     # 620 distinct |tau| in blocks of at most 32 rows, one block at a time.
     assert len(shapes) == 20
     assert all(rows <= distrib._MELLIN_ROWS == 32 for rows, _ in shapes)
+
+
+def test_mellin_sweep_value_does_not_depend_on_the_batch(monkeypatch):
+    # On (-4, 3) the rule narrows below its widest panels.  The sweep takes
+    # it from the window, not from the batch, so a tau's value is the same
+    # alone and in a batch.
+    kernels = []
+    monkeypatch.setattr(distrib, "_pairing_ladder",
+                        lambda kernel, *rest: kernels.append(kernel))
+    mellin_forward_sweep(PROBES["gaussian"], (-4.0, 3.0))
+    (kernel,) = kernels
+    taus = np.random.default_rng(29).uniform(-4.0, 3.0, 62)
+    for eps in (1e-1, 1e-3):
+        whole = kernel(taus, eps)
+        alone = [kernel(taus[i:i + 1], eps)[0] for i in range(taus.size)]
+        assert np.array_equal(whole, alone)
 
 
 def _mellin_half_tail(a: complex, s: complex, u0: float) -> complex:
@@ -397,7 +421,7 @@ def test_mellin_routes_match_beta_reg_on_ladder():
     taus = np.linspace(-1.0, 1.0, 41)
     for eps in EpsilonLadder.default().values:
         closed = beta_reg(taus, eps).real
-        grid = _mellin_forward_grid(taus, eps)
+        grid = _mellin_forward_grid(taus, eps, 1.0)
         assert grid.dtype == float
         assert np.all(np.abs(grid - closed) <= 2e-9 * np.abs(closed)), eps
         for t, want in zip(taus, closed):

@@ -305,27 +305,32 @@ def test_family_equals_gauss_sum_bit_for_bit():
 
 
 def test_family_log_gamma_count(monkeypatch):
-    # Two log-gammas per distinct nonzero |tau|, one for Gamma(2 eps).
-    calls = []
-    inner = hyper.log_gamma
+    # An array tau: two array log-gammas over the distinct nonzero |tau|, at
+    # eps + i t and 2 eps + 2 i t, and one scalar log-gamma for Gamma(2 eps)
+    # when any tau is nonzero.
+    calls, arrays = [], []
+    inner, inner_array = hyper.log_gamma, hyper._log_gamma_right_array
     monkeypatch.setattr(hyper, "log_gamma",
                         lambda z: calls.append(z) or inner(z))
+    monkeypatch.setattr(hyper, "_log_gamma_right_array",
+                        lambda x, y: arrays.append((x, y)) or inner_array(x, y))
+
+    def count(tau):
+        calls.clear()
+        arrays.clear()
+        family_closed_form(tau, 0.01)
+        return [x for x, _ in arrays], [list(y) for _, y in arrays]
+
     for n in (1, 6, 31):
-        calls.clear()
-        family_closed_form(np.linspace(0.1, 2.0, n), 0.01)
-        assert len(calls) == 2 * n + 1
-        calls.clear()
         ts = np.linspace(0.1, 2.0, n)
-        family_closed_form(np.concatenate([-ts, ts, ts[::-1]]), 0.01)
-        assert len(calls) == 2 * n + 1
-    calls.clear()
-    family_closed_form(np.array([-1.0, 0.0, 1.0]), 0.01)
-    assert len(calls) == 3
-    calls.clear()
-    family_closed_form(np.zeros(4), 0.01)
+        for tau in (ts, np.concatenate([-ts, ts, ts[::-1]])):
+            assert count(tau) == ([0.01, 0.02], [list(ts), list(2 * ts)])
+            assert calls == [complex(0.02)]
+    assert count(np.array([-1.0, 0.0, 1.0])) == ([0.01, 0.02], [[1.0], [2.0]])
+    assert calls == [complex(0.02)]
+    assert count(np.zeros(4)) == ([0.01, 0.02], [[], []])
     assert calls == []
-    calls.clear()
-    family_closed_form(-0.5, 0.01)  # a scalar evaluates at tau itself
+    assert count(-0.5) == ([], [])  # a scalar evaluates at tau itself
     assert calls == [complex(0.02), complex(0.01, -0.5), complex(0.02, -1.0)]
 
 

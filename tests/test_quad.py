@@ -310,7 +310,7 @@ def test_adaptive_calls_the_integrand_once_per_batch():
                                 w(lambda t: family_closed_form(t, 1e-3)), -1.0, 1.0,
                                 origin_scale=2.5e-4),
     lambda w: integrate_pairing(w(PROBES["cauchy"]),
-                                w(lambda t: _mellin_forward_grid(t, 1e-3)), -1.0, 1.0,
+                                w(lambda t: _mellin_forward_grid(t, 1e-3, 1.0)), -1.0, 1.0,
                                 QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8),
                                 origin_scale=2.5e-4),
     lambda w: integrate_finite(w(lambda t: t ** (-0.5 + 2j) * np.cos(t)), 0.0, 1.0,
