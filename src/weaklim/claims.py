@@ -4,9 +4,9 @@ Each claim owns a deterministic parameter grid, a measurement routine, a
 default tolerance per sub-check, and optionally the ladder sweep that emits
 the rows behind the same measurement.  ASSERT claims fail the run when a
 measured deviation exceeds its tolerance; REPORT claims only record.  A
-tolerance override (per claim or global) replaces every sub-check tolerance
-of the affected claims, which is how a forced failure is provoked for testing
-the exit-status contract.
+tolerance override (per claim or global) replaces the tolerance of every
+measured, not boolean, sub-check of the affected claims, which is how a
+forced failure is provoked for testing the exit-status contract.
 
 Default tolerances of the delicate asymptotic claims are calibrated to the
 measured leading-order behavior and documented in README.md: the explicit
@@ -57,12 +57,15 @@ class Claim:
 def _verdict(claim: Claim, cfg: RunConfig, point: str, deviation: float,
              tol_default: float, order: float | None = None,
              extra: dict | None = None) -> ClaimVerdict:
-    tol = cfg.tolerance_for(claim.id, tol_default)
-    if claim.mode == "ASSERT":
-        status = "PASS" if deviation <= tol else "FAIL"
-    else:
-        status = "REPORTED"
+    ok = deviation <= cfg.tolerance_for(claim.id, tol_default)
+    status = ("PASS" if ok else "FAIL") if claim.mode == "ASSERT" else "REPORTED"
     return ClaimVerdict(claim.id, point, deviation, order, status, extra)
+
+
+def _check(claim: Claim, point: str, ok: bool,
+           order: float | None = None) -> ClaimVerdict:
+    """Boolean sub-check, deviation 0.0 or 1.0: no tolerance override applies."""
+    return _verdict(claim, RunConfig(), point, 0.0 if ok else 1.0, 0.5, order)
 
 
 def _fmt_c(z: complex) -> str:
@@ -150,10 +153,8 @@ def _run_beta_delta(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
         out.append(_verdict(claim, cfg, point, dev, claim.tolerance,
                             order=sweep_res.fitted_order))
         if target != 0.0:
-            order_ok = sweep_res.fitted_order > 0.0
-            out.append(_verdict(claim, cfg, point + ";check=order>0",
-                                0.0 if order_ok else 1.0, 0.5,
-                                order=sweep_res.fitted_order))
+            out.append(_check(claim, point + ";check=order>0",
+                              sweep_res.fitted_order > 0.0, sweep_res.fitted_order))
     return out
 
 
@@ -202,9 +203,8 @@ def _run_gauss_summation(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
         dev = abs(near - closed) / abs(closed)
         point = f"a={a:g};b={b:g};c={c:g}"
         out.append(_verdict(claim, cfg, point, dev, claim.tolerance))
-        improving = abs(nearer - closed) < abs(near - closed)
-        out.append(_verdict(claim, cfg, point + ";check=improves",
-                            0.0 if improving else 1.0, 0.5))
+        out.append(_check(claim, point + ";check=improves",
+                          abs(nearer - closed) < abs(near - closed)))
     return out
 
 
@@ -271,8 +271,7 @@ def _run_weak_limit_2f1(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     out = [
         _verdict(claim, cfg, point + f";eps={ladder.values[idx]:.6g}",
                  mags[idx], claim.tolerance, order=sweep_res.fitted_order),
-        _verdict(claim, cfg, point + ";check=decreasing",
-                 0.0 if mags[-3] > mags[-2] > mags[-1] else 1.0, 0.5),
+        _check(claim, point + ";check=decreasing", mags[-3] > mags[-2] > mags[-1]),
     ]
     excl = hyper.family_weak_limit_sweep(PROBES["const"], (1.0, 2.0), ladder)
     out.append(_verdict(claim, cfg, "interval=[1,2];probe=const",
@@ -307,8 +306,7 @@ def _run_oscillatory(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
         out.append(_verdict(claim, cfg, f"kind=sin;k={k:g}",
                             abs(vs), claim.tolerance))
     mags = cos_s.magnitudes()
-    out.append(_verdict(claim, cfg, "kind=cos;check=decreasing",
-                        0.0 if mags[0] > mags[1] > mags[2] else 1.0, 0.5))
+    out.append(_check(claim, "kind=cos;check=decreasing", mags[0] > mags[1] > mags[2]))
     return out
 
 

@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated ladder values")
     common.add_argument("--probe", help="probe name for pairings")
     common.add_argument("--tol", type=float,
-                        help="tolerance override for every sub-check")
+                        help="tolerance override for every measured sub-check")
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate one catalog function")

@@ -1,8 +1,8 @@
 """Run configuration: flat key=value config files merged with CLI flags.
 
 The recognized keys are those of ``_KEYS`` below, plus ``tol.<claim>`` for a
-per-claim tolerance override.  Unknown keys are errors.  Flags win over file
-values.
+per-claim tolerance override of each measured (not boolean) sub-check.
+Unknown keys are errors.  Flags win over file values.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ _KEYS = {
     "probe": ("probe", _text),           # gaussian, cauchy, bump, const
     "out": ("out", _text),               # output path
     "format": ("format", _text),         # json | csv | md
-    "tol": ("global_tol", _number),      # override for every ASSERT claim
+    "tol": ("global_tol", _number),      # every measured sub-check
     "tol.": ("tol_overrides", _number),  # tol.<claim>: one claim's override
 }
 

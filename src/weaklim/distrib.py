@@ -249,9 +249,9 @@ def beta(alpha, beta_arg) -> complex:
 def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> complex:
     """B(a, b) through the half-line representation of the Beta integral.
 
-    The integral over u in [0, inf) of u^(a-1) (1+u)^(-a-b) is split at u = 1
-    and each half is mapped by u = exp(+-v) onto an exponentially decaying
-    integrand, so both pieces satisfy the semi-infinite quadrature contract.
+    Split at u = 1 and mapped by u = exp(-+v), u^(a-1) (1+u)^(-a-b) over
+    [0, inf) becomes (e^(-a v) + e^(-b v)) (1 + e^-v)^(-a-b): a window [0, T]
+    plus binomial-series tails, falling 4-fold a term past T = ln(4 max(1, |a+b|)).
     """
     a = complex(alpha)
     b = complex(beta_arg)
@@ -260,12 +260,11 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
     if not b.real > 0.0:
         raise DomainError("Re(beta) > 0")
     s = a + b
-
-    def half(p: complex) -> complex:  # p = a: u = e^-v in (0, 1]; b: u = e^v
-        f = lambda v: np.exp(-p * v) * (1.0 + np.exp(-v)) ** (-s)
-        return integrate_semi_infinite(f, p.real, spec, osc_freq=p.imag).value
-
-    return half(a) + half(b)
+    cut = math.log(4.0 * max(1.0, abs(s)))
+    f = lambda v: (np.exp(-a * v) + np.exp(-b * v)) * (1.0 + np.exp(-v)) ** (-s)
+    tail = complex(_binomial_tail(np.array([a, b]), 1.0 - s, 1.0, cut).sum())
+    freq = max(abs(a.imag), abs(b.imag))
+    return integrate_semi_infinite(f, cut, tail, spec, osc_freq=freq).value
 
 
 def beta_reg(tau, eps: float):
@@ -340,29 +339,25 @@ def _mellin_parts(u, eps: float):
     return u + np.log(base), 2.0 * np.exp(-eps * u) * base ** (eps - 1.0)
 
 
-def _mellin_tail(taus, eps: float):
-    """Exact tail beyond _MELLIN_FAR of both half integrals, for each tau.
+def _binomial_tail(a, s, sign: float, cut: float):
+    """Integral over [cut, inf) of e^(-a u) (1 + sign e^-u)^(s-1) du, sign = +-1.
 
-    The half at height tau, integral over [u0, inf) of
-    exp(-a u) (1 - e^(-u))^(s-1) du with a = eps + i tau, s = eps - i tau,
-    sums term by term through the binomial series (1-x)^(s-1) = sum b_k x^k
-    since e^(-u0) < 1.  The -tau half is its conjugate, so the pair is
-    2 Re of it.  Each element stops once a term falls below 1e-18 of its sum,
-    after at most 40 terms.
+    The binomial series (1 + sign x)^(s-1) = sum b_k x^k integrates term by
+    term to b_k e^(-(a+k) cut) / (a+k), elementwise in a and s.  Each element
+    stops once a term falls below 1e-18 of its sum, after at most 40 terms.
     """
-    a = eps + 1j * np.asarray(taus, dtype=float)
-    s = a.conj()
+    a = np.asarray(a, dtype=complex)
     acc = np.zeros_like(a)
     bk = np.ones_like(a)
     active = np.ones(a.shape, dtype=bool)
     for k in range(40):
-        term = bk * np.exp(-(a + k) * _MELLIN_FAR) / (a + k)
+        term = bk * np.exp(-(a + k) * cut) / (a + k)
         acc = np.where(active, acc + term, acc)
         active &= np.abs(term) > 1e-18 * np.maximum(np.abs(acc), 1e-30)
         if not active.any():
             break
-        bk = bk * (k + 1 - s) / (k + 1)
-    return 2.0 * acc.real
+        bk = bk * (k + 1 - s) / (-sign * (k + 1))
+    return acc
 
 
 def mellin_reg_forward(tau: float, eps: float,
@@ -389,7 +384,8 @@ def mellin_reg_forward(tau: float, eps: float,
 
     res = integrate_pairing(PROBES["const"], f, 0.0, _MELLIN_FAR - _MELLIN_CUT,
                             spec, origin_scale=0.25 / eps, osc_freq=tau)
-    return res.value + float(_mellin_tail(tau, eps))
+    a = complex(eps, tau)  # the +tau half's tail; the -tau half's is its conjugate
+    return res.value + 2.0 * _binomial_tail(a, a.conjugate(), -1, _MELLIN_FAR).real
 
 
 def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarray:
@@ -423,7 +419,8 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarr
         for i in range(0, rows.size, _MELLIN_ROWS):
             out[i:i + _MELLIN_ROWS] = \
                 np.cos(np.multiply.outer(rows[i:i + _MELLIN_ROWS], phase)) @ ww
-        return out[:mags.size] + _mellin_tail(mags, eps)
+        a = eps + 1j * mags
+        return out[:mags.size] + 2.0 * _binomial_tail(a, a.conj(), -1, _MELLIN_FAR).real
 
     return _even_in_tau(transform, taus)
 

@@ -165,7 +165,8 @@ def family_closed_form(tau, eps: float):
     ``gauss_sum(2 i tau, eps + i tau, 2 eps + 2 i tau)`` term for term, with
     log_gamma(eps - i tau) taken as the conjugate of log_gamma(eps + i tau):
     two array log-gammas over the distinct nonzero |tau| (F(-tau) = conj F(tau))
-    and one for Gamma(2 eps) if any tau is nonzero.  A scalar tau gives a scalar.
+    and one for Gamma(2 eps) if any tau is nonzero.  A scalar tau gives a
+    scalar; past |tau| = 1e305, where they overflow, F has underflowed to 0.
     """
     if not eps > 0.0:
         raise DomainError("eps > 0")
@@ -175,15 +176,20 @@ def family_closed_form(tau, eps: float):
         t = float(taus)
         if t == 0.0:
             return 1.0 + 0j  # the four gamma factors cancel pairwise
+        if 1e305 < abs(t) < math.inf:
+            return 0j
         lg_b = log_gamma(complex(eps, t))
         return cmath.exp(log_gamma(complex(2 * eps, 2 * t)) + lg_b.conjugate()
                          - lg_2eps - lg_b)
 
-    def node(mags):  # sorted, so a zero |tau| (value 1) can only lead
-        t = mags[mags != 0.0]
+    def node(mags):
+        live = (mags != 0.0) & ~((1e305 < mags) & (mags < math.inf))
+        out = np.where(mags == 0.0, 1.0 + 0j, 0j)
+        t = mags[live]
         lg_b = _log_gamma_right_array(eps, t)
-        return np.concatenate([np.ones(mags.size - t.size), np.exp(  # as cmath.exp
-            _log_gamma_right_array(2 * eps, 2 * t) + lg_b.conj() - lg_2eps - lg_b)])
+        out[live] = np.exp(_log_gamma_right_array(2 * eps, 2 * t)  # as cmath.exp
+                           + lg_b.conj() - lg_2eps - lg_b)
+        return out
 
     return _even_in_tau(node, taus, conj=True)
 

@@ -45,8 +45,6 @@ __all__ = [
     "near_one_laws",
 ]
 
-_MIN_DEGREE_MARGIN = 1e-6  # kernel decay at or below this is rejected
-
 
 class BranchCutError(DomainError):
     """Argument on the cut (-inf, 1]."""
@@ -73,19 +71,41 @@ def sqrt_cut(z) -> complex:
     return cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
 
 
-def _kernel(nu: complex, z: complex):
-    w = sqrt_cut(z)
-
-    def f(t):
-        base = z + w * np.cosh(t)
-        return np.exp((-nu - 1.0) * np.log(base))
-
-    return f
-
-
 def q_nu(nu, z, spec: QuadratureSpec | None = None) -> complex:
     """Q_nu(z) = Q_nu^0(z) by semi-infinite quadrature of the cosh kernel."""
     return q_nu_mu(nu, 0.0, z, spec)
+
+
+def _gegenbauer_tail(nu: complex, mu: complex, z: complex, w: complex,
+                     cut: float) -> complex:
+    """Integral over [cut, inf) of cosh(mu t) (z + w cosh t)^(-nu-1), in closed form.
+
+    The kernel is (w/2)^-lam e^(-lam t) sum C_n^lam(x) e^(-n t), lam = nu + 1,
+    x = -z / w (DLMF 18.12.4); cosh(mu t) splits its rate into lam -+ mu.
+    d_n = C_n^lam(x) e^(-n cut) follows the three-term recurrence, and the
+    sum stops after two terms in a row below 1e-17 of it.
+    """
+    lam = nu + 1.0
+    x = -z / w
+    y = math.exp(-cut)
+    log_scale = -lam * cmath.log(0.5 * w)
+    try:
+        amp_minus = 0.5 * cmath.exp(log_scale - (lam - mu) * cut)
+        amp_plus = 0.5 * cmath.exp(log_scale - (lam + mu) * cut)
+    except OverflowError:  # the kernel overflows near the cut too: name it first
+        raise DomainError("kernel of Q_nu^mu within double range") from None
+    acc = 0j
+    d_prev, d = 0j, 1.0 + 0j
+    quiet = 0
+    for n in range(200):
+        term = d * (amp_minus / (lam - mu + n) + amp_plus / (lam + mu + n))
+        acc += term
+        quiet = quiet + 1 if abs(term) <= 1e-17 * abs(acc) else 0
+        if quiet == 2:
+            break
+        d_prev, d = d, (2.0 * (n + lam) * x * y * d
+                        - (n + 2.0 * lam - 1.0) * y * y * d_prev) / (n + 1)
+    return acc
 
 
 def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
@@ -93,7 +113,10 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
 
     Requires Re(nu + mu) > -1, nu off the negative integers, and
     Re(nu + 1) > |Re mu| so the integral converges; the last also keeps
-    nu - mu + 1 off the poles of the gamma prefactor.
+    nu - mu + 1 off the poles of the gamma prefactor.  Past the window [0, T],
+    T = ln(4 rho max(1, |nu + 1|)) with rho = max |(-z -+ 1) / w| the larger
+    root modulus of 1 - 2 x y + y^2, the Gegenbauer tail's terms fall 4-fold
+    or faster in the end, and do not rise first at large degree.
     """
     nu = complex(nu)
     mu = complex(mu)
@@ -102,19 +125,21 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
         raise DomainError("nu != -1, -2, ...", f"degree {nu!r} is a pole")
     if not (nu + mu).real > -1.0:
         raise DomainError("Re(nu + mu) > -1")
-    decay = nu.real + 1.0 - abs(mu.real)
-    if not decay > _MIN_DEGREE_MARGIN:
+    if not nu.real + 1.0 - abs(mu.real) > 0.0:
         raise DomainError("Re(nu + 1) > |Re(mu)|",
                           "kernel decay too weak for the order")
     pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0)
                      - log_gamma(nu - mu + 1.0))
-    f = base = _kernel(nu, z)
-    if mu != 0:  # cosh(0 t) = 1: the bare kernel is exact
-        f = lambda t: np.cosh(mu * t) * base(t)
-    # cosh overflows past t ~ 710; _adaptive reports that as ConvergenceError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = integrate_semi_infinite(f, decay, spec, osc_freq=mu.imag)
-    return pref * res.value
+    w = sqrt_cut(z)
+    rho = max(abs(z + 1.0), abs(z - 1.0)) / abs(w)
+    cut = math.log(4.0 * rho * max(1.0, abs(nu + 1.0)))
+    tail = _gegenbauer_tail(nu, mu, z, w, cut)
+
+    def f(t):  # cosh(mu t) in the exponent: its overflow alone is no overflow of f
+        log_bare = (-nu - 1.0) * np.log(z + w * np.cosh(t))
+        return 0.5 * (np.exp(log_bare - mu * t) + np.exp(log_bare + mu * t))
+
+    return pref * integrate_semi_infinite(f, cut, tail, spec, osc_freq=mu.imag).value
 
 
 def q_nu_itau_direct(nu, tau: float, z,

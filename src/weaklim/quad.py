@@ -7,7 +7,7 @@ library, one policy per shape and no per-caller overrides:
     integrate_pairing        test function against a kernel family on a
                              finite window, refined around the origin peak
     integrate_semi_infinite  [0, inf) with exponential decay: the pairing
-                             window over [0, T], T a recorded truncation point
+                             window over [0, T] plus the caller's exact tail
 
 Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
 estimate is the difference against the embedded 10-point rule.  The panel
@@ -48,8 +48,6 @@ __all__ = [
     "integrate_pairing",
 ]
 
-TAIL_TOL = 1e-12  # envelope bound on the tail cut off by integrate_semi_infinite
-
 _X_LO, _W_LO = np.polynomial.legendre.leggauss(10)
 _X_HI, _W_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_X_HI, _X_LO])
@@ -82,7 +80,6 @@ class IntegralResult:
     value: complex
     error_estimate: float
     evaluations: int
-    truncation_point: float | None = None
 
 
 @dataclass(frozen=True)
@@ -190,9 +187,12 @@ def _breakpoints(a: float, b: float, inner: float | None = None,
     return sorted(pts)
 
 
-def _window(f, a: float, b: float, spec: QuadratureSpec, inner: float,
+def _window(f, a: float, b: float, spec: QuadratureSpec | None, inner: float | None,
             freq: float | None) -> IntegralResult:
-    """Adaptive pass over [a, b]; half periods may take half the budget."""
+    """Adaptive pass over a finite [a, b]; half periods may take half the budget."""
+    spec = spec or DEFAULT_SPEC
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError("finite interval [a, b]")
     pts = _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
     return _adaptive(f, pts, spec)
 
@@ -276,44 +276,19 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     return IntegralResult(value, err, evals)
 
 
-def _truncation_point(f, decay_rate: float) -> float:
-    """Truncation T with C exp(-decay_rate T) / decay_rate <= TAIL_TOL.
+def integrate_semi_infinite(f, cut: float, tail: complex,
+                            spec: QuadratureSpec | None = None, *,
+                            osc_freq: float | None = None) -> IntegralResult:
+    """Integrate f over [0, inf) as the window [0, cut] plus ``tail``.
 
-    The envelope constant C is estimated from samples of log|f| + rate*t, so
-    plateaus before the asymptotic decay sets in are accounted for.  All
-    bookkeeping is done in log space to survive strongly decaying kernels.
+    ``tail`` is f's integral over [cut, inf) in the caller's closed form, and
+    ``osc_freq`` the window's angular frequency.  A non-finite tail raises
+    ConvergenceError, as a non-finite window does.
     """
-    samples = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0]
-    samples += [k / decay_rate for k in (1.0, 2.0, 4.0, 8.0)]
-    samples = sorted({min(s, 1e4) for s in samples})
-    log_c = -math.inf
-    t_last_seen = 0.0
-    mags = np.abs(np.asarray(f(np.array(samples)), dtype=complex)).tolist()
-    for t, m in zip(samples, mags):
-        if m > 0.0:
-            log_c = max(log_c, math.log(m) + decay_rate * t)
-            t_last_seen = t
-    if not math.isfinite(log_c):
-        return 1.0  # integrand identically ~0 on samples; any T works
-    t_tail = (log_c - math.log(decay_rate * TAIL_TOL)) / decay_rate
-    return max(t_tail, t_last_seen + 2.0 / decay_rate)
-
-
-def integrate_semi_infinite(f, decay_rate: float, spec: QuadratureSpec | None = None,
-                            *, osc_freq: float | None = None) -> IntegralResult:
-    """Integrate f over [0, inf) for |f(t)| <= C exp(-decay_rate t).
-
-    The domain is truncated at T such that the envelope tail bound drops
-    below ``TAIL_TOL``; T is recorded on the result.  [0, T] is a pairing
-    window clustered at 0 down to min(1/(4 decay_rate), T/4), with the
-    integrand's angular frequency ``osc_freq``.
-    """
-    spec = spec or DEFAULT_SPEC
-    if not decay_rate > 0.0:
-        raise DomainError("decay_rate > 0")
-    T = _truncation_point(f, decay_rate)
-    res = _window(f, 0.0, T, spec, min(0.25 / decay_rate, T / 4.0), osc_freq)
-    res.truncation_point = T
+    res = _window(f, 0.0, cut, spec, None, osc_freq)
+    res.value += tail
+    if not cmath.isfinite(res.value):
+        raise ConvergenceError("the closed-form tail is not finite", res)
     return res
 
 
@@ -329,9 +304,6 @@ def integrate_pairing(phi, kernel, a: float, b: float,
     delta-approximant peak of that width cannot slip between coarse nodes.
     ``osc_freq`` is the integrand's angular frequency, if it oscillates.
     """
-    spec = spec or DEFAULT_SPEC
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("finite interval [a, b]")
     if origin_scale is not None and not origin_scale > 0.0:
         raise DomainError("origin_scale > 0")
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,11 +22,16 @@ from weaklim.distrib import (
     mellin_inverse_check,
     mellin_inverse_sweep,
     mellin_reg_forward,
+    _binomial_tail,
     _mellin_forward_grid,
-    _mellin_tail,
     omega_eps,
 )
-from weaklim.quad import ConvergenceError, QuadratureSpec, integrate_pairing
+from weaklim.quad import (
+    ConvergenceError,
+    QuadratureSpec,
+    integrate_pairing,
+    integrate_semi_infinite,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,13 +172,40 @@ def test_beta_semi_infinite_is_cosh_reciprocal():
     assert abs(got - oracle) <= 1e-10
 
 
-def test_beta_semi_infinite_fast_oscillation_slow_decay():
-    # The a-half decays at rate 0.03 and oscillates at frequency 3.5: more
-    # half periods up to its truncation point than half the subdivision
-    # budget, so the window drops the period edges and bisects instead.
+def test_beta_semi_infinite_fast_oscillation_slow_decay(monkeypatch):
+    # The a-half decays at rate 0.03 and oscillates at frequency 3.5.  Most of
+    # it lies in the binomial tail beyond T = ln(4 |a + b|), so the window
+    # stays short: 4 panels.
     a, b = 0.03 - 3.5j, 0.5 - 0.2j
+    nodes = []
+
+    def counted(*args, **kwargs):
+        res = integrate_semi_infinite(*args, **kwargs)
+        nodes.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(distrib, "integrate_semi_infinite", counted)
     want = beta(a, b)
     assert abs(beta_semi_infinite(a, b) - want) <= 2e-10 * abs(want)
+    assert nodes == [124]
+
+
+# (a, b) at the edges of the half-line route: decay Re a or Re b down to
+# 0.02, fast oscillation, and halves that cancel to a tiny Beta value.
+_BETA_EDGES = [
+    (0.02, 0.02), (0.02 + 4.0j, 0.02 - 4.0j), (0.02 - 3.0j, 1.5), (5.0, 0.02 + 1.0j),
+    (0.03 - 3.5j, 0.5 - 0.2j), (4.0 + 4.0j, 5.0 - 4.0j), (0.5 + 0.5j, 0.5 - 0.5j),
+    (10.0, 10.0), (0.02, 5.0), (3.0 - 4.0j, 0.05 + 4.0j), (50.0, 50.0),
+]
+
+
+@pytest.mark.parametrize("a, b", _BETA_EDGES)
+def test_beta_semi_infinite_matches_mpmath_at_the_edges(a, b):
+    # The bench contract: two integrals, each 1e-10 relative or 1e-12 absolute.
+    got = beta_semi_infinite(a, b)
+    assert cmath.isfinite(got)
+    want = complex(mpmath.beta(a, b))
+    assert abs(got - want) <= 2.0 * max(1e-12, 1e-10 * abs(want))
 
 
 def test_beta_semi_infinite_rejects_bad_domain():
@@ -407,7 +440,8 @@ def _mellin_half_tail(a: complex, s: complex, u0: float) -> complex:
 def test_mellin_tail_is_the_conjugate_pair_of_half_tails():
     taus = np.linspace(-3.0, 3.0, 25)
     for eps in (1e-5, 1e-2, 0.3):
-        got = _mellin_tail(taus, eps)
+        a = eps + 1j * taus
+        got = 2.0 * _binomial_tail(a, a.conj(), -1.0, distrib._MELLIN_FAR).real
         for t, g in zip(taus, got):
             a = complex(eps, t)
             plus = _mellin_half_tail(a, a.conjugate(), distrib._MELLIN_FAR)

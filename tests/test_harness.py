@@ -1,5 +1,6 @@
 """Claim registry, CLI, config handling, and output determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from weaklim import cli
+from weaklim import cli, distrib
 from weaklim.claims import (
     REGISTRY,
     claim_ids,
@@ -33,9 +34,11 @@ EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
                        / "bench" / "expected_verify_all.json")
 # sha256 of the default verify-all JSON.  The verdict triples are shared with
 # the benchmark's record; the digest is pinned here, since the Mellin kernel's
-# cosine form (E16) and log_gamma's recurrence on the whole right half plane
-# (E12, E21, E22, E25, E31) moved last digits after that record was taken.
-VERIFY_ALL_SHA256 = "774940e07d6bb0a0fbf788f5223148e1fd1766df3d9262659f1be78a890fb2cb"
+# cosine form (E16), log_gamma's recurrence on the whole right half plane
+# (E12, E21, E22, E25, E31) and the closed-form tails of the half-line
+# integrals (E03, E45, E47, E49, E53, E54) moved last digits after that
+# record was taken.
+VERIFY_ALL_SHA256 = "5909900c08582c8d6d6518ba52fad71aad72f59f15b0d8f69fa8cd396254472c"
 
 
 def run_cli(*args, **kw):
@@ -82,6 +85,19 @@ def test_tolerance_override_forces_failure():
     cfg.tol_overrides["E04-euler-beta"] = 1e-30
     verdicts = run_claim("E04-euler-beta", cfg)
     assert any(v.status == "FAIL" for v in verdicts)
+
+
+def test_tolerance_override_cannot_pass_a_failed_boolean_check(monkeypatch, tmp_path):
+    # E12's fitted orders forced negative make its check=order>0 sub-checks
+    # fail; --tol 2 exceeds their deviation 1.0 but must not pass them.
+    sweep_fn = distrib.delta_claim_sweep
+    monkeypatch.setattr(distrib, "delta_claim_sweep", lambda *args: dataclasses.replace(
+        sweep_fn(*args), fitted_order=-1.0))
+    out = tmp_path / "e12.json"
+    assert cli.main(["verify", "E12-beta-delta", "--tol", "2", "--out", str(out)]) == 1
+    checks = [v for v in json.loads(out.read_text(encoding="utf-8"))["verdicts"]
+              if v["point"].endswith(";check=order>0")]
+    assert len(checks) == 2 and all(v["status"] == "FAIL" for v in checks)
 
 
 def test_every_claim_in_summary_once():
@@ -351,7 +367,7 @@ def test_cli_eval_every_entry(capsys):
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["eval", "q_nu_itau", "nu=0", "tau=1000", "z=2"], "subdivision budget"),
+    (["eval", "q_nu_itau", "nu=0", "tau=1e4", "z=2"], "subdivision budget"),
     (["eval", "hyp2f1", "a=1000i", "b=1", "c=1", "z=0.9"], "not finite"),
     (["sweep", "eps", "E12-beta-delta", "--eps-ladder", "1e-1,x"], "'x'"),
     (["verify", "E12-beta-delta", "--eps-ladder", "inf,1e-2,1e-3"],

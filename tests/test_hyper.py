@@ -344,6 +344,19 @@ def test_family_is_conjugate_even_bit_for_bit():
             assert minus.real == plus.real and minus.imag == -plus.imag, (t, eps)
 
 
+@pytest.mark.parametrize("tau", [5e305, 1e307, 1.7e308])
+def test_family_beyond_1e305_is_the_underflowed_zero(tau):
+    # Both routes give the 0 that 1e305 already gives: no NaN, no error, and
+    # no RuntimeWarning (pytest turns those into errors).
+    for t in (tau, -tau):
+        got = family_closed_form(t, 0.1)
+        assert isinstance(got, complex) and got == 0
+    arr = family_closed_form(np.array([tau, -tau, 1e305, 1.0]), 0.1)
+    assert np.array_equal(arr, [0, 0, 0, family_closed_form(1.0, 0.1)])
+    with pytest.raises(DomainError, match="not finite"):
+        family_closed_form(np.array([tau, math.nan]), 0.1)
+
+
 def test_family_dual_route():
     # Gamma-product route against the duplication route, point by point.
     val = family_closed_form(1.0, 0.5)

@@ -20,12 +20,7 @@ from weaklim.legendre import (
     solve_eta,
     sqrt_cut,
 )
-from weaklim.quad import (
-    TAIL_TOL,
-    ConvergenceError,
-    integrate_pairing,
-    integrate_semi_infinite,
-)
+from weaklim.quad import integrate_semi_infinite
 
 mpmath.mp.dps = 30
 
@@ -56,6 +51,52 @@ def test_q_nu_matches_mpmath_type3():
         assert abs(q_nu(nu, z) - want) <= 1e-9 * abs(want)
 
 
+# (nu, mu, z) at the edges of the kernel integral: decay nu + 1 - |Re mu|
+# down to 1e-9, cosh(mu t) alone past double range, z - 1 down to 1e-15,
+# degree 50 and 150, complex z off the cut, and C_2^1(x) = 0 at z = i/sqrt 3.
+_Q_EDGES = [
+    (-1.0 + 1e-7, 0.0, 2.0), (0.0, 1.0 - 1e-9, 2.0), (150.0, 140.0, 3.0),
+    (50.0, 50.98, 1.0 + 1e-9), (0.0, 0.0, 1j / math.sqrt(3.0)),
+    (-0.98, 0.0, 2.0), (0.0, 0.98, 1.5), (0.5, 1.48 + 2.0j, 3.0),
+    (-0.98, 0.0, 1.0 + 1e-6), (-0.98, 3.0j, 1.1), (0.02, -1.0, 10.0),
+    (0.3, 0.0, 1.0 + 1e-15), (2.0, 0.5, 1.0 + 1e-12), (0.0, 1.5j, 1.0 + 1e-9),
+    (50.0, 0.0, 2.0), (50.0, 0.0, 100.0), (50.0, 0.5, 1.5), (50.0, 3.0j, 1.01),
+    (50.0, 0.0, 1.0 + 1e-6),
+    (0.0, 0.0, 1.0j), (1.0, 0.3, 2.0j), (0.5, 1.0j, -0.5j), (2.5, 0.0, 30.0j),
+    (0.5, 0.0, -3.0 + 1e-9j), (0.5, 0.2, -3.0 - 1e-9j), (1.5, 0.5j, -1.5 + 1e-6j),
+    (0.0, 0.0, 1.0 + 1e-9j), (1.0, 0.5j, 1.0 + 1e-9j), (-0.5, 0.3, 1.0 - 1e-9j),
+]
+
+
+@pytest.mark.parametrize("nu, mu, z", _Q_EDGES)
+def test_q_nu_mu_matches_mpmath_at_the_edges(nu, mu, z):
+    # The bench contract: 1e-10 relative or 1e-12 absolute on the integral,
+    # scaled by the prefactor, plus two log-gammas' worth in that prefactor.
+    got = q_nu_mu(nu, mu, z)
+    assert cmath.isfinite(got)
+    want = complex(mpmath.legenq(nu, mu, z, type=3))
+    pref = abs(complex(mpmath.exp(1j * mpmath.pi * mu) * mpmath.gamma(nu + 1)
+                       * mpmath.rgamma(nu - mu + 1)))
+    assert abs(got - want) <= max(1e-12 * pref, 1e-10 * abs(want)) + 2e-12 * abs(want)
+
+
+@pytest.mark.parametrize("nu, mu, z", [(50.0, 0.0, 100.0), (50.0, 0.0, 1000.0),
+                                       (100.0, 0.0, 10.0), (150.0, 140.0, 3.0),
+                                       (0.5 + 30.0j, 0.0, 100.0)])
+def test_large_degree_keeps_relative_accuracy(nu, mu, z):
+    # Values far below the contract's absolute floor: a tail series whose
+    # coefficients grow with the degree before they fall would cancel here.
+    want = complex(mpmath.legenq(nu, mu, z, type=3))
+    assert abs(q_nu_mu(nu, mu, z) - want) <= 1e-12 * abs(want)
+
+
+def test_kernel_past_double_range_is_a_domain_error():
+    # Q_50^50.98 at z - 1 = 1e-15 is about 1e400: its tail is named before the
+    # window's kernel overflows, so no RuntimeWarning leaks either.
+    with pytest.raises(DomainError, match="double range"):
+        q_nu_mu(50.0, 50.98, 1.0 + 1e-15)
+
+
 def test_cut_rejections():
     for z in (0.5, 1.0, -2.0, 0.999):
         with pytest.raises(BranchCutError):
@@ -70,18 +111,17 @@ def test_weak_decay_rejected():
         q_nu(-1.5, 2.0)
     assert exc.value.condition == "Re(nu + mu) > -1"
     with pytest.raises(DomainError) as exc:
-        q_nu(-1.0 + 1e-7, 2.0)
+        q_nu_mu(0.0, 1.0, 2.0)
     assert exc.value.condition == "Re(nu + 1) > |Re(mu)|"
 
 
-def test_slow_decay_overflow_raises():
-    # At kernel decay 0.01 the truncation point lies far past t ~ 710, where
-    # cosh overflows; the NaN panels must not come back as a value, and no
-    # RuntimeWarning may leak (the pytest settings turn them into errors).
-    with pytest.raises(ConvergenceError):
-        q_nu_mu(0.0, 0.99, 2.0)
-    with pytest.raises(ConvergenceError):
-        q_nu(-0.99, 2.0)
+def test_slow_decay_matches_mpmath():
+    # Kernel decay 0.01: most of the integral lies beyond the window, in the
+    # Gegenbauer tail, so nothing is evaluated near t ~ 710 where cosh
+    # overflows; no RuntimeWarning may leak (pytest turns them into errors).
+    for nu, mu in [(0.0, 0.99), (-0.99, 0.0)]:
+        want = complex(mpmath.legenq(nu, mu, 2.0, type=3))
+        assert abs(q_nu_mu(nu, mu, 2.0) - want) <= 1e-10 * abs(want)
 
 
 def test_sqrt_cut_branch():
@@ -184,14 +224,14 @@ def test_itau_conjugation_identity():
 
 
 def test_truncation_stability():
-    nu, tau, z = 1.0, 0.5, 2.0
-    from weaklim.legendre import _kernel
-    base = _kernel(complex(nu), complex(z))
-    f = lambda ts: np.cos(tau * ts) * base(ts)
-    r1 = integrate_semi_infinite(f, nu + 1.0, osc_freq=tau)
-    r2 = integrate_pairing(np.ones_like, f, 0.0, 2.0 * r1.truncation_point,
-                           osc_freq=tau)
-    assert abs(r1.value - r2.value) <= 10 * TAIL_TOL
+    # The window plus its Gegenbauer tail, cut at T and at 2 T.
+    nu, mu, z = 1.0 + 0j, 0.5j, 2.0 + 0j
+    from weaklim.legendre import _gegenbauer_tail
+    f = lambda ts: np.cos(0.5 * ts) * (2.0 + math.sqrt(3.0) * np.cosh(ts)) ** -2.0
+    r1, r2 = (integrate_semi_infinite(
+        f, cut, _gegenbauer_tail(nu, mu, z, sqrt_cut(z), cut), osc_freq=mu.imag)
+        for cut in (2.5, 5.0))
+    assert abs(r1.value - r2.value) <= 1e-13 * abs(r1.value)
 
 
 # ---------------------------------------------------------------- eta solver

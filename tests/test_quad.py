@@ -1,17 +1,17 @@
 """Adaptive quadrature against antiderivatives and gamma closed forms."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from weaklim.complexfn import DomainError, gamma
-from weaklim.distrib import PROBES, _mellin_forward_grid, beta_reg
+from weaklim.distrib import PROBES, _binomial_tail, _mellin_forward_grid, beta_reg
 from weaklim.hyper import family_closed_form
-from weaklim.legendre import _kernel
+from weaklim.legendre import _gegenbauer_tail
 from weaklim.quad import (
     DEFAULT_SPEC,
-    TAIL_TOL,
     ConvergenceError,
     EndpointExponents,
     IntegralResult,
@@ -65,50 +65,78 @@ def test_endpoint_exponent_validation():
 
 # ------------------------------------------------------------ semi-infinite
 
+def _exp_tail(rate: complex, cut: float) -> complex:
+    """Integral of exp(-rate t) over [cut, inf)."""
+    return cmath.exp(-rate * cut) / rate
+
+
 def test_exponential_decay():
-    res = integrate_semi_infinite(lambda t: np.exp(-t), 1.0)
-    assert abs(res.value - 1.0) <= 1e-11
-    assert res.truncation_point is not None and res.truncation_point > 5.0
+    # The window [0, T] plus the exact tail, at T and at 2 T.
+    for cut in (2.0, 4.0):
+        res = integrate_semi_infinite(lambda t: np.exp(-t), cut, _exp_tail(1.0, cut))
+        assert abs(res.value - 1.0) <= 1e-11
 
 
 def test_legendre_kernel_closed_form():
-    # integral of (2 + sqrt(3) cosh t)^(-2) over [0, inf) equals ln 3 - 1.
+    # integral of (2 + sqrt(3) cosh t)^(-2) over [0, inf) equals ln 3 - 1;
+    # the tail beyond the cut is the Gegenbauer series of Q_1(2).
     w = math.sqrt(3.0)
     f = lambda t: (2.0 + w * np.cosh(t)) ** -2.0
-    res = integrate_semi_infinite(f, 2.0)
-    assert abs(res.value - (math.log(3.0) - 1.0)) <= 1e-10
+    for cut in (2.0, 4.0):
+        tail = _gegenbauer_tail(1.0 + 0j, 0j, 2.0 + 0j, complex(w), cut)
+        res = integrate_semi_infinite(f, cut, tail)
+        assert abs(res.value - (math.log(3.0) - 1.0)) <= 1e-10
 
 
-def test_decay_rate_rejected():
-    with pytest.raises(DomainError):
-        integrate_semi_infinite(lambda t: np.exp(-t), 0.0)
+def test_cut_rejected():
+    for cut in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda t: np.exp(-t), cut, 0j)
+
+
+def test_non_finite_tail_raises():
+    with pytest.raises(ConvergenceError, match="tail is not finite"):
+        integrate_semi_infinite(lambda t: np.exp(-t), 1.0, complex(math.nan, 0.0))
 
 
 def test_truncation_soundness():
-    # Integrating on to 2 T adds back most of the tail that T cut off.
+    # Window plus tail does not depend on where the window is cut.
     f = lambda t: np.exp(-1.5 * t) * np.cos(t)
-    base = integrate_semi_infinite(f, 1.5)
-    doubled = integrate_pairing(np.ones_like, f, 0.0, 2 * base.truncation_point)
-    assert abs(base.value - doubled.value) <= 10 * TAIL_TOL
+    tail = lambda cut: _exp_tail(1.5 - 1j, cut).real
+    base = integrate_semi_infinite(f, 3.0, tail(3.0))
+    doubled = integrate_semi_infinite(f, 6.0, tail(6.0))
+    assert abs(base.value - doubled.value) <= 1e-13
+    assert abs(base.value - 1.5 / 3.25) <= 1e-13
 
 
-def _q_itau(ts):  # Q_1^{i/2}(2) kernel: decay rate 2, frequency 1/2
-    return np.cos(0.5 * ts) * _kernel(1.0 + 0j, 2.0 + 0j)(ts)
+def _q_itau(ts):  # Q_1^{i/2}(2) kernel: frequency 1/2
+    return np.cos(0.5 * ts) * (2.0 + math.sqrt(3.0) * np.cosh(ts)) ** -2.0
+
+
+def _q_itau_tail(cut):
+    return _gegenbauer_tail(1.0 + 0j, 0.5j, 2.0 + 0j, complex(math.sqrt(3.0)), cut)
 
 
 def _beta_half(vs):  # Beta half at p = 0.3 + 2i, a + b = 0.8 + 1.5i
     return np.exp(-(0.3 + 2j) * vs) * (1.0 + np.exp(-vs)) ** (-(0.8 + 1.5j))
 
 
-@pytest.mark.parametrize("f, rate, freq", [(_q_itau, 2.0, 0.5),
-                                           (_beta_half, 0.3, 2.0)],
+def _beta_half_tail(cut):
+    return complex(_binomial_tail(0.3 + 2j, 1.0 - (0.8 + 1.5j), 1.0, cut))
+
+
+@pytest.mark.parametrize("f, tail, freq", [(_q_itau, _q_itau_tail, 0.5),
+                                           (_beta_half, _beta_half_tail, 2.0)],
                          ids=["q-kernel", "beta-half"])
-def test_semi_infinite_is_the_window_to_truncation(f, rate, freq):
-    res = integrate_semi_infinite(f, rate, osc_freq=freq)
-    T = res.truncation_point
-    win = _window(f, 0.0, T, DEFAULT_SPEC, min(0.25 / rate, T / 4.0), freq)
+def test_semi_infinite_is_the_window_to_truncation(f, tail, freq):
+    # The window [0, T] plus the tail, bit for bit; the window to 2 T plus
+    # the tail there gives the same integral.
+    res = integrate_semi_infinite(f, 2.0, tail(2.0), osc_freq=freq)
+    win = _window(f, 0.0, 2.0, DEFAULT_SPEC, None, freq)
     assert (res.value, res.error_estimate, res.evaluations) \
-        == (win.value, win.error_estimate, win.evaluations)
+        == (win.value + tail(2.0), win.error_estimate, win.evaluations)
+    doubled = integrate_semi_infinite(f, 4.0, tail(4.0), osc_freq=freq)
+    assert abs(res.value - doubled.value) <= 1e-12 * abs(res.value)
 
 
 @pytest.mark.parametrize("shape", ["semi-infinite", "finite", "pairing"])
@@ -117,7 +145,8 @@ def test_absolute_floor_scales_with_integrand(shape):
     # integrals; the floor tied to the first-pass scale keeps them relative.
     wave = lambda t: 1e-20 * np.cos(40 * t)
     if shape == "semi-infinite":
-        res = integrate_semi_infinite(lambda t: np.exp(-t) * wave(t), 1.0)
+        res = integrate_semi_infinite(lambda t: np.exp(-t) * wave(t), 1.0,
+                                      1e-20 * _exp_tail(1.0 - 40j, 1.0).real)
         want = 1e-20 / 1601
     elif shape == "finite":
         res = integrate_finite(wave, 0.0, 3.0)
@@ -191,9 +220,10 @@ def test_error_estimate_honesty_catalog():
                   -1.0))
     cases.append((integrate_finite(lambda t: 1.0 / (1.0 + 25 * t * t), -1.0, 1.0,
                                    None, spec), 0.4 * math.atan(5.0)))
-    cases.append((integrate_semi_infinite(lambda t: np.exp(-t), 1.0, spec), 1.0))
-    cases.append((integrate_semi_infinite(lambda t: np.exp(-2 * t) * np.cos(t), 2.0,
-                                          spec), 0.4))
+    cases.append((integrate_semi_infinite(lambda t: np.exp(-t), 4.0,
+                                          _exp_tail(1.0, 4.0), spec), 1.0))
+    cases.append((integrate_semi_infinite(lambda t: np.exp(-2 * t) * np.cos(t), 4.0,
+                                          _exp_tail(2.0 - 1j, 4.0).real, spec), 0.4))
     cases.append((integrate_pairing(lambda t: np.ones_like(t), omega(0.1),
                                     -1.0, 1.0, spec, origin_scale=0.025),
                   (2.0 / math.pi) * math.atan(10.0)))
@@ -221,7 +251,7 @@ def test_non_finite_integrand_raises():
     with pytest.raises(ConvergenceError, match="non-finite"):
         integrate_finite(nan_right, 0.0, 1.0)
     with pytest.raises(ConvergenceError, match="non-finite"):
-        integrate_semi_infinite(lambda t: np.exp(-t) * nan_right(t), 1.0)
+        integrate_semi_infinite(lambda t: np.exp(-t) * nan_right(t), 1.0, _exp_tail(1.0, 1.0))
 
 
 @pytest.mark.parametrize("scale", [-1e-3, 0.0, -math.inf, math.nan])
@@ -315,8 +345,8 @@ def test_adaptive_calls_the_integrand_once_per_batch():
                                 origin_scale=2.5e-4),
     lambda w: integrate_finite(w(lambda t: t ** (-0.5 + 2j) * np.cos(t)), 0.0, 1.0,
                                EndpointExponents(0.5 + 2j, 1.0)),
-    lambda w: integrate_semi_infinite(w(lambda t: np.exp(-(0.5 + 7j) * t)), 0.5,
-                                      osc_freq=7.0),
+    lambda w: integrate_semi_infinite(w(lambda t: np.exp(-(0.5 + 7j) * t)), 4.0,
+                                      _exp_tail(0.5 + 7j, 4.0), osc_freq=7.0),
 ], ids=["beta-pairing", "family-pairing", "mellin-pairing", "finite", "semi-infinite"])
 def test_batched_panels_match_per_panel_evaluation(run):
     # Bit for bit: the same values, error estimates and evaluation counts.
