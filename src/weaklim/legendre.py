@@ -134,6 +134,8 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
     rho = max(abs(z + 1.0), abs(z - 1.0)) / abs(w)
     cut = math.log(4.0 * rho * max(1.0, abs(nu + 1.0)))
     tail = _gegenbauer_tail(nu, mu, z, w, cut)
+    if pref == 0.0:
+        return 0j  # the prefactor underflowed: no window to integrate
 
     def f(t):  # cosh(mu t) in the exponent: its overflow alone is no overflow of f
         log_bare = (-nu - 1.0) * np.log(z + w * np.cosh(t))

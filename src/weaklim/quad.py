@@ -1,7 +1,7 @@
 """Adaptive complex-valued quadrature on embedded Gauss-Legendre panels.
 
 Three entry points cover the integral shapes used by the rest of the
-library, one policy per shape and no per-caller overrides:
+library, with no per-caller overrides:
 
     integrate_finite         finite interval, algebraic endpoint behavior
     integrate_pairing        test function against a kernel family on a
@@ -9,8 +9,11 @@ library, one policy per shape and no per-caller overrides:
     integrate_semi_infinite  [0, inf) with exponential decay: the pairing
                              window over [0, T] plus the caller's exact tail
 
-Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
-estimate is the difference against the embedded 10-point rule.  The panel
+Each integral is one adaptive pass, with one heap over the panels of its
+pieces (a window, or the two ends of a finite integral) and one stopping
+rule.  Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
+estimate is the difference against the embedded 10-point rule, or at least
+integral |f - mean| on an under-sampled panel at a log-oscillating end.  The panel
 with the worst estimate is bisected until the total estimate meets
 max(floor, rel_tol * |value|) or the subdivision budget is exhausted.  The
 floor is abs_tol capped at rel_tol times the summed |value| of the initial
@@ -19,20 +22,21 @@ angular frequency ``osc_freq`` cuts its initial panels at half periods
 while they fit half the budget; a faster oscillation is left to bisection.
 
 Panels are evaluated in batches, one integrand call each: the initial
-partition, then the two halves of each bisection.  Integrands receive a
-numpy array of abscissae, the batch's nodes panel by panel, and must return
-an array of values (real or complex); values that each depend on their own
-abscissa only give the same result, bit for bit, as one call per panel.
-Everything here is pure and deterministic; independent integrations may
-run concurrently.
+partition of each piece, then the two halves of each bisection.  Integrands
+receive a numpy array of abscissae, the batch's nodes panel by panel, and
+must return an array of values (real or complex); values that each depend
+on their own abscissa only give the same result, bit for bit, as one call
+per panel.  Everything here is pure and deterministic; independent
+integrations may run concurrently.
 """
 
 from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,10 +94,9 @@ class EndpointExponents:
     right_p: complex = 1.0 + 0j
 
     def __post_init__(self):
-        if not complex(self.left_p).real > 0.0:
-            raise DomainError("Re(left_p) > 0")
-        if not complex(self.right_p).real > 0.0:
-            raise DomainError("Re(right_p) > 0")
+        for name in ("left_p", "right_p"):
+            if not complex(getattr(self, name)).real > 0.0:
+                raise DomainError(f"Re({name}) > 0")
 
 
 class ConvergenceError(RuntimeError):
@@ -105,34 +108,54 @@ class ConvergenceError(RuntimeError):
                          f"error estimate {best.error_estimate:.3e})")
 
 
-def _panels(f, spans):
-    """(value, error estimate) of each panel (a, b) in spans, from one call of f."""
+def _panels(f, spans, watch):
+    """(value, error estimate) of each panel (a, b) in spans, from one call of f.
+
+    A panel at a ``watch`` end, where f ~ s^(i w), is under-sampled at every
+    scale, and there the two rules can agree by accident.  Adjacent 21-point
+    values that differ by over 3/4 of their size in mean square (s^(i w) from
+    w ~ 4; |hi - lo| is honest below w ~ 15) raise it to integral |f - mean|.
+    """
     a, b = np.array(spans, dtype=float).T
     halves = 0.5 * (b - a)
     xs = (0.5 * (a + b))[:, None] + halves[:, None] * _NODES
     ys = np.asarray(f(xs.ravel()), dtype=complex).reshape(xs.shape)
-    out = []
-    for half, y in zip(halves.tolist(), ys):
-        hi, lo = half * (_W_HI @ y[:21]), half * (_W_LO @ y[21:])
-        out.append((complex(hi), abs(hi - lo)))
-    return out
+    for (a, b), half, y in zip(spans, halves.tolist(), ys):
+        w_hi = _W_HI.dot(y[:21])
+        hi, lo = half * w_hi, half * _W_LO.dot(y[21:])
+        err = abs(hi - lo)
+        if a in watch or b in watch:
+            jumps = y[1:21] - y[:20]
+            if np.vdot(jumps, jumps).real > 0.75 * np.vdot(y[:21], y[:21]).real:
+                err = max(err, half * _W_HI.dot(np.abs(y[:21] - 0.5 * w_hi)))
+        yield complex(hi), err
 
 
-def _adaptive(f, breakpoints, spec: QuadratureSpec):
-    """Worst-panel bisection over the given initial partition."""
-    spans = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
-    if not spans:
-        raise DomainError("non-empty interval")
+def _adaptive(pieces, spec: QuadratureSpec):
+    """Worst-panel bisection of (integrand, breakpoints, watch) pieces, one heap."""
     heap = []
-    for seq, ((a, b), (val, err)) in enumerate(zip(spans, _panels(f, spans))):
-        heapq.heappush(heap, (-err, seq, a, b, val, err))
-    seq, evals = len(spans), 31 * len(spans)
+    seq = itertools.count()
+
+    def push(f, spans, watch):
+        out = list(_panels(f, spans, watch))
+        for (a, b), (val, err) in zip(spans, out):
+            heapq.heappush(heap, (-err, next(seq), a, b, val, err, f, watch))
+        return out
+
+    def sums():
+        return sum(item[4] for item in heap), sum(item[5] for item in heap)
+
+    for f, breakpoints, watch in pieces:
+        spans = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
+        if not spans:
+            raise DomainError("non-empty interval")
+        push(f, spans, watch)
+    evals = 31 * len(heap)
 
     scale = sum(abs(item[4]) for item in heap)
     abs_tol = min(spec.abs_tol, max(scale * spec.rel_tol, 1e-300))
 
-    total = sum(item[4] for item in heap)
-    err_total = sum(item[5] for item in heap)
+    total, err_total = sums()
     splits = 0
     while err_total > max(abs_tol, spec.rel_tol * abs(total)):
         if splits >= spec.max_subdivisions:
@@ -140,28 +163,20 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec):
                 "quadrature did not converge within the subdivision budget",
                 IntegralResult(total, err_total, evals),
             )
-        _, _, a, b, val, err = heapq.heappop(heap)
+        _, _, a, b, val, err, f, watch = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = _panels(f, [(a, m), (m, b)])
+        (v1, e1), (v2, e2) = push(f, [(a, m), (m, b)], watch)
         evals += 62
-        heapq.heappush(heap, (-e1, seq, a, m, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, m, b, v2, e2))
-        seq += 1
         total += v1 + v2 - val
         err_total += e1 + e2 - err
         splits += 1
-        if splits % 256 == 0:
-            # Kill accumulation drift in the running sums.
-            total = sum(item[4] for item in heap)
-            err_total = sum(item[5] for item in heap)
-    total = sum(item[4] for item in heap)
-    err_total = sum(item[5] for item in heap)
-    if not (cmath.isfinite(total) and math.isfinite(err_total)):
+        if splits % 256 == 0:  # kill accumulation drift in the running sums
+            total, err_total = sums()
+    res = IntegralResult(*sums(), evals)
+    if not (cmath.isfinite(res.value) and math.isfinite(res.error_estimate)):
         # A NaN estimate ends the loop above as if it had converged.
-        raise ConvergenceError("quadrature produced a non-finite value",
-                               IntegralResult(total, err_total, evals))
-    return IntegralResult(total, err_total, evals)
+        raise ConvergenceError("quadrature produced a non-finite value", res)
+    return res
 
 
 def _breakpoints(a: float, b: float, inner: float | None = None,
@@ -194,22 +209,28 @@ def _window(f, a: float, b: float, spec: QuadratureSpec | None, inner: float | N
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("finite interval [a, b]")
     pts = _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
-    return _adaptive(f, pts, spec)
+    return _adaptive([(f, pts, ())], spec)
 
 
-def _substituted_left(f, width: float, p: complex):
-    """Integrand over s in [0, width^r] realizing t = s^(1/r), r = Re p.
+def _end_piece(f, edge, lo: float, hi: float, p: complex):
+    """(integrand, breakpoints, watch) of one end of a finite integral, on [lo, hi].
 
-    Absorbs the t^(p-1) endpoint factor: the transformed integrand behaves
-    like s^(p/r - 1), whose real exponent part is 1.
+    An end with Re p < 1 or Im p != 0 becomes s in [0, (hi - lo)^r], clustered
+    toward 0, for the distance u = s^(1/r), r = min(Re p, 1): the edge integrand
+    ~ u^(p-1) becomes ~ s^(p/r - 1), of real exponent 0 for Re p <= 1, and s = 0
+    is watched if Im p != 0.  At r = 1 it is the edge integrand, bit for bit.
     """
-    r = p.real
+    p = complex(p)
+    if not (p.real < 1.0 - 1e-12 or abs(p.imag) > 1e-12):
+        return f, [lo, hi], ()
+    r = min(p.real, 1.0)
     inv = 1.0 / r
 
     def g(s):
-        return f(s ** inv) * inv * s ** (inv - 1.0)
+        return edge(s ** inv) * inv * s ** (inv - 1.0)
 
-    return g, width ** r
+    top = (hi - lo) ** r
+    return g, _breakpoints(0.0, top, top * 1e-8), (0.0,) if p.imag else ()
 
 
 def _default_edge(f, end: float, sign: float, name: str):
@@ -228,52 +249,28 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
                      left_edge=None, right_edge=None) -> IntegralResult:
     """Integrate f over [a, b], absorbing algebraic endpoint singularities.
 
-    ``exps`` declares the endpoint exponents; an end with Re p < 1 is removed
-    by the variable change t = a + s^(1/Re p) (mirrored on the right) before
-    the adaptive pass.  Ends with Re p >= 1 but a nonzero imaginary exponent
-    only get geometric panel clustering, since the integrand is bounded there
-    and merely oscillates in log scale.
+    ``exps`` declares the endpoint exponents; an end with Re p < 1 or a
+    nonzero imaginary exponent is removed by the variable change
+    t = a + s^(1/r), r = min(Re p, 1) (mirrored on the right).  Both ends
+    then go into one adaptive pass, judged on their sum.
 
-    A strongly singular end pushes evaluations to distances far below the
-    floating-point spacing of the endpoint itself, where ``f(b - u)`` would
-    see ``b`` exactly and cancel catastrophically.  ``left_edge`` and
-    ``right_edge``, when given, are distance-parameterized integrands
-    ``g(u) = f(endpoint -+ u)`` evaluated stably by the caller; they are used
-    instead of ``f`` on the end pieces.  Without one, an end piece whose
-    distance rounds onto the endpoint raises DomainError naming the edge.
+    A strongly singular end pushes evaluations below the floating-point
+    spacing of the endpoint, where ``f(b - u)`` would see ``b`` itself.
+    ``left_edge`` and ``right_edge``, when given, are the caller's stable
+    ``g(u) = f(endpoint -+ u)`` and replace f on the end pieces; without one,
+    an end piece whose distance rounds onto the endpoint raises DomainError.
     """
     spec = spec or DEFAULT_SPEC
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("a < b finite")
 
+    exps = exps or EndpointExponents()
     mid = 0.5 * (a + b)
-    left_p = complex(exps.left_p) if exps else 1.0 + 0j
-    right_p = complex(exps.right_p) if exps else 1.0 + 0j
     # Each end in distance coordinates u = t - a (left) or u = b - t (right).
-    ends = (
-        (left_p, a, mid, left_edge or _default_edge(f, a, 1.0, "left_edge")),
-        (right_p, mid, b, right_edge or _default_edge(f, b, -1.0, "right_edge")),
-    )
-    sub_spec = replace(spec, abs_tol=0.5 * spec.abs_tol,
-                       rel_tol=0.5 * spec.rel_tol)
-    value = 0j
-    err = 0.0
-    evals = 0
-    for p, lo, hi, edge in ends:
-        if p.real < 1.0 - 1e-12:
-            g, width = _substituted_left(edge, hi - lo, p)
-        elif abs(p.imag) > 1e-12:
-            g, width = edge, hi - lo
-        else:
-            g, width = f, None
-        # Geometric clustering toward a delicate end helps the adaptive pass
-        # resolve log-scale oscillation early.
-        pts = [lo, hi] if width is None else _breakpoints(0.0, width, width * 1e-8)
-        res = _adaptive(g, pts, sub_spec)
-        value += res.value
-        err += res.error_estimate
-        evals += res.evaluations
-    return IntegralResult(value, err, evals)
+    left = left_edge or _default_edge(f, a, 1.0, "left_edge")
+    right = right_edge or _default_edge(f, b, -1.0, "right_edge")
+    return _adaptive([_end_piece(f, left, a, mid, exps.left_p),
+                      _end_piece(f, right, mid, b, exps.right_p)], spec)
 
 
 def integrate_semi_infinite(f, cut: float, tail: complex,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weaklim import cli, distrib
@@ -32,13 +33,48 @@ CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
 EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
                        / "bench" / "expected_verify_all.json")
-# sha256 of the default verify-all JSON.  The verdict triples are shared with
-# the benchmark's record; the digest is pinned here, since the Mellin kernel's
-# cosine form (E16), log_gamma's recurrence on the whole right half plane
-# (E12, E21, E22, E25, E31) and the closed-form tails of the half-line
-# integrals (E03, E45, E47, E49, E53, E54) moved last digits after that
-# record was taken.
-VERIFY_ALL_SHA256 = "5909900c08582c8d6d6518ba52fad71aad72f59f15b0d8f69fa8cd396254472c"
+# sha256 of the default verify-all JSON per (numpy version, highest
+# dispatched SIMD feature): some last digits depend on numpy's dispatch
+# level, the (claim, point, status) triples do not.  The triples are shared
+# with the benchmark's record; the digests are pinned here, since the Mellin
+# kernel's cosine form (E16), log_gamma's recurrence on the whole right half
+# plane (E12, E21, E22, E25, E31), the closed-form tails of the half-line
+# integrals (E03, E45, E47, E49, E53, E54) and the one adaptive pass of the
+# Euler integral (E04) moved last digits after that record was taken.
+VERIFY_ALL_SHA256 = {
+    ("2.4.6", "AVX512_SPR"): "55554f0ea53ad76f10cc7c074af00abc673261776c6161857d029e990bf1523b",
+    ("2.4.6", "AVX512_ICL"): "55554f0ea53ad76f10cc7c074af00abc673261776c6161857d029e990bf1523b",
+    ("2.4.6", "X86_V4"): "55554f0ea53ad76f10cc7c074af00abc673261776c6161857d029e990bf1523b",
+    ("2.4.6", "X86_V3"): "4526fd2693ea71cd0fc6afd32892005a25bac21dec3c5f56897e622b66410db6",
+    ("2.4.6", "baseline"): "16fff61792e6170451112a685a8f3950b12082a32d66600edebe4089904c8dcc",
+}
+
+
+def dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets that this process uses, lowest first."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+def check_digest(text: str, level: str) -> None:
+    """The pinned digest on a pinned level; elsewhere print it for pinning."""
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    pin = VERIFY_ALL_SHA256.get((np.__version__, level))
+    if pin is None:
+        print(f"verify-all sha256 at numpy {np.__version__}, {level}: {digest} (not pinned)")
+    else:
+        assert digest == pin, f"digest at numpy {np.__version__}, {level}"
+
+
+def verdict_triples(text: str) -> list:
+    return [[v["claim"], v["point"], v["status"]] for v in json.loads(text)["verdicts"]]
+
+
+def expected_triples() -> list:
+    return json.loads(EXPECTED_VERIFY_ALL.read_text(encoding="utf-8"))["triples"]
 
 
 def run_cli(*args, **kw):
@@ -108,10 +144,26 @@ def test_every_claim_in_summary_once():
     # The verify-all JSON is pinned digit for digit, and its verdicts match
     # the benchmark's recorded (claim, point, status) triples.
     text = verdicts_to_json(summary.verdicts, summary.summary_dict())
-    expected = json.loads(EXPECTED_VERIFY_ALL.read_text(encoding="utf-8"))
-    assert [[v["claim"], v["point"], v["status"]]
-            for v in json.loads(text)["verdicts"]] == expected["triples"]
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256
+    assert verdict_triples(text) == expected_triples()
+    check_digest(text, (dispatch_targets() or ["baseline"])[-1])
+
+
+def test_verify_all_at_every_lower_dispatch_level():
+    # verify-all in a child process at each numpy SIMD level below this
+    # process's own that the host can emulate: the same triples at every
+    # level, and the pinned digest on each pinned level.
+    targets = dispatch_targets()
+    children = {}
+    for k in range(len(targets)):
+        env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": " ".join(targets[k:])}
+        children[targets[k - 1] if k else "baseline"] = subprocess.Popen(
+            [*CLI, "verify-all"], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+    for level, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, (level, err)
+        assert verdict_triples(out) == expected_triples(), level
+        check_digest(out, level)
 
 
 def test_short_ladder_named_error(capsys):
@@ -367,7 +419,7 @@ def test_cli_eval_every_entry(capsys):
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["eval", "q_nu_itau", "nu=0", "tau=1e4", "z=2"], "subdivision budget"),
+    (["eval", "mellin_forward", "tau=1e4", "eps=0.1"], "subdivision budget"),
     (["eval", "hyp2f1", "a=1000i", "b=1", "c=1", "z=0.9"], "not finite"),
     (["sweep", "eps", "E12-beta-delta", "--eps-ladder", "1e-1,x"], "'x'"),
     (["verify", "E12-beta-delta", "--eps-ladder", "inf,1e-2,1e-3"],

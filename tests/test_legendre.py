@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from weaklim import legendre
 from weaklim.complexfn import EULER_GAMMA, DomainError, digamma, gamma
 from weaklim.legendre import (
     BranchCutError,
@@ -212,6 +213,18 @@ def test_itau_modulus_bound():
     bound = (math.exp(-math.pi) * abs(1.0 / gamma(1.0 - 1j))
              * abs(q_nu(0.0, 2.0)))
     assert abs(val) <= bound * (1.0 + 1e-10)
+
+
+def test_underflowed_prefactor_skips_the_window(monkeypatch):
+    # At tau = 1e4 the prefactor e^(-pi tau) / Gamma(1 - i tau) is about
+    # 1e-6822, so mpmath's modulus bound |prefactor| Q_0(2) rounds to 0 in
+    # double precision; the window is not integrated at all.
+    tau = 1e4
+    bound = (mpmath.exp(-mpmath.pi * tau) / abs(mpmath.gamma(mpmath.mpc(1, -tau)))
+             * abs(mpmath.legenq(0, 0, 2, type=3)))
+    assert float(bound) == 0.0
+    monkeypatch.setattr(legendre, "integrate_semi_infinite", None)  # a call raises
+    assert q_nu_itau_direct(0.0, tau, 2.0) == 0j
 
 
 def test_itau_conjugation_identity():

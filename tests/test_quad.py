@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -322,14 +323,33 @@ def test_adaptive_calls_the_integrand_once_per_batch():
         sizes.append(x.size)
         return PROBES["gaussian"](x) * beta_reg(x, 1e-3)
 
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     pts = _breakpoints(-1.0, 1.0, 0.1)  # coarse: the peak needs bisection
-    res = _adaptive(f, pts, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+    res = _adaptive([(f, pts, ())], spec)
     # The initial partition in one call, then each split's two children.
     assert sizes[0] == 31 * (len(pts) - 1)
     assert len(sizes) > 1 and set(sizes[1:]) == {62}
     assert res.evaluations == sum(sizes)
-    assert res == _adaptive(_per_panel(f), pts,
-                            QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+    assert res == _adaptive([(_per_panel(f), pts, ())], spec)
+
+    # Two pieces share one heap: one call per piece for its initial
+    # partition, then calls of 62 nodes, each to its own panel's integrand.
+    shifted_sizes = []
+
+    def shifted(x):
+        shifted_sizes.append(x.size)
+        return PROBES["gaussian"](x - 3.0) * beta_reg(x - 3.0, 1e-3)
+
+    sizes.clear()
+    far = [p + 3.0 for p in pts]
+    both = _adaptive([(f, pts, ()), (shifted, far, ())], spec)
+    for calls in (sizes, shifted_sizes):
+        assert calls[0] == 31 * (len(pts) - 1)
+        assert len(calls) > 1 and set(calls[1:]) == {62}
+    assert both.evaluations == sum(sizes) + sum(shifted_sizes)
+    assert abs(both.value - 2.0 * res.value) <= 2e-9 * abs(res.value)
+    assert both == _adaptive([(_per_panel(f), pts, ()), (_per_panel(shifted), far, ())],
+                             spec)
 
 
 @pytest.mark.parametrize("run", [
@@ -353,3 +373,43 @@ def test_batched_panels_match_per_panel_evaluation(run):
     batched = run(lambda f: f)
     assert batched == run(_per_panel)
 
+
+# ----------------------------------------------------- log-oscillating ends
+
+# Euler Beta integrals.  In the first seven the two ends cancel: each end is
+# 0.2 to 0.5 and |B| is 4e-3 to 8e-3.  In the last, Re b = 0.088, so the
+# substituted right end behaves like s^(-27.9i) and does not decay at s = 0.
+_BETA_AGAINST_MPMATH = [
+    (0.32473011397532947 + 2.565789169193911j, 0.47492707214170926 - 2.070751002171081j),
+    (0.08597415634190059 - 1.6446562272801317j, 0.11010724229674765 + 2.0774429651883537j),
+    (0.08664702609168268 - 1.595147657661527j, 0.11145277112472528 + 2.088621356816307j),
+    (0.3272715878301977 + 2.615297738812516j, 0.4807307600138607 - 2.0595726105431282j),
+    (0.331891388647302 + 2.5747095335405428j, 0.4800113587835917 - 2.0414780859734174j),
+    (0.08787014480049557 - 1.6357358629335004j, 0.11128598491644995 + 2.106715881386018j),
+    (1.0721455776068802 - 2.068273028666461j, 0.1603774241671968 + 2.5548159043976426j),
+    (0.29204111739870975 - 1.9687342238321348j, 0.08782390684392576 - 2.4476531052560357j),
+]
+
+
+@pytest.mark.parametrize("al, be", _BETA_AGAINST_MPMATH)
+def test_beta_integral_matches_mpmath(al, be):
+    f = lambda t: t ** (al - 1.0) * (1.0 - t) ** (be - 1.0)
+    left = lambda u: u ** (al - 1.0) * (1.0 - u) ** (be - 1.0)
+    right = lambda u: (1.0 - u) ** (al - 1.0) * u ** (be - 1.0)
+    res = integrate_finite(f, 0.0, 1.0, EndpointExponents(al, be),
+                           left_edge=left, right_edge=right)
+    with mpmath.workdps(30):
+        want = complex(mpmath.beta(mpmath.mpc(al), mpmath.mpc(be)))
+    bound = max(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * abs(want))
+    assert abs(res.value - want) <= bound
+
+
+@pytest.mark.parametrize("re_p", [1.0, 0.1])
+@pytest.mark.parametrize("omega", [27.9, 38.6165, 60.47])
+def test_log_oscillating_end_meets_the_contract(omega, re_p):
+    # t^(p - 1) with Im p / min(Re p, 1) = omega: the substituted end behaves
+    # like s^(i omega) at every scale.  Near omega = 38.6 and 60.5 the 21- and
+    # 10-point rules agree there far more closely than either is right.
+    p = complex(re_p, omega * min(re_p, 1.0))
+    res = integrate_finite(lambda t: t ** (p - 1.0), 0.0, 1.0, EndpointExponents(p, 1.0))
+    assert abs(res.value - 1.0 / p) <= DEFAULT_SPEC.rel_tol * abs(1.0 / p)
