@@ -17,6 +17,9 @@ the boundary value from the upper half plane.
 All functions are pure and reentrant; the public ones take and return
 plain ``complex`` values, and _log_gamma_right_array takes arrays.  Poles
 raise :class:`PoleError` and non-finite arguments :class:`DomainError`.
+Array code that must give the scalar route's bits, at every numpy SIMD
+level, multiplies and divides through one kit on (real, imaginary) array
+pairs: _cmul rounds as CPython's complex ``*``, _cdiv as its ``/``.
 """
 
 from __future__ import annotations
@@ -158,10 +161,8 @@ def _log_gamma_right(z: complex) -> complex:
 def _log_gamma_right_array(x: float, y) -> np.ndarray:
     """_log_gamma_right(complex(x, t)) for a float x > 0 and each t of y.
 
-    Bit for bit, up to signs of zero: the same steps, each rounded as
-    CPython's complex arithmetic.  Products are (ac - bd) + (ad + bc)i in
-    real ops (numpy's complex ``*`` uses FMA on AVX2 and up), 1/z is Smith's
-    (numpy's ``/`` differs), and cmath.log stands in where np.log may differ.
+    Bit for bit, up to signs of zero: the same steps, with products and 1/z
+    through the kit (_cmul, _cdiv), and cmath.log where np.log may differ.
     """
     y = np.asarray(y, dtype=float)
     # Non-finite t, the pole and |t| > 1e305 (t ln t overflows) take the scalar
@@ -183,13 +184,8 @@ def _log_gamma_right_array(x: float, y) -> np.ndarray:
     logs[near] = np.fromiter(map(cmath.log, rows[near].tolist()), complex)
     acc = np.add.accumulate(logs, axis=0)[-1] if shifts else 0j  # in order
     z = x + 1j * y
-    flip = np.abs(z.imag) > z.real  # Smith's 1/z; here |Re z| = Re z >= 10
-    big, small = np.where(flip, z.imag, z.real), np.where(flip, z.real, z.imag)
-    ratio = small / big
-    denom = big + small * ratio
     w = np.empty_like(z)
-    w.real = np.where(flip, ratio, 1.0) / denom
-    w.imag = np.where(flip, -1.0, 0.0 - ratio) / denom
+    w.real, w.imag = _cdiv(1.0, 0.0, z.real, z.imag)
     w2 = _times(w, w)
     s = _LG_COEFF[-1]
     for c in reversed(_LG_COEFF[:-1]):
@@ -197,11 +193,27 @@ def _log_gamma_right_array(x: float, y) -> np.ndarray:
     return _times(z - 0.5, np.log(z)) - z + _LN_SQRT_2PI + _times(w, s) - acc
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b rounded as CPython's complex product, (ac - bd) + (ad + bc)i."""
+def _cmul(ar, ai, br, bi):
+    """(ar + ai i)(br + bi i) as CPython's complex ``*``: (ac - bd) + (ad + bc)i."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + ai i) / (br + bi i) as CPython's complex ``/``: Smith's algorithm."""
+    swap = np.abs(bi) > np.abs(br)
+    if flip := np.count_nonzero(swap):  # exchange both operands' parts there: the first branch
+        ar, ai = np.where(swap, ai, ar), np.where(swap, ar, ai)
+        br, bi = np.where(swap, bi, br), np.where(swap, br, bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    im = (ai - ar * ratio) / denom  # negated where swapped: the second branch's bits
+    return (ar + ai * ratio) / denom, np.negative(im, out=im, where=swap) if flip else im
+
+
+def _times(a, b) -> np.ndarray:
+    """a * b for complex arrays (or a complex scalar b), through _cmul."""
     out = np.empty_like(a)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    out.real, out.imag = _cmul(a.real, a.imag, b.real, b.imag)
     return out
 
 

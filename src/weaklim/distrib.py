@@ -37,6 +37,8 @@ import numpy as np
 
 from .complexfn import DomainError, _log_gamma_right_array, log_gamma
 from .quad import (
+    _W_HI,
+    _X_HI,
     QuadratureSpec,
     integrate_pairing,
     integrate_semi_infinite,
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_SWEEP_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)  # Beta-delta, family, oscillatory
 
 
 # ------------------------------------------------------------------- probes
@@ -316,8 +319,7 @@ def delta_target(probe: Probe, a: float, b: float) -> float:
 def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
                       ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the regularized Beta kernel against a probe along the ladder."""
-    return _pairing_ladder(beta_reg, probe, interval, ladder,
-                           QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+    return _pairing_ladder(beta_reg, probe, interval, ladder, _SWEEP_SPEC)
 
 
 # ------------------------------------------------------- regularized Mellin
@@ -402,8 +404,6 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarr
     width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
     n_panels = int(math.ceil((_MELLIN_FAR - _MELLIN_CUT) / width))
     edges = np.linspace(_MELLIN_CUT, _MELLIN_FAR, n_panels + 1)
-    from .quad import _X_HI, _W_HI  # composite rule shares the panel nodes
-
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
     u = (mids[:, None] + halves[:, None] * _X_HI[None, :]).ravel()

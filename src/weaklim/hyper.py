@@ -25,17 +25,18 @@ import math
 
 import numpy as np
 
-from .complexfn import (DomainError, _check_pole, _log_gamma_right_array, digamma,
-                        log_gamma, trigamma)
+from .complexfn import (DomainError, _cdiv, _check_pole, _cmul, _log_gamma_right_array,
+                        digamma, log_gamma, trigamma)
 from .distrib import (
     EpsilonLadder,
     PairingSweepResult,
     Probe,
+    _SWEEP_SPEC,
     _ladder_sweep,
     _even_in_tau,
     _pairing_ladder,
 )
-from .quad import QuadratureSpec, integrate_pairing
+from .quad import integrate_pairing
 
 __all__ = [
     "hyp2f1",
@@ -72,7 +73,7 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     cover the rest) and rel_tol in (0, 1), else DomainError.  The sum stops
     once 50 consecutive terms fall below rel_tol times the partial sum; a
     non-finite sum, or no stop within _MAX_TERMS terms, raises SeriesError.
-    Numpy chunks of 256 terms, doubling to 4096, round exactly as Python's
+    Numpy chunks of 256 terms, doubling to 4096, round through complexfn's kit as
     ``term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z; total += term``.
     """
     a, b, c, z = (complex(v) for v in (a, b, c, z))
@@ -114,27 +115,15 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
 
 
 def _ratios(term: complex, a: complex, b: complex, c: complex, z: complex, n):
-    """term, then (a + n)(b + n) / ((c + n)(n + 1.0)) * z as CPython rounds it:
-
-    (ac - bd) + (ad + bc)i products and Smith's p / d; numpy's complex ops
-    differ.  Only signs of zero may not match, and no partial sum keeps one.
+    """term, then (a + n)(b + n) / ((c + n)(n + 1.0)) * z as CPython rounds it,
+    by complexfn's kit, with (c + n)(n + 1.0) as a real scaling: signs of zero
+    may differ, and no partial sum keeps one.
     """
-    ar, br, cr = a.real + n, b.real + n, c.real + n
-    ai, bi, ci = a.imag, b.imag, c.imag
-    pr, pi = ar * br - ai * bi, ar * bi + ai * br
-    dr, di = cr * (m := n + 1.0), ci * m
-    ratio = di / dr
-    denom = dr + di * ratio
-    qr, qi = (pr + pi * ratio) / denom, (pi - pr * ratio) / denom
-    if cr[0] < abs(ci) and cr[-1] > -abs(ci):  # cr rises with n: else |cr| >= |ci|
-        other = np.abs(di) > np.abs(dr)
-        ratio = dr[other] / di[other]
-        denom = dr[other] * ratio + di[other]
-        qr[other] = (pr[other] * ratio + pi[other]) / denom
-        qi[other] = (pi[other] * ratio - pr[other]) / denom
+    m = n + 1.0
+    q = _cdiv(*_cmul(a.real + n, a.imag, b.real + n, b.imag), (c.real + n) * m, c.imag * m)
     out = np.empty(len(n) + 1, dtype=complex)
     out[0] = term  # leads the running product
-    out.real[1:], out.imag[1:] = qr * z.real - qi * z.imag, qr * z.imag + qi * z.real
+    out.real[1:], out.imag[1:] = _cmul(*q, z.real, z.imag)
     return out
 
 
@@ -243,8 +232,7 @@ def f_derivatives(eps: float, tau: float) -> tuple[complex, complex]:
 def family_weak_limit_sweep(probe: Probe, interval: tuple[float, float],
                             ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the family against a probe along the ladder; the limit is 0."""
-    return _pairing_ladder(family_closed_form, probe, interval, ladder,
-                           QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9))
+    return _pairing_ladder(family_closed_form, probe, interval, ladder, _SWEEP_SPEC)
 
 
 def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...],
@@ -258,7 +246,6 @@ def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...]
     if kind not in ("cos", "sin", "power"):
         raise DomainError("kind in {cos, sin, power}")
     vals = EpsilonLadder(tuple(float(d) for d in z_ladder)).values
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
 
     def measure(d):
         L = math.log(d)
@@ -268,6 +255,6 @@ def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...]
             kern = lambda ts: np.sin(L * ts)
         else:
             kern = lambda ts: np.exp(-1j * L * ts)
-        res = integrate_pairing(probe, kern, *interval, spec, osc_freq=L)
+        res = integrate_pairing(probe, kern, *interval, _SWEEP_SPEC, osc_freq=L)
         return res.value, res.error_estimate
     return _ladder_sweep(vals, measure)

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from itertools import product
 from pathlib import Path
 
 import mpmath
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaklim import complexfn
 from weaklim.complexfn import (
     EULER_GAMMA,
     GAMMA_CONTRACT,
@@ -184,6 +187,43 @@ def test_array_kernels_give_the_same_bytes_at_every_dispatch_level():
         out, err = child.communicate(ts.tobytes(), timeout=120)
         assert child.returncode == 0, (target, err.decode())
         assert out == want, f"bytes differ with {target} and above disabled"
+
+
+# ---------------------------------------------------- CPython-exact array kit
+
+def _kit_operands():
+    """Seeded parts (ar, ai, br, bi) on which the kit must round as CPython.
+
+    1e5 pairs over +-10 decades in each part (both of Smith's branches), then
+    ties |Re b| = |Im b| of either sign, signed zeros, and Re b ~ 10 with
+    Im b = +-1e305, where the first branch's bi * ratio would overflow.
+    """
+    rng = np.random.default_rng(15)
+    n = 100_000
+    ar, ai, br, bi = rng.choice((-1.0, 1.0), (4, n)) * 10.0 ** rng.uniform(-10.0, 10.0, (4, n))
+    tie = rng.choice((-1.0, 1.0), (2, 1000)) * 10.0 ** rng.uniform(-10.0, 10.0, 1000)
+    zeros = np.array([p for p in product((0.0, -0.0, 1.5, -2.5), repeat=4) if any(p[2:])]).T
+    huge = (rng.choice((-1.0, 1.0), (2, 1000)) * 10.0 ** rng.uniform(-10.0, 1.0, (2, 1000)),
+            10.0 + rng.uniform(-1.0, 1.0, 1000), rng.choice((-1e305, 1e305), 1000))
+    return tuple(np.concatenate(parts) for parts in zip(
+        (ar, ai, br, bi), (ar[:1000], ai[:1000], *tie), zeros, (*huge[0], *huge[1:])))
+
+
+def test_kit_rounds_as_cpython():
+    # complexfn._cmul and _cdiv against Python's complex * and /, bit for bit
+    # up to the sign of zero (== equates the two zeros), with no warning.
+    ar, ai, br, bi = _kit_operands()
+    a = [complex(x, y) for x, y in zip(ar.tolist(), ai.tolist())]
+    b = [complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
+    assert len(a) > 100_000 and 0 < np.count_nonzero(np.abs(bi) > np.abs(br)) < len(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = complexfn._cmul(ar, ai, br, bi), complexfn._cdiv(ar, ai, br, bi)
+    for (re, im), want, op in zip(got, ([x * y for x, y in zip(a, b)],
+                                        [x / y for x, y in zip(a, b)]), "*/"):
+        want = np.array(want)
+        bad = np.flatnonzero((re != want.real) | (im != want.imag))
+        assert bad.size == 0, [(op, a[i], b[i], complex(re[i], im[i]), want[i]) for i in bad[:3]]
 
 
 # -------------------------------------------------------------------- gamma
