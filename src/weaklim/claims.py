@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import distrib, hyper, legendre
-from .complexfn import DomainError, log_gamma
+from .complexfn import DomainError, _times, log_gamma
 from .config import RunConfig
 from .distrib import PROBES, EpsilonLadder
 from .quad import EndpointExponents, integrate_finite
@@ -95,10 +95,10 @@ _BETA_GRID_6 = [
 
 def _beta_integral(al: complex, be: complex) -> complex:
     """Euler's Beta integral over [0, 1] with both singular ends."""
-    f = lambda t: t ** (al - 1.0) * (1.0 - t) ** (be - 1.0)
+    f = lambda t: _times(t ** (al - 1.0), (1.0 - t) ** (be - 1.0))
     # Edge forms keep the distance to the singular endpoint exact.
-    left = lambda u: u ** (al - 1.0) * (1.0 - u) ** (be - 1.0)
-    right = lambda u: (1.0 - u) ** (al - 1.0) * u ** (be - 1.0)
+    left = lambda u: _times(u ** (al - 1.0), (1.0 - u) ** (be - 1.0))
+    right = lambda u: _times((1.0 - u) ** (al - 1.0), u ** (be - 1.0))
     return integrate_finite(f, 0.0, 1.0, EndpointExponents(al, be),
                             left_edge=left, right_edge=right).value
 

@@ -19,7 +19,8 @@ plain ``complex`` values, and _log_gamma_right_array takes arrays.  Poles
 raise :class:`PoleError` and non-finite arguments :class:`DomainError`.
 Array code that must give the scalar route's bits, at every numpy SIMD
 level, multiplies and divides through one kit on (real, imaginary) array
-pairs: _cmul rounds as CPython's complex ``*``, _cdiv as its ``/``.
+pairs (_cmul rounds as CPython's complex ``*``, _cdiv as its ``/``), and
+takes real transcendentals through numpy's complex loop (_rx).
 """
 
 from __future__ import annotations
@@ -215,6 +216,12 @@ def _times(a, b) -> np.ndarray:
     out = np.empty_like(a)
     out.real, out.imag = _cmul(a.real, a.imag, b.real, b.imag)
     return out
+
+
+def _rx(f, x, *args) -> np.ndarray:
+    """f(x, *args) for real x through numpy's complex loop (libm), which, unlike the
+    real-dtype exp, expm1, log, power and cosh, does not move with the SIMD level."""
+    return f(np.asarray(x, complex), *args).real
 
 
 def log_gamma(z) -> complex:

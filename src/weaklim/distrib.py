@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .complexfn import DomainError, _log_gamma_right_array, log_gamma
+from .complexfn import DomainError, _log_gamma_right_array, _rx, _times, log_gamma
 from .quad import (
     _W_HI,
     _X_HI,
@@ -80,7 +80,7 @@ class Probe:
 
 
 def _gaussian(t):
-    return np.exp(-t * t)
+    return _rx(np.exp, -t * t)
 
 
 def _cauchy(t):
@@ -92,7 +92,7 @@ def _bump(t):
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0 - 1e-12
     with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+        out[inside] = _rx(np.exp, -1.0 / (1.0 - t[inside] ** 2))
     return out
 
 
@@ -264,7 +264,7 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
         raise DomainError("Re(beta) > 0")
     s = a + b
     cut = math.log(4.0 * max(1.0, abs(s)))
-    f = lambda v: (np.exp(-a * v) + np.exp(-b * v)) * (1.0 + np.exp(-v)) ** (-s)
+    f = lambda v: _times(np.exp(-a * v) + np.exp(-b * v), (1.0 + _rx(np.exp, -v)) ** (-s))
     tail = complex(_binomial_tail(np.array([a, b]), 1.0 - s, 1.0, cut).sum())
     freq = max(abs(a.imag), abs(b.imag))
     return integrate_semi_infinite(f, cut, tail, spec, osc_freq=freq).value
@@ -285,7 +285,7 @@ def beta_reg(tau, eps: float):
     taus = np.asarray(tau, dtype=float)
     if taus.ndim == 0:
         return cmath.exp(2.0 * log_gamma(complex(eps, float(taus))).real - lg_2eps)
-    # Complex np.exp rounds as cmath.exp; real-dtype np.exp is SIMD code.
+    # Through numpy's complex exp, as _rx: it rounds as cmath.exp at every level.
     return _even_in_tau(lambda mags: np.exp((
         2.0 * _log_gamma_right_array(eps, mags).real - lg_2eps).astype(complex)), taus)
 
@@ -326,7 +326,7 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
 
 _MELLIN_CUT = math.log(2.0)
 _MELLIN_FAR = 36.0
-_MELLIN_ROWS = 32  # taus per cosine block of _mellin_forward_grid; a multiple of 4
+_MELLIN_ROWS = 32  # taus per cosine block of _mellin_forward_grid
 
 
 def _mellin_parts(u, eps: float):
@@ -337,8 +337,8 @@ def _mellin_parts(u, eps: float):
     w = e^(-eps u) (1 - e^-u)^(eps-1) and phase = u + ln(1 - e^-u); their
     sum is the cosine transform of 2 w.
     """
-    base = -np.expm1(-u)  # 1 - e^-u, accurate near u ~ ln 2
-    return u + np.log(base), 2.0 * np.exp(-eps * u) * base ** (eps - 1.0)
+    log_base = _rx(np.log, 1.0 - _rx(np.exp, -u))  # 1 - e^-u >= 1/2: no cancellation
+    return u + log_base, 2.0 * _rx(np.exp, (eps - 1.0) * log_base - eps * u)
 
 
 def _binomial_tail(a, s, sign: float, cut: float):
@@ -355,7 +355,8 @@ def _binomial_tail(a, s, sign: float, cut: float):
     for k in range(40):
         term = bk * np.exp(-(a + k) * cut) / (a + k)
         acc = np.where(active, acc + term, acc)
-        active &= np.abs(term) > 1e-18 * np.maximum(np.abs(acc), 1e-30)
+        active &= np.hypot(term.real, term.imag) > 1e-18 * np.maximum(
+            np.hypot(acc.real, acc.imag), 1e-30)
         if not active.any():
             break
         bk = bk * (k + 1 - s) / (-sign * (k + 1))
@@ -393,12 +394,12 @@ def mellin_reg_forward(tau: float, eps: float,
 def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarray:
     """Vectorized forward Mellin values on a fixed composite panel rule.
 
-    One real cosine transform: cos(outer(taus, phase)) @ (w * 2 weight) over
-    the composite nodes u of [ln 2, 36] that resolve |tau| up to ``reach``,
-    plus the closed-form tails; once per distinct |tau|, in blocks of
-    _MELLIN_ROWS rows.  The pairing sweep sets ``reach`` from its window, so
-    a node's value does not depend on its batch; validated against the
-    adaptive scalar route in the tests.
+    One real cosine transform, row sums of cos(outer(taus, phase)) * (w * 2
+    weight) over the composite nodes u of [ln 2, 36] that resolve |tau| up to
+    ``reach``, plus the closed-form tails; once per distinct |tau|, in blocks
+    of _MELLIN_ROWS rows.  The pairing sweep sets ``reach`` from its window,
+    and a row sum sees no other row, so a node's value does not depend on its
+    batch; validated against the adaptive scalar route in the tests.
     """
     taus = np.asarray(taus, dtype=float)
     width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
@@ -412,15 +413,12 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarr
     ww = w * weight
 
     def transform(mags):
-        # BLAS gemv rounds a row by the kernel of its group of 4 rows: with
-        # 4k rows a tau gets the same bits wherever it sits in the batch.
-        rows = np.resize(mags, -(-mags.size // 4) * 4)
-        out = np.empty(rows.size)
-        for i in range(0, rows.size, _MELLIN_ROWS):
-            out[i:i + _MELLIN_ROWS] = \
-                np.cos(np.multiply.outer(rows[i:i + _MELLIN_ROWS], phase)) @ ww
+        out = np.empty(mags.size)
+        for i in range(0, mags.size, _MELLIN_ROWS):
+            out[i:i + _MELLIN_ROWS] = (np.cos(np.multiply.outer(
+                mags[i:i + _MELLIN_ROWS], phase)) * ww).sum(axis=1)
         a = eps + 1j * mags
-        return out[:mags.size] + 2.0 * _binomial_tail(a, a.conj(), -1, _MELLIN_FAR).real
+        return out + 2.0 * _binomial_tail(a, a.conj(), -1, _MELLIN_FAR).real
 
     return _even_in_tau(transform, taus)
 

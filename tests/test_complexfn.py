@@ -226,6 +226,24 @@ def test_kit_rounds_as_cpython():
         assert bad.size == 0, [(op, a[i], b[i], complex(re[i], im[i]), want[i]) for i in bad[:3]]
 
 
+def _rx_operands() -> np.ndarray:
+    """Seeded reals: 20,000 over [-40, 40], and 20,000 of either sign over 1e-10..1e2."""
+    rng = np.random.default_rng(16)
+    return np.concatenate([rng.uniform(-40.0, 40.0, 20_000), rng.choice((-1.0, 1.0), 20_000)
+                           * 10.0 ** rng.uniform(-10.0, 2.0, 20_000)])
+
+
+def test_rx_rounds_as_libm():
+    # complexfn._rx takes a real through numpy's complex loop, which calls
+    # libm: exp and expm1 as math.exp and math.expm1, bit for bit, where the
+    # real-dtype loops are SIMD code whose last bits move with the level.
+    xs = _rx_operands()
+    for f, ref in ((np.exp, math.exp), (np.expm1, math.expm1)):
+        got, want = complexfn._rx(f, xs), np.array([ref(x) for x in xs.tolist()])
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, [(f.__name__, xs[i], got[i], want[i]) for i in bad[:3]]
+
+
 # -------------------------------------------------------------------- gamma
 
 def test_gamma_factorial():

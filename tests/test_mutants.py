@@ -9,17 +9,20 @@ treats as an error.
 Equivalent mutants give the same bits and are left out: _cdiv's tie rule
 written ``>=`` (a tie's ratio is +-1 on either branch), and _cmul's
 ``ar * bi + ai * br`` with its operands swapped (IEEE addition commutes).
+A mutant that is equivalent on some hosts only is skipped on those.
 """
 
 import functools
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 import test_complexfn
+import test_distrib
 import test_hyper
-from weaklim import complexfn, hyper
+from weaklim import claims, complexfn, distrib, hyper, legendre
 
 
 def edited(module, name: str, old: str, new: str):
@@ -41,38 +44,77 @@ def numpy_div(ar, ai, br, bi):
     return q.real, q.imag
 
 
+def real_ufunc(f, x, *args):
+    return f(np.asarray(x, float), *args)
+
+
 def numpy_mul_is_cpython() -> bool:
     """numpy's complex * rounds as the kit on the kit's operands (no FMA here)."""
     ops = test_complexfn._kit_operands()
     return all(map(np.array_equal, numpy_mul(*ops), complexfn._cmul(*ops)))
 
 
-# (id, kit function, mutant factory, targeted test)
+def real_ufuncs_are_libm() -> bool:
+    """numpy's real exp and expm1 round as libm's on _rx's operands (no SIMD loop here)."""
+    xs = test_complexfn._rx_operands()
+    return all(np.array_equal(f(xs), [ref(x) for x in xs.tolist()])
+               for f, ref in ((np.exp, math.exp), (np.expm1, math.expm1)))
+
+
+def gemv_rounds_rows_alone() -> bool:
+    """This host's BLAS matrix-vector product rounds each row as that row alone."""
+    m = np.random.default_rng(24).standard_normal((8, 4000))
+    m, v = m[:7], m[7]
+    return np.array_equal(m @ v, [m[i:i + 1] @ v for i in range(7)])
+
+
+# (id, owning module, function, mutant factory, targeted test)
 MUTANTS = [
-    ("cdiv-numpy", "_cdiv", lambda: numpy_div, test_complexfn.test_kit_rounds_as_cpython),
-    ("cdiv-branch-inverted", "_cdiv",
+    ("cdiv-numpy", complexfn, "_cdiv", lambda: numpy_div,
+     test_complexfn.test_kit_rounds_as_cpython),
+    ("cdiv-branch-inverted", complexfn, "_cdiv",
      lambda: edited(complexfn, "_cdiv", "np.abs(bi) > np.abs(br)", "np.abs(bi) <= np.abs(br)"),
      # its smith-imag-branch-mid-chunk case: |Im d| > |Re d| for 28.5 < n < 32.5
      functools.partial(test_hyper.test_chunked_series_matches_loop,
                        (3.0 + 1j, 2.0 - 1j, -30.5 + 2j, -0.6 + 0.5j))),
-    ("cdiv-swap-not-negated", "_cdiv",
+    ("cdiv-swap-not-negated", complexfn, "_cdiv",
      lambda: edited(complexfn, "_cdiv", "np.negative(im, out=im, where=swap)", "im"),
      # its smith-imag-branch case: |Im d| > |Re d| for n < 19.5
      functools.partial(test_hyper.test_chunked_series_matches_loop,
                        (1.5 + 0.5j, -2.25 + 1j, 0.5 + 20j, 0.7 + 0.2j))),
-    ("cmul-numpy", "_cmul", lambda: numpy_mul, test_complexfn.test_kit_rounds_as_cpython),
+    ("cmul-numpy", complexfn, "_cmul", lambda: numpy_mul,
+     test_complexfn.test_kit_rounds_as_cpython),
+    ("rx-real-ufunc", complexfn, "_rx", lambda: real_ufunc,
+     test_complexfn.test_rx_rounds_as_libm),
+    ("mellin-grid-gemv", distrib, "_mellin_forward_grid",
+     lambda: edited(distrib, "_mellin_forward_grid", " * ww).sum(axis=1)", " @ ww)"),
+     test_distrib.test_mellin_grid_value_does_not_depend_on_the_batch),
 ]
 
+# Mutants that round as the original on some hosts: (equivalent here?, why).
+EQUIVALENT_ON_SOME_HOSTS = {
+    "cmul-numpy": (numpy_mul_is_cpython, "numpy's complex * uses no FMA at this dispatch "
+                   "level (as at the x86 baseline): it rounds as CPython's"),
+    "rx-real-ufunc": (real_ufuncs_are_libm, "numpy's real exp and expm1 call libm at this "
+                      "dispatch level (as at X86_V3 and the x86 baseline)"),
+    "mellin-grid-gemv": (gemv_rounds_rows_alone, "this host's BLAS kernel rounds a "
+                         "matrix-vector row as that row alone, as a row sum does"),
+}
 
-@pytest.mark.parametrize("name, mutant, target", [row[1:] for row in MUTANTS],
-                         ids=[row[0] for row in MUTANTS])
-def test_mutant_is_killed_by_its_targeted_test(monkeypatch, name, mutant, target):
-    if name == "_cmul" and numpy_mul_is_cpython():
-        pytest.skip("numpy's complex * uses no FMA at this dispatch level (as at "
-                    "the x86 baseline): it rounds as CPython's, so the mutant is equivalent")
-    original = getattr(complexfn, name)
+# Every module that imported a mutated function by name.
+IMPORTERS = (complexfn, hyper, claims, distrib, legendre,
+             test_complexfn, test_distrib, test_hyper)
+
+
+@pytest.mark.parametrize("row", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_mutant_is_killed_by_its_targeted_test(monkeypatch, row):
+    mutant_id, owner, name, mutant, target = row
+    equivalent, why = EQUIVALENT_ON_SOME_HOSTS.get(mutant_id, (lambda: False, ""))
+    if equivalent():
+        pytest.skip(f"equivalent here: {why}")
+    original = getattr(owner, name)
     mutant = mutant()
-    for module in (complexfn, hyper):  # hyper imported the kit by name
+    for module in IMPORTERS:
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, mutant)
     with pytest.raises((AssertionError, RuntimeWarning)):
