@@ -345,22 +345,23 @@ def _binomial_tail(a, s, sign: float, cut: float):
     """Integral over [cut, inf) of e^(-a u) (1 + sign e^-u)^(s-1) du, sign = +-1.
 
     The binomial series (1 + sign x)^(s-1) = sum b_k x^k integrates term by
-    term to b_k e^(-(a+k) cut) / (a+k), elementwise in a and s.  Each element
-    stops once a term falls below 1e-18 of its sum, after at most 40 terms.
+    term to e^(-a cut) sum_k b_k x^k / (a+k), x = e^-cut, elementwise in a
+    and s (Re a > 0), over all k at once: log(b_k x^k) sums the logs of the
+    ratios b_(k+1) x / b_k = (k+1-s) x / (-sign (k+1)).  A term is at most
+    r = x max(1, |1-s|) times the one before, so the first n, with
+    r^n <= 1e-18 (1 - 2r), leave less than 1e-18 of the sum; 40 for r >= 1/2.
+    The one product of two complex arrays goes through _times, and complex
+    log, exp and / do not depend on the SIMD level.
     """
     a = np.asarray(a, dtype=complex)
-    acc = np.zeros_like(a)
-    bk = np.ones_like(a)
-    active = np.ones(a.shape, dtype=bool)
-    for k in range(40):
-        term = bk * np.exp(-(a + k) * cut) / (a + k)
-        acc = np.where(active, acc + term, acc)
-        active &= np.hypot(term.real, term.imag) > 1e-18 * np.maximum(
-            np.hypot(acc.real, acc.imag), 1e-30)
-        if not active.any():
-            break
-        bk = bk * (k + 1 - s) / (-sign * (k + 1))
-    return acc
+    z = 1.0 - np.asarray(s, dtype=complex)
+    x = math.exp(-cut)
+    r = x * max(1.0, float(np.hypot(z.real, z.imag).max()))
+    n = 40 if r >= 0.5 else min(40, math.ceil(math.log(1e-18 * (1.0 - 2.0 * r)) / math.log(r)))
+    k = np.arange(n)
+    logs = np.log((k + z[..., None]) * (x / (-sign * (k + 1))))
+    terms = np.exp(np.cumsum(logs, axis=-1) - logs) / (a[..., None] + k)  # b_k x^k / (a+k)
+    return _times(np.exp(-a * cut), terms.sum(axis=-1))
 
 
 def mellin_reg_forward(tau: float, eps: float,

@@ -10,25 +10,27 @@ library, with no per-caller overrides:
                              window over [0, T] plus the caller's exact tail
 
 Each integral is one adaptive pass, with one heap over the panels of its
-pieces (a window, or the two ends of a finite integral) and one stopping
-rule.  Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
-estimate is the difference against the embedded 10-point rule, or at least
-integral |f - mean| on an under-sampled panel at a log-oscillating end.  The panel
-with the worst estimate is bisected until the total estimate meets
-max(floor, rel_tol * |value|) or the subdivision budget is exhausted.  The
-floor is abs_tol capped at rel_tol times the summed |value| of the initial
-panels, so a tiny integrand still meets the relative contract.  A window's
-angular frequency ``osc_freq`` cuts its initial panels at half periods
-while they fit half the budget; a faster oscillation is left to bisection.
+pieces (a window, or the two ends of a finite integral) and one stopping rule.
+Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
+estimate is the difference against the embedded 10-point rule.  At an end
+where f(u) = u^(p-1) g(u), u the distance to the end, the panel takes product
+weights on the same nodes, which integrate u^(p-1) exactly against the
+polynomial through g's values (QUADPACK's QAWS).  The worst panel is bisected
+until the total estimate meets max(floor, rel_tol * |value|) or the
+subdivision budget is exhausted.  The floor is abs_tol capped at rel_tol
+times the summed |value| of the initial panels, so a tiny integrand still
+meets the relative contract.  A window's angular frequency ``osc_freq`` cuts
+its initial panels at half periods while they fit half the budget; a faster
+oscillation is left to bisection.
 
 Panels are evaluated in batches, one integrand call each: the initial
 partition of each piece, then the two halves of each bisection.  Integrands
 receive a numpy array of abscissae, the batch's nodes panel by panel, and
 must return an array of values (real or complex); values that each depend
 on their own abscissa only give the same result, bit for bit, as one call
-per panel, and on every BLAS kernel: the rules are row sums, not BLAS
-products.  Everything here is pure and deterministic; independent
-integrations may run concurrently.
+per panel, and at every SIMD level and BLAS kernel: the rules are row sums
+of products through complexfn's kit.  Everything here is pure and
+deterministic; independent integrations may run concurrently.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import DomainError
+from .complexfn import DomainError, _times
 
 __all__ = [
     "QuadratureSpec",
@@ -57,6 +59,11 @@ _X_LO, _W_LO = np.polynomial.legendre.leggauss(10)
 _X_HI, _W_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_X_HI, _X_LO])
 _WEIGHTS = np.concatenate([_W_HI, _W_LO])
+# (k + 1/2) P_k(x_j) w_j for k < 21, and 0 past k = 9 on the 10-point nodes.
+_LEGENDRE = np.polynomial.legendre.legvander(_NODES, 20).T * (np.arange(21) + 0.5)[:, None]
+_LEGENDRE = (_LEGENDRE * _WEIGHTS).astype(complex)
+_LEGENDRE[10:, 21:] = 0.0
+_LOG1P = np.array([math.log1p(x) for x in _NODES.tolist()], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -96,9 +103,9 @@ class EndpointExponents:
     right_p: complex = 1.0 + 0j
 
     def __post_init__(self):
-        for name in ("left_p", "right_p"):
-            if not complex(getattr(self, name)).real > 0.0:
-                raise DomainError(f"Re({name}) > 0")
+        for name in ("left_p", "right_p"):  # end weights overflow from Re p ~ 140
+            if not 0.0 < complex(getattr(self, name)).real <= 100.0:
+                raise DomainError(f"0 < Re({name}) <= 100")
 
 
 class ConvergenceError(RuntimeError):
@@ -110,53 +117,65 @@ class ConvergenceError(RuntimeError):
                          f"error estimate {best.error_estimate:.3e})")
 
 
-def _panels(f, spans, watch):
-    """(value, error estimate) of each panel (a, b) in spans, from one call of f.
+def _end_weights(p: complex) -> np.ndarray:
+    """The 31 weights of a panel [0, d] on which f(u) = u^(p-1) g(u), g smooth.
 
-    Both rules are row sums over the batch.  A panel at a ``watch`` end, where
-    f ~ s^(i w), is under-sampled at every scale, and there the two rules can
-    agree by accident.  Adjacent 21-point values that differ by over 3/4 of
-    their size in mean square (s^(i w) from w ~ 4; |hi - lo| is honest below
-    w ~ 15) raise it to integral |f - mean|.
+    w_j (1+x_j)^(1-p) sum_k (k+1/2) P_k(x_j) m_k, from the moments m_k of
+    (1+x)^(p-1) P_k over [-1, 1]: m_0 = 2^p / p, m_(k+1) = m_k (p-1-k) / (p+1+k).
+    The factor (1+x_j)^(1-p) divides the weight back out of f.  CPython
+    moments and _times make the weights the same at every SIMD level; at
+    p = 1 they are _WEIGHTS, bit for bit.
     """
-    a, b = np.array(spans, dtype=float).T
+    p = complex(p)
+    moments = [2.0 ** p / p]
+    for k in range(20):
+        moments.append(moments[-1] * (p - 1 - k) / (p + 1 + k))
+    sums = _times(_LEGENDRE, np.array(moments)[:, None]).sum(axis=0)
+    return _times(sums, np.exp(_times(_LOG1P, 1.0 - p)))
+
+
+def _panels(f, spans):
+    """(value, error estimate) of each panel (a, b, row) in spans, from one call of f.
+
+    Both rules are row sums of f times the row of weights, _WEIGHTS or an end's.
+    """
+    a, b, rows = map(np.array, zip(*spans))
     halves = 0.5 * (b - a)
     xs = (0.5 * (a + b))[:, None] + halves[:, None] * _NODES
     ys = np.ascontiguousarray(f(xs.ravel()), dtype=complex).reshape(xs.shape)
-    sums = np.add.reduceat(ys * _WEIGHTS, [0, 21], axis=1).tolist()
-    for (a, b), half, (w_hi, w_lo), y in zip(spans, halves.tolist(), sums, ys):
+    sums = np.add.reduceat(_times(ys, rows), [0, 21], axis=1).tolist()
+    for half, (w_hi, w_lo) in zip(halves.tolist(), sums):
         hi, lo = half * w_hi, half * w_lo
-        err = abs(hi - lo)
-        if a in watch or b in watch:
-            jumps = (y[1:21] - y[:20]).view(float)
-            if np.square(jumps).sum() > 0.75 * np.square(y[:21].view(float)).sum():
-                d = y[:21] - 0.5 * w_hi
-                err = max(err, half * (np.hypot(d.real, d.imag) * _W_HI).sum())
-        yield hi, err
+        yield hi, abs(hi - lo)
 
 
 def _adaptive(pieces, spec: QuadratureSpec):
-    """Worst-panel bisection of (integrand, breakpoints, watch) pieces, one heap."""
+    """Worst-panel bisection of (integrand, breakpoints, row) pieces, one heap.
+
+    A piece's first panel takes ``row`` and a bisected panel's left half
+    keeps its row; every other panel takes _WEIGHTS.
+    """
     heap = []
     seq = itertools.count()
 
-    def push(f, spans, watch):
-        out = list(_panels(f, spans, watch))
-        for (a, b), (val, err) in zip(spans, out):
-            heapq.heappush(heap, (-err, next(seq), a, b, val, err, f, watch))
+    def push(f, spans):
+        out = list(_panels(f, spans))
+        for (a, b, row), (val, err) in zip(spans, out):
+            heapq.heappush(heap, (-err, next(seq), a, b, row, val, err, f))
         return out
 
     def sums():
-        return sum(item[4] for item in heap), sum(item[5] for item in heap)
+        return sum(item[5] for item in heap), sum(item[6] for item in heap)
 
-    for f, breakpoints, watch in pieces:
-        spans = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
+    for f, breakpoints, row in pieces:
+        rows = itertools.chain([row], itertools.repeat(_WEIGHTS))
+        spans = [s for s in zip(breakpoints[:-1], breakpoints[1:], rows) if s[1] > s[0]]
         if not spans:
             raise DomainError("non-empty interval")
-        push(f, spans, watch)
+        push(f, spans)
     evals = 31 * len(heap)
 
-    scale = sum(abs(item[4]) for item in heap)
+    scale = sum(abs(item[5]) for item in heap)
     abs_tol = min(spec.abs_tol, max(scale * spec.rel_tol, 1e-300))
 
     total, err_total = sums()
@@ -167,9 +186,9 @@ def _adaptive(pieces, spec: QuadratureSpec):
                 "quadrature did not converge within the subdivision budget",
                 IntegralResult(total, err_total, evals),
             )
-        _, _, a, b, val, err, f, watch = heapq.heappop(heap)
+        _, _, a, b, row, val, err, f = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = push(f, [(a, m), (m, b)], watch)
+        (v1, e1), (v2, e2) = push(f, [(a, m, row), (m, b, _WEIGHTS)])
         evals += 62
         total += v1 + v2 - val
         err_total += e1 + e2 - err
@@ -213,28 +232,7 @@ def _window(f, a: float, b: float, spec: QuadratureSpec | None, inner: float | N
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("finite interval [a, b]")
     pts = _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
-    return _adaptive([(f, pts, ())], spec)
-
-
-def _end_piece(f, edge, lo: float, hi: float, p: complex):
-    """(integrand, breakpoints, watch) of one end of a finite integral, on [lo, hi].
-
-    An end with Re p < 1 or Im p != 0 becomes s in [0, (hi - lo)^r], clustered
-    toward 0, for the distance u = s^(1/r), r = min(Re p, 1): the edge integrand
-    ~ u^(p-1) becomes ~ s^(p/r - 1), of real exponent 0 for Re p <= 1, and s = 0
-    is watched if Im p != 0.  At r = 1 it is the edge integrand, bit for bit.
-    """
-    p = complex(p)
-    if not (p.real < 1.0 - 1e-12 or abs(p.imag) > 1e-12):
-        return f, [lo, hi], ()
-    r = min(p.real, 1.0)
-    inv = 1.0 / r
-
-    def g(s):  # real ** is SIMD code; exact while 1/r and 1/r - 1 are in {0, 1, 2}, as for E04
-        return edge(s ** inv) * inv * s ** (inv - 1.0)
-
-    top = (hi - lo) ** r
-    return g, _breakpoints(0.0, top, top * 1e-8), (0.0,) if p.imag else ()
+    return _adaptive([(f, pts, _WEIGHTS)], spec)
 
 
 def _default_edge(f, end: float, sign: float, name: str):
@@ -253,16 +251,16 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
                      left_edge=None, right_edge=None) -> IntegralResult:
     """Integrate f over [a, b], absorbing algebraic endpoint singularities.
 
-    ``exps`` declares the endpoint exponents; an end with Re p < 1 or a
-    nonzero imaginary exponent is removed by the variable change
-    t = a + s^(1/r), r = min(Re p, 1) (mirrored on the right).  Both ends
-    then go into one adaptive pass, judged on their sum.
+    ``exps`` declares the endpoint exponents: f ~ u^(p-1) at distance u from
+    an end.  The halves [a, mid] and [mid, b] are integrated in u, each from
+    an end panel whose weights (_end_weights) integrate u^(p-1) exactly, in
+    one adaptive pass judged on their sum.
 
-    A strongly singular end pushes evaluations below the floating-point
-    spacing of the endpoint, where ``f(b - u)`` would see ``b`` itself.
     ``left_edge`` and ``right_edge``, when given, are the caller's stable
-    ``g(u) = f(endpoint -+ u)`` and replace f on the end pieces; without one,
-    an end piece whose distance rounds onto the endpoint raises DomainError.
+    ``g(u) = f(endpoint -+ u)`` and replace f on the halves, where
+    ``f(b - u)`` would lose u's digits to b.  Without one, a node whose
+    distance rounds onto its endpoint raises DomainError, as when an end
+    declared smoother than it is gets bisected toward it.
     """
     spec = spec or DEFAULT_SPEC
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -270,11 +268,11 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
 
     exps = exps or EndpointExponents()
     mid = 0.5 * (a + b)
-    # Each end in distance coordinates u = t - a (left) or u = b - t (right).
+    # Each half in distance coordinates u = t - a (left) or u = b - t (right).
     left = left_edge or _default_edge(f, a, 1.0, "left_edge")
     right = right_edge or _default_edge(f, b, -1.0, "right_edge")
-    return _adaptive([_end_piece(f, left, a, mid, exps.left_p),
-                      _end_piece(f, right, mid, b, exps.right_p)], spec)
+    return _adaptive([(left, [0.0, mid - a], _end_weights(exps.left_p)),
+                      (right, [0.0, b - mid], _end_weights(exps.right_p))], spec)
 
 
 def integrate_semi_infinite(f, cut: float, tail: complex,

@@ -1,12 +1,16 @@
 """Delta approximants, regularized Beta, and the Mellin pair."""
 
 import cmath
+import inspect
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+from test_harness import CLI_ENV, dispatch_targets
 from weaklim import distrib
 from weaklim.complexfn import DomainError
 from weaklim.distrib import (
@@ -424,8 +428,8 @@ def test_mellin_sweep_value_does_not_depend_on_the_batch(monkeypatch):
         assert np.array_equal(whole, alone)
 
 
-def _mellin_half_tail(a: complex, s: complex, u0: float) -> complex:
-    """Reference: one half's tail beyond u0, summed term by term."""
+def _half_tail(a: complex, s: complex, sign: float, u0: float) -> complex:
+    """Reference: e^(-a u) (1 + sign e^-u)^(s-1) integrated beyond u0, term by term."""
     acc = 0j
     bk = 1.0 + 0j
     for k in range(40):
@@ -433,7 +437,7 @@ def _mellin_half_tail(a: complex, s: complex, u0: float) -> complex:
         acc += term
         if abs(term) <= 1e-18 * max(abs(acc), 1e-30):
             break
-        bk = bk * (k + 1 - s) / (k + 1)
+        bk = bk * (k + 1 - s) / (-sign * (k + 1))
     return acc
 
 
@@ -444,10 +448,58 @@ def test_mellin_tail_is_the_conjugate_pair_of_half_tails():
         got = 2.0 * _binomial_tail(a, a.conj(), -1.0, distrib._MELLIN_FAR).real
         for t, g in zip(taus, got):
             a = complex(eps, t)
-            plus = _mellin_half_tail(a, a.conjugate(), distrib._MELLIN_FAR)
-            minus = _mellin_half_tail(a.conjugate(), a, distrib._MELLIN_FAR)
+            plus = _half_tail(a, a.conjugate(), -1.0, distrib._MELLIN_FAR)
+            minus = _half_tail(a.conjugate(), a, -1.0, distrib._MELLIN_FAR)
             assert abs(g - (plus + minus).real) <= 1e-15 * abs(plus)
             assert abs((plus + minus).imag) <= 1e-15 * abs(plus)
+
+
+# (a, b) with Re in [0.05, 4] and Im in [-4, 4], as the bench draws them.
+_TAIL_PAIRS = np.random.default_rng(29).uniform([0.05, -4.0], [4.0, 4.0], (600, 2)) \
+    .view(complex).reshape(-1, 2)
+
+
+def _beta_tails(a: complex, b: complex) -> np.ndarray:
+    """beta_semi_infinite's two tails."""
+    return _binomial_tail(np.array([a, b]), 1.0 - (a + b), 1.0,
+                          math.log(4.0 * max(1.0, abs(a + b))))
+
+
+def test_beta_tails_match_the_term_by_term_sum():
+    for a, b in _TAIL_PAIRS.tolist():
+        cut = math.log(4.0 * max(1.0, abs(a + b)))
+        for x, got in zip((a, b), _beta_tails(a, b).tolist()):
+            want = _half_tail(x, 1.0 - (a + b), 1.0, cut)
+            assert abs(got - want) <= 1e-14 * abs(want), (a, b)
+
+
+_TAIL_CHILD = """
+import math, sys
+import numpy as np
+from weaklim.distrib import _binomial_tail
+""" + inspect.getsource(_beta_tails) + """
+pairs = np.frombuffer(sys.stdin.buffer.read(), dtype=complex).reshape(-1, 2).tolist()
+sys.stdout.buffer.write(np.concatenate([_beta_tails(a, b) for a, b in pairs]).tobytes())
+"""
+
+
+def test_binomial_tail_bytes_at_every_dispatch_level():
+    # The Beta tails of the 300 pairs in a child at each numpy SIMD level
+    # below this process's (at the host's own level, if this process runs
+    # with all of them off): the bytes of this process.
+    want = np.concatenate([_beta_tails(a, b) for a, b in _TAIL_PAIRS.tolist()]).tobytes()
+    targets = dispatch_targets()
+    children = {
+        level: subprocess.Popen([sys.executable, "-c", _TAIL_CHILD],
+                                env={**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": level},
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        for level in [" ".join(targets[k:]) for k in range(len(targets))] or [""]
+    }
+    for level, child in children.items():
+        out, err = child.communicate(_TAIL_PAIRS.tobytes(), timeout=120)
+        assert child.returncode == 0, (level, err.decode())
+        assert out == want, f"bytes differ with {level or 'nothing'} disabled"
 
 
 def test_mellin_routes_match_beta_reg_on_ladder():

@@ -40,11 +40,11 @@ EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
 # with the benchmark's record; the digest is pinned here, since the Mellin
 # kernel's cosine form (E16), log_gamma's recurrence on the whole right half
 # plane (E12, E21, E22, E25, E31), the closed-form tails of the half-line
-# integrals (E03, E45, E47, E49, E53, E54), the one adaptive pass of the
-# Euler integral (E04) and the kit's routes moved last digits after that
-# record was taken.
+# integrals (E03, E45, E47, E49, E53, E54), the end rule of the Euler
+# integral (E04), the binomial tails summed over all terms at once (E03, E16)
+# and the kit's routes moved last digits after that record was taken.
 VERIFY_ALL_SHA256 = {
-    "2.4.6": "c00fca91411bbd9bbb9845cb97d52d2b0cdcd04dfeb751b353047e1374026954",
+    "2.4.6": "3199b16b52f381038b2718b1d72c66a40abb6cf63bc57bbf5aae9c95e1262708",
 }
 # OpenBLAS kernels other than this host's, one per level child in turn; the
 # child at the lowest dispatched level (X86_V3 with numpy 2.4) takes Haswell,

@@ -22,7 +22,8 @@ import pytest
 import test_complexfn
 import test_distrib
 import test_hyper
-from weaklim import claims, complexfn, distrib, hyper, legendre
+import test_quad
+from weaklim import claims, complexfn, distrib, hyper, legendre, quad
 
 
 def edited(module, name: str, old: str, new: str):
@@ -89,12 +90,33 @@ MUTANTS = [
     ("mellin-grid-gemv", distrib, "_mellin_forward_grid",
      lambda: edited(distrib, "_mellin_forward_grid", " * ww).sum(axis=1)", " @ ww)"),
      test_distrib.test_mellin_grid_value_does_not_depend_on_the_batch),
+    ("tail-numpy-mul", distrib, "_binomial_tail",
+     lambda: edited(distrib, "_binomial_tail", "_times(np.exp(-a * cut), terms.sum(axis=-1))",
+                    "np.exp(-a * cut) * terms.sum(axis=-1)"),
+     test_distrib.test_binomial_tail_bytes_at_every_dispatch_level),
+    ("end-moment-ratio", quad, "_end_weights",
+     lambda: edited(quad, "_end_weights", "(p - 1 - k)", "(p - k)"),
+     functools.partial(test_quad.test_end_rule_is_exact_on_powers, 0.3 - 60.47j)),
+    ("end-fold-dropped", quad, "_end_weights",
+     lambda: edited(quad, "_end_weights", "_times(sums, np.exp(_times(_LOG1P, 1.0 - p)))",
+                    "sums"),
+     functools.partial(test_quad.test_end_rule_is_exact_on_powers, 0.05 + 0j)),
+    ("panel-numpy-mul", quad, "_panels",
+     lambda: edited(quad, "_panels", "_times(ys, rows)", "ys * rows"),
+     test_quad.test_panel_rules_are_row_sums_of_cpython_products),
+    ("panel-row-sum-gemm", quad, "_panels",
+     lambda: edited(quad, "_panels", "np.add.reduceat(_times(ys, rows), [0, 21], axis=1)",
+                    "_times(ys, rows) @ np.equal.outer(np.arange(31) >= 21, [False, True])"),
+     test_quad.test_panel_rules_are_row_sums_of_cpython_products),
 ]
 
+NUMPY_MUL_IS_CPYTHON = (numpy_mul_is_cpython, "numpy's complex * uses no FMA at this "
+                        "dispatch level (as at the x86 baseline): it rounds as CPython's")
 # Mutants that round as the original on some hosts: (equivalent here?, why).
 EQUIVALENT_ON_SOME_HOSTS = {
-    "cmul-numpy": (numpy_mul_is_cpython, "numpy's complex * uses no FMA at this dispatch "
-                   "level (as at the x86 baseline): it rounds as CPython's"),
+    "cmul-numpy": NUMPY_MUL_IS_CPYTHON,
+    "tail-numpy-mul": NUMPY_MUL_IS_CPYTHON,
+    "panel-numpy-mul": NUMPY_MUL_IS_CPYTHON,
     "rx-real-ufunc": (real_ufuncs_are_libm, "numpy's real exp and expm1 call libm at this "
                       "dispatch level (as at X86_V3 and the x86 baseline)"),
     "mellin-grid-gemv": (gemv_rounds_rows_alone, "this host's BLAS kernel rounds a "
@@ -102,8 +124,8 @@ EQUIVALENT_ON_SOME_HOSTS = {
 }
 
 # Every module that imported a mutated function by name.
-IMPORTERS = (complexfn, hyper, claims, distrib, legendre,
-             test_complexfn, test_distrib, test_hyper)
+IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad,
+             test_complexfn, test_distrib, test_hyper, test_quad)
 
 
 @pytest.mark.parametrize("row", MUTANTS, ids=[row[0] for row in MUTANTS])

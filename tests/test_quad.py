@@ -12,6 +12,8 @@ from weaklim.distrib import PROBES, _binomial_tail, _mellin_forward_grid, beta_r
 from weaklim.hyper import family_closed_form
 from weaklim.legendre import _gegenbauer_tail
 from weaklim.quad import (
+    _NODES,
+    _WEIGHTS,
     DEFAULT_SPEC,
     ConvergenceError,
     EndpointExponents,
@@ -19,6 +21,8 @@ from weaklim.quad import (
     QuadratureSpec,
     _adaptive,
     _breakpoints,
+    _end_weights,
+    _panels,
     _window,
     integrate_finite,
     integrate_pairing,
@@ -62,6 +66,11 @@ def test_finite_rejects_bad_interval():
 def test_endpoint_exponent_validation():
     with pytest.raises(DomainError):
         EndpointExponents(left_p=-0.5)
+    # Past Re p = 100 the end weights would overflow.
+    with pytest.raises(DomainError, match=r"0 < Re\(right_p\) <= 100"):
+        EndpointExponents(right_p=100.5)
+    res = integrate_finite(lambda t: t ** 99, 0.0, 1.0, EndpointExponents(left_p=100.0))
+    assert abs(res.value - 0.01) <= 1e-15
 
 
 # ------------------------------------------------------------ semi-infinite
@@ -267,17 +276,22 @@ def test_origin_scale_must_be_positive(scale):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_singular_end_without_edge(side):
     # [1, 2] keeps the singular end away from 0, where end +- u rounds to
-    # the end itself once the substituted distance u drops below ~1e-16.
-    def run(p):
+    # the end itself once the distance u drops below ~1e-16.
+    def run(p, declared):
         if side == "left":
             return integrate_finite(lambda t: (t - 1.0) ** (p - 1.0), 1.0, 2.0,
-                                    EndpointExponents(p, 1.0))
+                                    EndpointExponents(declared, 1.0))
         return integrate_finite(lambda t: (2.0 - t) ** (p - 1.0), 1.0, 2.0,
-                                EndpointExponents(1.0, p))
+                                EndpointExponents(1.0, declared))
 
-    assert abs(run(0.8).value - 1.0 / 0.8) <= 1e-12
+    # A declared exponent is integrated exactly: one panel at each end.
+    for p in (0.8, 0.5):
+        res = run(p, p)
+        assert abs(res.value - 1.0 / p) <= 1e-12
+        assert res.evaluations == 62
+    # Declared smooth, the end is bisected until a distance rounds onto it.
     with pytest.raises(DomainError, match=f"pass {side}_edge") as exc:
-        run(0.5)
+        run(0.5, 1.0)
     assert exc.value.condition == f"{side}_edge"
 
 
@@ -325,12 +339,12 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     pts = _breakpoints(-1.0, 1.0, 0.1)  # coarse: the peak needs bisection
-    res = _adaptive([(f, pts, ())], spec)
+    res = _adaptive([(f, pts, _WEIGHTS)], spec)
     # The initial partition in one call, then each split's two children.
     assert sizes[0] == 31 * (len(pts) - 1)
     assert len(sizes) > 1 and set(sizes[1:]) == {62}
     assert res.evaluations == sum(sizes)
-    assert res == _adaptive([(_per_panel(f), pts, ())], spec)
+    assert res == _adaptive([(_per_panel(f), pts, _WEIGHTS)], spec)
 
     # Two pieces share one heap: one call per piece for its initial
     # partition, then calls of 62 nodes, each to its own panel's integrand.
@@ -342,14 +356,14 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     sizes.clear()
     far = [p + 3.0 for p in pts]
-    both = _adaptive([(f, pts, ()), (shifted, far, ())], spec)
+    both = _adaptive([(f, pts, _WEIGHTS), (shifted, far, _WEIGHTS)], spec)
     for calls in (sizes, shifted_sizes):
         assert calls[0] == 31 * (len(pts) - 1)
         assert len(calls) > 1 and set(calls[1:]) == {62}
     assert both.evaluations == sum(sizes) + sum(shifted_sizes)
     assert abs(both.value - 2.0 * res.value) <= 2e-9 * abs(res.value)
-    assert both == _adaptive([(_per_panel(f), pts, ()), (_per_panel(shifted), far, ())],
-                             spec)
+    assert both == _adaptive([(_per_panel(f), pts, _WEIGHTS),
+                              (_per_panel(shifted), far, _WEIGHTS)], spec)
 
 
 @pytest.mark.parametrize("run", [
@@ -374,11 +388,58 @@ def test_batched_panels_match_per_panel_evaluation(run):
     assert batched == run(_per_panel)
 
 
+# ------------------------------------------------------------ end panels
+
+# The bench's Beta domain (Re p in [0.05, 4], Im p in [-3, 3]), and exponents
+# whose ends oscillate like u^(i 38.6) and u^(-i 60.5), or barely integrate.
+_END_EXPONENTS = [
+    complex(0.05 * 80.0 ** x, y) for x, y in
+    np.random.default_rng(17).uniform([0.0, -3.0], [1.0, 3.0], (30, 2))
+] + [0.1 + 38.6165j, 0.3 - 60.47j, 0.05 + 0j]
+
+
+@pytest.mark.parametrize("p", _END_EXPONENTS)
+def test_end_rule_is_exact_on_powers(p):
+    # On [0, 2], where the nodes are 1 + x: the 21-point end rule integrates
+    # u^(p-1+k) for k <= 20, and the 10-point rule for k <= 9.
+    w, u = _end_weights(p), 1.0 + _NODES
+    for rule, n in ((slice(0, 21), 21), (slice(21, 31), 10)):
+        for k in range(n):
+            want = 2.0 ** (p + k) / (p + k)
+            got = (w[rule] * u[rule] ** (p - 1.0 + k)).sum()
+            assert abs(got - want) <= 1e-12 * abs(want), (n, k)
+
+
+def test_end_weights_at_one_are_the_plain_weights():
+    w = _end_weights(1.0)
+    assert w.real.tobytes() == _WEIGHTS.tobytes()
+    assert not w.imag.any()
+
+
+def test_panel_rules_are_row_sums_of_cpython_products():
+    # End panels and plain ones in one batch: each rule is numpy's row sum of
+    # f times the weights, each product rounded as CPython's complex *, so no
+    # SIMD level or BLAS kernel moves a bit.
+    spans = [(0.0, 0.5 ** (i % 8), _end_weights(p)) for i, p in enumerate(_END_EXPONENTS)]
+    spans += [(0.5, 1.0, _WEIGHTS), (0.25, 0.5, _WEIGHTS)]
+    seen = []
+
+    def f(x):
+        seen.append(np.exp((0.7 - 9.0j) * x) / (1.1 - x))
+        return seen[-1]
+
+    got = list(_panels(f, spans))
+    for (a, b, row), y, (value, err) in zip(spans, seen[0].reshape(-1, 31), got):
+        products = [complex(v) * complex(w) for v, w in zip(y.tolist(), row.tolist())]
+        hi, lo = (0.5 * (b - a) * s for s in np.add.reduceat(products, [0, 21]).tolist())
+        assert (value, err) == (hi, abs(hi - lo))
+
+
 # ----------------------------------------------------- log-oscillating ends
 
 # Euler Beta integrals.  In the first seven the two ends cancel: each end is
 # 0.2 to 0.5 and |B| is 4e-3 to 8e-3.  In the last, Re b = 0.088, so the
-# substituted right end behaves like s^(-27.9i) and does not decay at s = 0.
+# right end is nearly 1/u, oscillating in log u.
 _BETA_AGAINST_MPMATH = [
     (0.32473011397532947 + 2.565789169193911j, 0.47492707214170926 - 2.070751002171081j),
     (0.08597415634190059 - 1.6446562272801317j, 0.11010724229674765 + 2.0774429651883537j),
@@ -407,9 +468,10 @@ def test_beta_integral_matches_mpmath(al, be):
 @pytest.mark.parametrize("re_p", [1.0, 0.1])
 @pytest.mark.parametrize("omega", [27.9, 38.6165, 60.47])
 def test_log_oscillating_end_meets_the_contract(omega, re_p):
-    # t^(p - 1) with Im p / min(Re p, 1) = omega: the substituted end behaves
-    # like s^(i omega) at every scale.  Near omega = 38.6 and 60.5 the 21- and
-    # 10-point rules agree there far more closely than either is right.
+    # t^(p - 1) with Im p / min(Re p, 1) = omega: an end that oscillates in
+    # log t at every scale.  Near omega = 38.6 and 60.5 the 21- and 10-point
+    # Gauss-Legendre rules agree on such an end far more closely than either
+    # is right; the end rule integrates its weight exactly.
     p = complex(re_p, omega * min(re_p, 1.0))
     res = integrate_finite(lambda t: t ** (p - 1.0), 0.0, 1.0, EndpointExponents(p, 1.0))
     assert abs(res.value - 1.0 / p) <= DEFAULT_SPEC.rel_tol * abs(1.0 / p)
