@@ -75,20 +75,21 @@ def _eta_fields(sol) -> dict:
 _GAMMA_REL = GAMMA_CONTRACT.target_rel_err
 
 # name -> (parameter names, function of them in that order, renderer of its
-# result).  Closed forms state a relative error (their accuracy contract);
-# quadrature values state a fixed absolute estimate.
+# result).  Closed forms state a relative error (their accuracy contract, k
+# times the gamma contract for k log-gamma terms); quadrature values state a
+# fixed absolute estimate.
 _EVALS = {
     "gamma": (("z",), gamma, _rel(_GAMMA_REL)),
     "log_gamma": (("z",), log_gamma, _rel(_GAMMA_REL)),
     "digamma": (("z",), digamma, _rel(DIGAMMA_CONTRACT.target_rel_err)),
     "trigamma": (("z",), trigamma, _rel(TRIGAMMA_CONTRACT.target_rel_err)),
-    "beta": (("alpha", "beta"), distrib.beta, _rel(_GAMMA_REL)),
-    "beta_reg": (("tau", "eps"), distrib.beta_reg, _rel(_GAMMA_REL)),
+    "beta": (("alpha", "beta"), distrib.beta, _rel(3 * _GAMMA_REL)),
+    "beta_reg": (("tau", "eps"), distrib.beta_reg, _rel(3 * _GAMMA_REL)),
     "omega_eps": (("x", "eps"), distrib.omega_eps, _abs(0.0)),
     "hyp2f1": (("a", "b", "c", "z"), hyper.hyp2f1, _rel(1e-12)),
-    "gauss_sum": (("a", "b", "c"), hyper.gauss_sum, _rel(_GAMMA_REL)),
-    "family_closed_form": (("tau", "eps"), hyper.family_closed_form, _abs(0.0)),
-    "f_factor": (("eps", "tau"), hyper.f_factor, _abs(0.0)),
+    "gauss_sum": (("a", "b", "c"), hyper.gauss_sum, _rel(4 * _GAMMA_REL)),
+    "family_closed_form": (("tau", "eps"), hyper.family_closed_form, _rel(4 * _GAMMA_REL)),
+    "f_factor": (("eps", "tau"), hyper.f_factor, _rel(3 * _GAMMA_REL)),
     "mellin_forward": (("tau", "eps"), distrib.mellin_reg_forward, _abs(1e-9)),
     "mellin_inverse": (("t", "eps"), distrib.mellin_inverse_check, _abs(1e-9)),
     "q_nu": (("nu", "z"), legendre.q_nu, _abs(1e-10)),

@@ -212,9 +212,11 @@ def _cdiv(ar, ai, br, bi):
 
 
 def _times(a, b) -> np.ndarray:
-    """a * b for complex arrays (or a complex scalar b), through _cmul."""
+    """a * b for complex arrays (or a scalar b), through _cmul; a real b scales each
+    part, which CPython's complex * rounds the same up to signs of zero."""
     out = np.empty_like(a)
-    out.real, out.imag = _cmul(a.real, a.imag, b.real, b.imag)
+    out.real, out.imag = ((a.real * b, a.imag * b) if np.isrealobj(b)
+                          else _cmul(a.real, a.imag, b.real, b.imag))
     return out
 
 

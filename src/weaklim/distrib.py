@@ -371,10 +371,10 @@ def mellin_reg_forward(tau: float, eps: float,
     Evaluates the Beta integral form obtained from the half-line transform by
     the substitution u = t/(1-t): the two halves around t = 1/2 map to log
     variables u in [ln 2, inf) as a conjugate pair, summed as one real cosine
-    integral.  The window [ln 2, 36] is paired against ones, as in the
-    mollified inverse, and the tail beyond u = 36 is summed in closed form.
-    Agrees with beta_reg(tau, eps) to combined tolerances; an oscillation
-    too fast for the subdivision budget raises ConvergenceError.
+    integral.  Shifted by ln 2, it is a half-line integral: the window up to
+    u = 36, cut at the cosine's half periods, plus the closed-form binomial
+    tail beyond.  Agrees with beta_reg(tau, eps) to combined tolerances; an
+    oscillation too fast for the subdivision budget raises ConvergenceError.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError("eps in (0, 1/2)")
@@ -382,14 +382,13 @@ def mellin_reg_forward(tau: float, eps: float,
     tau = float(tau)
 
     def f(v):
-        # Shifted to start at 0, where the window's panels cluster.
         phase, weight = _mellin_parts(v + _MELLIN_CUT, eps)
         return weight * np.cos(tau * phase)
 
-    res = integrate_pairing(PROBES["const"], f, 0.0, _MELLIN_FAR - _MELLIN_CUT,
-                            spec, origin_scale=0.25 / eps, osc_freq=tau)
     a = complex(eps, tau)  # the +tau half's tail; the -tau half's is its conjugate
-    return res.value + 2.0 * _binomial_tail(a, a.conjugate(), -1, _MELLIN_FAR).real
+    tail = 2.0 * _binomial_tail(a, a.conjugate(), -1, _MELLIN_FAR).real
+    return integrate_semi_infinite(f, _MELLIN_FAR - _MELLIN_CUT, tail, spec,
+                                   osc_freq=tau).value
 
 
 def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarray:
@@ -434,56 +433,50 @@ def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
 
 # --------------------------------------------------------- mollified inverse
 
-def _cauchy_kernel_derivs(x: float, eps: float):
-    c = eps / math.pi
-    d = eps * eps + x * x
-    g = c / d
-    gp = -2.0 * c * x / d ** 2
-    gpp = 2.0 * c * (3.0 * x * x - eps * eps) / d ** 3
-    return g, gp, gpp
-
-
-def mellin_inverse_check(t: float, eps: float) -> complex:
-    """Mollified inverse-transform value: integral of t^(-ix) omega_eps(x).
-
-    Quadrature over a finite window plus an oscillatory tail correction from
-    two integrations by parts; the closed form is exp(-eps |ln t|), and the
-    returned value matches it to ~1e-9, tending to 1 as eps -> 0+.
-    """
+def _mellin_inverse(t: float, eps: float) -> tuple[complex, float]:
+    """mellin_inverse_check's value and error estimate: one pairing of
+    cos(L x) omega_eps(x), L = |ln t|, over [0, X] plus a closed-form tail,
+    arctan at L = 0 (cos(L x) is exactly 1) and otherwise two integrations by
+    parts; the estimate is twice the window's plus the tail's budget."""
     if not 0.0 < t < math.inf:
         raise DomainError("0 < t < inf")
     if not eps > 0.0:
         raise DomainError("eps > 0")
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=4000)
     L = abs(math.log(t))
-
-    if L < 1e-300:
-        # Integrand reduces to the kernel itself; exact arctan tail.
+    if L == 0.0:
         X = max(50.0 * eps, 1.0)
-        res = integrate_pairing(lambda x: np.ones_like(x),
-                                lambda x: omega_eps(x, eps), 0.0, X,
-                                spec, origin_scale=eps / 4.0)
-        tail = math.atan2(eps, X) / math.pi
-        return complex(2.0 * (res.value.real + tail), 0.0)
-
-    budget = 2.5e-10
-    X = max(
-        20.0 * eps,
-        (6.0 * eps / (math.pi * L ** 3 * budget)) ** 0.25,
-        6.0 * TWO_PI / L,
-    )
+        tail, budget = math.atan2(eps, X) / math.pi, 0.0
+    else:
+        budget = 2.5e-10
+        X = max(
+            20.0 * eps,
+            (6.0 * eps / (math.pi * L ** 3 * budget)) ** 0.25,
+            6.0 * TWO_PI / L,
+        )
+        c, d = eps / math.pi, eps * eps + X * X  # omega_eps(X) = c / d
+        g, gp, gpp = c / d, -2.0 * c * X / d ** 2, 2.0 * c * (3.0 * X * X - eps * eps) / d ** 3
+        sin_lx, cos_lx = math.sin(L * X), math.cos(L * X)
+        tail = -g * sin_lx / L - gp * cos_lx / L ** 2 + gpp * sin_lx / L ** 3
     f = lambda x: np.cos(L * x) * (eps / math.pi) / (eps * eps + x * x)
-    res = integrate_pairing(lambda x: np.ones_like(x), f, 0.0, X, spec,
+    res = integrate_pairing(PROBES["const"], f, 0.0, X, spec,
                             origin_scale=eps / 4.0, osc_freq=L)
-    g, gp, gpp = _cauchy_kernel_derivs(X, eps)
-    sin_lx = math.sin(L * X)
-    cos_lx = math.cos(L * X)
-    tail = -g * sin_lx / L - gp * cos_lx / L ** 2 + gpp * sin_lx / L ** 3
-    return complex(2.0 * (res.value.real + tail), 0.0)
+    return (complex(2.0 * (res.value.real + tail), 0.0),
+            2.0 * (res.error_estimate + budget))
+
+
+def mellin_inverse_check(t: float, eps: float) -> complex:
+    """Mollified inverse-transform value: integral of t^(-ix) omega_eps(x).
+
+    Quadrature over a finite window plus a closed-form tail; the closed form
+    is exp(-eps |ln t|), and the returned value matches it to ~1e-9, tending
+    to 1 as eps -> 0+.
+    """
+    return _mellin_inverse(t, eps)[0]
 
 
 def mellin_inverse_sweep(t: float,
                          ladder: EpsilonLadder | None = None) -> PairingSweepResult:
-    """Mollified inverse values along the ladder; the limit targets 1."""
+    """Mollified inverse values and estimates along the ladder; the limit targets 1."""
     return _ladder_sweep((ladder or EpsilonLadder.default()).values,
-                         lambda eps: (mellin_inverse_check(t, eps), 1e-9))
+                         lambda eps: _mellin_inverse(t, eps))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from test_harness import CLI_ENV, dispatch_targets
-from weaklim import distrib
+from weaklim import distrib, quad
 from weaklim.complexfn import DomainError
 from weaklim.distrib import (
     PROBES,
@@ -361,6 +361,29 @@ def test_mellin_forward_matches_closed_form():
         assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
 
 
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """(name, result) of each quad entry distrib calls and of each adaptive
+    pass, in the order they return."""
+    calls = []
+
+    def recorded(name, entry):
+        def call(*args, **kw):
+            calls.append((name, entry(*args, **kw)))
+            return calls[-1][1]
+        return call
+
+    monkeypatch.setattr(quad, "_adaptive", recorded("_adaptive", quad._adaptive))
+    for name in ("integrate_pairing", "integrate_semi_infinite"):
+        monkeypatch.setattr(distrib, name, recorded(name, getattr(distrib, name)))
+    return calls
+
+
+def test_mellin_forward_is_one_half_line_integral(quad_calls):
+    mellin_reg_forward(0.5, 0.05)
+    assert [name for name, _ in quad_calls] == ["_adaptive", "integrate_semi_infinite"]
+
+
 def test_mellin_forward_domain():
     with pytest.raises(DomainError):
         mellin_reg_forward(0.5, 0.7)
@@ -559,6 +582,26 @@ def test_mellin_inverse_sweep_limit_is_one():
     sweep = mellin_inverse_sweep(math.e)
     assert abs(sweep.extrapolated_limit - 1.0) <= 1e-4
     assert abs(mellin_inverse_check(math.e, 1e-4) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("t", [1.0, math.e, 0.25])
+def test_mellin_inverse_is_one_pairing(quad_calls, t):
+    mellin_inverse_check(t, 1e-3)
+    assert [name for name, _ in quad_calls] == ["_adaptive", "integrate_pairing"]
+
+
+def test_mellin_inverse_sweep_reports_its_own_estimates(quad_calls):
+    # Twice the window's estimate plus the tail's: the 2.5e-10 budget of the
+    # integrations by parts, or nothing for the exact arctan tail at t = 1.
+    ladder = EpsilonLadder((1e-1, 1e-2, 1e-3))
+    for t, budget in ((math.e, 2.5e-10), (1.0, 0.0)):
+        quad_calls.clear()
+        sweep = mellin_inverse_sweep(t, ladder)
+        windows = [res for name, res in quad_calls if name == "integrate_pairing"]
+        assert [err for _, _, err in sweep.points] \
+            == [2.0 * (w.error_estimate + budget) for w in windows]
+        for eps, value, err in sweep.points:
+            assert abs(value - math.exp(-eps * abs(math.log(t)))) <= err, (t, eps)
 
 
 def test_mellin_inverse_domain():

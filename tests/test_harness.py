@@ -428,6 +428,39 @@ def test_cli_eval_every_entry(capsys):
         assert payload["function"] == name
 
 
+# name -> (relative, absolute) error estimate that `weaklim eval` states.  A
+# closed form built from k log-gamma terms states k times the gamma contract.
+_EVAL_ESTIMATES = {
+    "gamma": (1e-12, 0.0),
+    "log_gamma": (1e-12, 0.0),
+    "digamma": (1e-10, 0.0),
+    "trigamma": (1e-8, 0.0),
+    "beta": (3e-12, 0.0),
+    "beta_reg": (3e-12, 0.0),
+    "omega_eps": (0.0, 0.0),
+    "hyp2f1": (1e-12, 0.0),
+    "gauss_sum": (4e-12, 0.0),
+    "family_closed_form": (4e-12, 0.0),
+    "f_factor": (3e-12, 0.0),
+    "mellin_forward": (0.0, 1e-9),
+    "mellin_inverse": (0.0, 1e-9),
+    "q_nu": (0.0, 1e-10),
+    "q_nu_mu": (0.0, 1e-10),
+    "q_nu_itau": (0.0, 1e-10),
+    "relation_rhs": (0.0, 1e-10),
+}
+
+
+def test_cli_eval_error_estimates(capsys):
+    assert sorted(_EVAL_ESTIMATES) == sorted(set(cli._EVALS) - {"solve_eta"})
+    for name, (rel, absolute) in _EVAL_ESTIMATES.items():
+        assert cli.main(["eval", name, *_EVAL_POINTS[name]]) == 0, name
+        payload = json.loads(capsys.readouterr().out)
+        value = abs(complex(float(payload["value"]["re"]), float(payload["value"]["im"])))
+        want = rel * value + absolute
+        assert float(payload["error_estimate"]) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
 @pytest.mark.parametrize("argv, says", [
     (["eval", "mellin_forward", "tau=1e4", "eps=0.1"], "subdivision budget"),
     (["eval", "hyp2f1", "a=1000i", "b=1", "c=1", "z=0.9"], "not finite"),

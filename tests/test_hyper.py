@@ -59,6 +59,17 @@ def test_series_matches_mpmath():
         assert abs(hyp2f1(a, b, c, z) - want) <= 1e-10 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("b", [80.0, 60.0])
+def test_series_waits_out_a_quiet_stretch(b):
+    # a + 3 = 2^-50 nearly ends the series after its fourth term: the terms
+    # after it stay below rel_tol |sum| for 6 (b = 80) or 10 (b = 60) terms,
+    # then grow with b before they settle.  A stop rule that gives up inside
+    # that stretch returns the cubic and misses 1.4e-7 or 5.2e-11 of the value.
+    a = -3.0 + 2.0 ** -50
+    want = complex(mpmath.hyp2f1(a, b, 1.0, 0.4))
+    assert abs(hyp2f1(a, b, 1.0, 0.4) - want) <= 1e-13 * abs(want)
+
+
 def test_series_polynomial_termination():
     # a a negative integer terminates the series exactly.
     got = hyp2f1(-2.0, 1.0, 1.0, 0.7)

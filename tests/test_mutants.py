@@ -1,10 +1,10 @@
 """Mutation catalog: each planted defect fails a named, targeted test.
 
-A row plants one mutant in place of a library function, by a copy of its
-source with one edit or by a stand-in, and runs only the test that must kill
-it: never the verify-all digest pin, which every legitimate last-digit change
-re-pins.  A kill is a failed assertion, or a RuntimeWarning, which the suite
-treats as an error.
+A row plants one mutant in place of a library function or constant, by a
+copy of its source with one edit or by a stand-in, and runs only the test
+that must kill it: never the verify-all digest pin, which every legitimate
+last-digit change re-pins.  A kill is a failed assertion, or a
+RuntimeWarning, which the suite treats as an error.
 
 Equivalent mutants give the same bits and are left out: _cdiv's tie rule
 written ``>=`` (a tie's ratio is +-1 on either branch), and _cmul's
@@ -43,6 +43,10 @@ def numpy_mul(ar, ai, br, bi):
 def numpy_div(ar, ai, br, bi):
     q = (ar + 1j * ai) / (br + 1j * bi)
     return q.real, q.imag
+
+
+def scaled(f, factor: float):
+    return lambda *args: factor * f(*args)
 
 
 def real_ufunc(f, x, *args):
@@ -108,6 +112,21 @@ MUTANTS = [
      lambda: edited(quad, "_panels", "np.add.reduceat(_times(ys, rows), [0, 21], axis=1)",
                     "_times(ys, rows) @ np.equal.outer(np.arange(31) >= 21, [False, True])"),
      test_quad.test_panel_rules_are_row_sums_of_cpython_products),
+    ("stirling-3-terms", complexfn, "_LG_COEFF", lambda: complexfn._LG_COEFF[:3],
+     functools.partial(test_complexfn.test_log_gamma_matches_mpmath, 0.25 + 0j)),
+    ("beta-reg-scaled", distrib, "beta_reg", lambda: scaled(distrib.beta_reg, 1.005),
+     test_distrib.test_beta_reg_values),
+    ("mellin-tail-dropped", distrib, "mellin_reg_forward",
+     lambda: edited(distrib, "mellin_reg_forward", "_MELLIN_CUT, tail, spec",
+                    "_MELLIN_CUT, 0.0, spec"),
+     test_distrib.test_mellin_forward_matches_closed_form),
+    # The per-term loop reference reads _CONSECUTIVE_SMALL too, so the stop
+    # rule is checked against mpmath instead.
+    ("hyp2f1-stop-3-quiet", hyper, "_CONSECUTIVE_SMALL", lambda: 3,
+     functools.partial(test_hyper.test_series_waits_out_a_quiet_stretch, 80.0)),
+    ("hyp2f1-rel-tol-1e-6", hyper, "hyp2f1",
+     lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
+     test_hyper.test_series_matches_mpmath),
 ]
 
 NUMPY_MUL_IS_CPYTHON = (numpy_mul_is_cpython, "numpy's complex * uses no FMA at this "
@@ -123,7 +142,7 @@ EQUIVALENT_ON_SOME_HOSTS = {
                          "matrix-vector row as that row alone, as a row sum does"),
 }
 
-# Every module that imported a mutated function by name.
+# Every module that imported a mutated function or constant by name.
 IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad,
              test_complexfn, test_distrib, test_hyper, test_quad)
 
