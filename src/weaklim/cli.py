@@ -46,24 +46,34 @@ __all__ = ["main"]
 
 
 def _valued(err):
-    """Renderer of a complex value with the error estimate err(value)."""
-    def render(value) -> dict:
+    """Renderer of a complex value at its parameters, with the error estimate
+    err(value, params)."""
+    def render(value, params) -> dict:
         return {
             "value": {"re": fmt_float(value.real), "im": fmt_float(value.imag)},
-            "error_estimate": fmt_float(err(value)),
+            "error_estimate": fmt_float(err(value, params)),
         }
     return render
 
 
 def _rel(factor: float):
-    return _valued(lambda value: abs(value) * factor)
+    return _valued(lambda value, params: abs(value) * factor)
 
 
 def _abs(estimate: float):
-    return _valued(lambda value: estimate)
+    return _valued(lambda value, params: estimate)
 
 
-def _eta_fields(sol) -> dict:
+_HYP2F1_REL_TOL = hyper.hyp2f1.__kwdefaults__["rel_tol"]
+
+
+def _hyp2f1_estimate(value, params) -> float:
+    """The series stops after terms below rel_tol of the sum; near |z| = 1 the
+    tail it leaves is about rel_tol / (1 - |z|) of the value."""
+    return abs(value) * max(1e-12, 2.0 * _HYP2F1_REL_TOL / (1.0 - abs(params[3])))
+
+
+def _eta_fields(sol, params) -> dict:
     return {
         "eta": fmt_float(sol.eta),
         "cos_value": fmt_float(sol.cos_value),
@@ -75,18 +85,19 @@ def _eta_fields(sol) -> dict:
 _GAMMA_REL = GAMMA_CONTRACT.target_rel_err
 
 # name -> (parameter names, function of them in that order, renderer of its
-# result).  Closed forms state a relative error (their accuracy contract, k
-# times the gamma contract for k log-gamma terms); quadrature values state a
-# fixed absolute estimate.
+# result at them).  Closed forms state a relative error (their accuracy
+# contract, k times the gamma contract for k log-gamma terms), but log_gamma
+# is absolute on the log; hyp2f1 states its stop rule's tail; quadrature
+# values state a fixed absolute estimate.
 _EVALS = {
     "gamma": (("z",), gamma, _rel(_GAMMA_REL)),
-    "log_gamma": (("z",), log_gamma, _rel(_GAMMA_REL)),
+    "log_gamma": (("z",), log_gamma, _abs(_GAMMA_REL)),
     "digamma": (("z",), digamma, _rel(DIGAMMA_CONTRACT.target_rel_err)),
     "trigamma": (("z",), trigamma, _rel(TRIGAMMA_CONTRACT.target_rel_err)),
     "beta": (("alpha", "beta"), distrib.beta, _rel(3 * _GAMMA_REL)),
     "beta_reg": (("tau", "eps"), distrib.beta_reg, _rel(3 * _GAMMA_REL)),
     "omega_eps": (("x", "eps"), distrib.omega_eps, _abs(0.0)),
-    "hyp2f1": (("a", "b", "c", "z"), hyper.hyp2f1, _rel(1e-12)),
+    "hyp2f1": (("a", "b", "c", "z"), hyper.hyp2f1, _valued(_hyp2f1_estimate)),
     "gauss_sum": (("a", "b", "c"), hyper.gauss_sum, _rel(4 * _GAMMA_REL)),
     "family_closed_form": (("tau", "eps"), hyper.family_closed_form, _rel(4 * _GAMMA_REL)),
     "f_factor": (("eps", "tau"), hyper.f_factor, _rel(3 * _GAMMA_REL)),
@@ -136,8 +147,8 @@ def _cmd_eval(args, cfg) -> int:
         raise KeyError(f"unknown function {name!r}; "
                        f"known: {', '.join(sorted(_EVALS))}")
     wanted, fn, render = _EVALS[name]
-    result = fn(*_parse_params(args.params, wanted))
-    print(json.dumps({"function": name, **render(result)}, indent=2))
+    params = _parse_params(args.params, wanted)
+    print(json.dumps({"function": name, **render(fn(*params), params)}, indent=2))
     return 0
 
 

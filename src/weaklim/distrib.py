@@ -20,7 +20,8 @@ are complex conjugates, so their sum is one real cosine transform,
     integral over [ln 2, inf) of 2 e^(-eps u) (1 - e^-u)^(eps-1)
                                  cos(tau (u + ln(1 - e^-u))) du,
 
-with an analytic binomial-series tail beyond u = 36.  For real tau the Beta
+with an analytic binomial-series tail beyond u = ln(1e3 hypot(1, tau)), where
+each of its terms is at most 1e-3 of the one before.  For real tau the Beta
 value is real as well: B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2
 / Gamma(2 eps), one log-gamma per node.  Both kernels are even in tau, bit
 for bit, so a batch of pairing nodes is evaluated once per distinct |tau|.
@@ -325,7 +326,6 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
 # ------------------------------------------------------- regularized Mellin
 
 _MELLIN_CUT = math.log(2.0)
-_MELLIN_FAR = 36.0
 _MELLIN_ROWS = 32  # taus per cosine block of _mellin_forward_grid
 
 
@@ -364,6 +364,15 @@ def _binomial_tail(a, s, sign: float, cut: float):
     return _times(np.exp(-a * cut), terms.sum(axis=-1))
 
 
+def _mellin_far(reach: float) -> float:
+    """End of the Mellin window for |tau| <= reach: u = ln(1e3 hypot(1, reach)).
+
+    There the tail's term ratio e^-u max(1, |1 - s|), |1 - s| = hypot(1 - eps,
+    tau), is at most 1e-3, so _binomial_tail sums 7 terms or fewer.
+    """
+    return math.log(1e3 * math.hypot(1.0, reach))
+
+
 def mellin_reg_forward(tau: float, eps: float,
                        spec: QuadratureSpec | None = None) -> complex:
     """Regularized Mellin value of f(t) = 1 at height tau, by quadrature.
@@ -372,9 +381,10 @@ def mellin_reg_forward(tau: float, eps: float,
     the substitution u = t/(1-t): the two halves around t = 1/2 map to log
     variables u in [ln 2, inf) as a conjugate pair, summed as one real cosine
     integral.  Shifted by ln 2, it is a half-line integral: the window up to
-    u = 36, cut at the cosine's half periods, plus the closed-form binomial
-    tail beyond.  Agrees with beta_reg(tau, eps) to combined tolerances; an
-    oscillation too fast for the subdivision budget raises ConvergenceError.
+    u = _mellin_far(tau), cut at the cosine's half periods, plus the
+    closed-form binomial tail beyond.  Agrees with beta_reg(tau, eps) to
+    combined tolerances; an oscillation too fast for the subdivision budget
+    raises ConvergenceError.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError("eps in (0, 1/2)")
@@ -385,26 +395,28 @@ def mellin_reg_forward(tau: float, eps: float,
         phase, weight = _mellin_parts(v + _MELLIN_CUT, eps)
         return weight * np.cos(tau * phase)
 
+    far = _mellin_far(tau)
     a = complex(eps, tau)  # the +tau half's tail; the -tau half's is its conjugate
-    tail = 2.0 * _binomial_tail(a, a.conjugate(), -1, _MELLIN_FAR).real
-    return integrate_semi_infinite(f, _MELLIN_FAR - _MELLIN_CUT, tail, spec,
-                                   osc_freq=tau).value
+    tail = 2.0 * _binomial_tail(a, a.conjugate(), -1, far).real
+    return integrate_semi_infinite(f, far - _MELLIN_CUT, tail, spec, osc_freq=tau).value
 
 
 def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarray:
     """Vectorized forward Mellin values on a fixed composite panel rule.
 
     One real cosine transform, row sums of cos(outer(taus, phase)) * (w * 2
-    weight) over the composite nodes u of [ln 2, 36] that resolve |tau| up to
-    ``reach``, plus the closed-form tails; once per distinct |tau|, in blocks
-    of _MELLIN_ROWS rows.  The pairing sweep sets ``reach`` from its window,
-    and a row sum sees no other row, so a node's value does not depend on its
-    batch; validated against the adaptive scalar route in the tests.
+    weight) over the composite nodes u of [ln 2, _mellin_far(reach)] that
+    resolve |tau| up to ``reach``, plus the closed-form tails; once per
+    distinct |tau|, in blocks of _MELLIN_ROWS rows.  The pairing sweep sets
+    ``reach`` from its window, and a row sum sees no other row, so a node's
+    value does not depend on its batch; validated against the adaptive scalar
+    route in the tests.
     """
     taus = np.asarray(taus, dtype=float)
+    far = _mellin_far(reach)
     width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
-    n_panels = int(math.ceil((_MELLIN_FAR - _MELLIN_CUT) / width))
-    edges = np.linspace(_MELLIN_CUT, _MELLIN_FAR, n_panels + 1)
+    n_panels = int(math.ceil((far - _MELLIN_CUT) / width))
+    edges = np.linspace(_MELLIN_CUT, far, n_panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
     u = (mids[:, None] + halves[:, None] * _X_HI[None, :]).ravel()
@@ -418,7 +430,7 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarr
             out[i:i + _MELLIN_ROWS] = (np.cos(np.multiply.outer(
                 mags[i:i + _MELLIN_ROWS], phase)) * ww).sum(axis=1)
         a = eps + 1j * mags
-        return out + 2.0 * _binomial_tail(a, a.conj(), -1, _MELLIN_FAR).real
+        return out + 2.0 * _binomial_tail(a, a.conj(), -1, far).real
 
     return _even_in_tau(transform, taus)
 

@@ -94,6 +94,10 @@ MUTANTS = [
     ("mellin-grid-gemv", distrib, "_mellin_forward_grid",
      lambda: edited(distrib, "_mellin_forward_grid", " * ww).sum(axis=1)", " @ ww)"),
      test_distrib.test_mellin_grid_value_does_not_depend_on_the_batch),
+    ("mellin-grid-tail-at-36", distrib, "_mellin_forward_grid",
+     lambda: edited(distrib, "_mellin_forward_grid", "_binomial_tail(a, a.conj(), -1, far)",
+                    "_binomial_tail(a, a.conj(), -1, 36.0)"),
+     test_distrib.test_mellin_grid_matches_mpmath_on_ladder),
     ("tail-numpy-mul", distrib, "_binomial_tail",
      lambda: edited(distrib, "_binomial_tail", "_times(np.exp(-a * cut), terms.sum(axis=-1))",
                     "np.exp(-a * cut) * terms.sum(axis=-1)"),
