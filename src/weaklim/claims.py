@@ -27,7 +27,7 @@ from . import distrib, hyper, legendre
 from .complexfn import DomainError, _times, log_gamma
 from .config import RunConfig
 from .distrib import PROBES, EpsilonLadder
-from .quad import EndpointExponents, integrate_finite
+from .quad import EndpointExponents, QuadratureSpec, integrate_finite
 from .report import ClaimVerdict
 
 __all__ = ["Claim", "REGISTRY", "claim_ids", "run_claim", "run_claims",
@@ -58,14 +58,17 @@ def _verdict(claim: Claim, cfg: RunConfig, point: str, deviation: float,
              tol_default: float, order: float | None = None,
              extra: dict | None = None) -> ClaimVerdict:
     ok = deviation <= cfg.tolerance_for(claim.id, tol_default)
-    status = ("PASS" if ok else "FAIL") if claim.mode == "ASSERT" else "REPORTED"
-    return ClaimVerdict(claim.id, point, deviation, order, status, extra)
+    return ClaimVerdict(claim.id, point, deviation, order, _status(claim, ok), extra)
 
 
 def _check(claim: Claim, point: str, ok: bool,
            order: float | None = None) -> ClaimVerdict:
     """Boolean sub-check, deviation 0.0 or 1.0: no tolerance override applies."""
-    return _verdict(claim, RunConfig(), point, 0.0 if ok else 1.0, 0.5, order)
+    return ClaimVerdict(claim.id, point, 0.0 if ok else 1.0, order, _status(claim, ok))
+
+
+def _status(claim: Claim, ok: bool) -> str:
+    return ("PASS" if ok else "FAIL") if claim.mode == "ASSERT" else "REPORTED"
 
 
 def _fmt_c(z: complex) -> str:
@@ -372,6 +375,11 @@ def _relation_runner(grid):
 
 # --------------------------------------------------------------------- E49
 
+# The sweep ratios' stated error: the relative contract of the default q_nu
+# quadrature they are taken against.
+_Q_NU_REL_TOL = QuadratureSpec().rel_tol
+
+
 def _explicit_ratio(nu: float) -> complex:
     """Quadrature Q_nu(2) over the explicit large-degree form."""
     asym = legendre.asymptotic_large_nu(nu, 0.0, 2.0, with_quadrature=True)
@@ -393,7 +401,7 @@ def _sweep_large_nu(cfg: RunConfig, ladder):
     rows = []
     for nu in ladder or (10.0, 50.0, 250.0):
         ratio = _explicit_ratio(nu)
-        rows.append((nu, ratio, 1e-9, abs(ratio - 1.0)))
+        rows.append((nu, ratio, _Q_NU_REL_TOL * abs(ratio), abs(ratio - 1.0)))
     return "nu", rows
 
 
@@ -421,7 +429,7 @@ def _sweep_near_one(cfg: RunConfig, ladder):
     rows = []
     for d in ladder or (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         ratio = _log_law_ratio(0.0, 1.0 + d)
-        rows.append((d, complex(ratio), 1e-9, abs(ratio - 1.0)))
+        rows.append((d, complex(ratio), _Q_NU_REL_TOL * ratio, abs(ratio - 1.0)))
     return "z_minus_one", rows
 
 

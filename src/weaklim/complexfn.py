@@ -53,22 +53,19 @@ _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
+# Bernoulli numbers B_{2n} = p / q, n = 1..10.  Each series coefficient below
+# is one int / int, which Python rounds correctly.
+_BERNOULLI_2N = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+    (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
+)
 # B_{2n} / (2n (2n-1)), n = 1..10: Stirling series for log-gamma.
-_LG_COEFF = (
-    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
-    -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0,
-    43867.0 / 244188.0, -174611.0 / 125400.0,
-)
+_LG_COEFF = tuple(p / (q * 2 * n * (2 * n - 1))
+                  for n, (p, q) in enumerate(_BERNOULLI_2N, 1))
 # B_{2n} / (2n), n = 1..8: asymptotic tail of digamma.
-_DG_COEFF = (
-    1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
-    1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0,
-)
+_DG_COEFF = tuple(p / (q * 2 * n) for n, (p, q) in enumerate(_BERNOULLI_2N[:8], 1))
 # B_{2n}, n = 1..8: asymptotic tail of trigamma.
-_TG_COEFF = (
-    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
-    5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0,
-)
+_TG_COEFF = tuple(p / q for p, q in _BERNOULLI_2N[:8])
 
 # Upward recurrence pushes Re z at least this far before the series is used.
 _SERIES_EDGE = 10.0
@@ -131,18 +128,15 @@ def _check_pole(z: complex) -> complex:
 
 
 def _expm1c(w: complex) -> complex:
-    """exp(w) - 1 with full relative accuracy for small |w|."""
+    """exp(w) - 1 with full relative accuracy for small |w|: 2 sinh(w/2) e^(w/2).
+
+    Past |w| = 0.5 it is exp(w) - 1, which loses nothing there, while sinh
+    overflows where Re w / 2 < -710.
+    """
     if abs(w) > 0.5:
         return cmath.exp(w) - 1.0
-    term = w
-    acc = w
-    k = 2
-    while True:
-        term *= w / k
-        acc += term
-        if abs(term) <= 1e-18 * abs(acc):
-            return acc
-        k += 1
+    h = 0.5 * w
+    return 2.0 * cmath.sinh(h) * cmath.exp(h)
 
 
 def _log_gamma_right(z: complex) -> complex:

@@ -13,18 +13,18 @@ pairing interval.
 
 The regularized Mellin transform of f(t) = 1 on the imaginary axis equals
 the same Beta value; here it is evaluated by honest quadrature and
-cross-checked against the Euler closed form.  After the exact change of
-variables u = -ln t and the split at t = 1/2, the halves at heights +-tau
-are complex conjugates, so their sum is one real cosine transform,
+cross-checked against the Euler closed form.  It takes the half-line Beta
+form of beta_semi_infinite: in v = ln(t / (1 - t)), split at t = 1/2, the
+halves at heights +-tau are complex conjugates, so their sum is one real
+cosine transform,
 
-    integral over [ln 2, inf) of 2 e^(-eps u) (1 - e^-u)^(eps-1)
-                                 cos(tau (u + ln(1 - e^-u))) du,
+    integral over [0, inf) of 2 e^(-eps v) (1 + e^-v)^(-2 eps) cos(tau v) dv,
 
-with an analytic binomial-series tail beyond u = ln(1e3 hypot(1, tau)), where
-each of its terms is at most 1e-3 of the one before.  For real tau the Beta
-value is real as well: B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2
-/ Gamma(2 eps), one log-gamma per node.  Both kernels are even in tau, bit
-for bit, so a batch of pairing nodes is evaluated once per distinct |tau|.
+with an analytic binomial-series tail beyond v = ln 4, where each of its
+terms is at most 1/4 of the one before.  For real tau the Beta value is real
+as well: B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2 / Gamma(2 eps),
+one log-gamma per node.  Both kernels are even in tau, bit for bit, so a
+batch of pairing nodes is evaluated once per distinct |tau|.
 """
 
 from __future__ import annotations
@@ -325,20 +325,7 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
 
 # ------------------------------------------------------- regularized Mellin
 
-_MELLIN_CUT = math.log(2.0)
 _MELLIN_ROWS = 32  # taus per cosine block of _mellin_forward_grid
-
-
-def _mellin_parts(u, eps: float):
-    """Phase and doubled weight of the paired Mellin integrand at u >= ln 2.
-
-    The half integrals at heights +-tau are the conjugate pair
-    integral of w(u) exp(-+i tau phase(u)) du, with the real weight
-    w = e^(-eps u) (1 - e^-u)^(eps-1) and phase = u + ln(1 - e^-u); their
-    sum is the cosine transform of 2 w.
-    """
-    log_base = _rx(np.log, 1.0 - _rx(np.exp, -u))  # 1 - e^-u >= 1/2: no cancellation
-    return u + log_base, 2.0 * _rx(np.exp, (eps - 1.0) * log_base - eps * u)
 
 
 def _binomial_tail(a, s, sign: float, cut: float):
@@ -364,73 +351,54 @@ def _binomial_tail(a, s, sign: float, cut: float):
     return _times(np.exp(-a * cut), terms.sum(axis=-1))
 
 
-def _mellin_far(reach: float) -> float:
-    """End of the Mellin window for |tau| <= reach: u = ln(1e3 hypot(1, reach)).
-
-    There the tail's term ratio e^-u max(1, |1 - s|), |1 - s| = hypot(1 - eps,
-    tau), is at most 1e-3, so _binomial_tail sums 7 terms or fewer.
-    """
-    return math.log(1e3 * math.hypot(1.0, reach))
-
-
 def mellin_reg_forward(tau: float, eps: float,
                        spec: QuadratureSpec | None = None) -> complex:
     """Regularized Mellin value of f(t) = 1 at height tau, by quadrature.
 
-    Evaluates the Beta integral form obtained from the half-line transform by
-    the substitution u = t/(1-t): the two halves around t = 1/2 map to log
-    variables u in [ln 2, inf) as a conjugate pair, summed as one real cosine
-    integral.  Shifted by ln 2, it is a half-line integral: the window up to
-    u = _mellin_far(tau), cut at the cosine's half periods, plus the
-    closed-form binomial tail beyond.  Agrees with beta_reg(tau, eps) to
-    combined tolerances; an oscillation too fast for the subdivision budget
-    raises ConvergenceError.
+    The value is B(eps + i tau, eps - i tau), taken from beta_semi_infinite's
+    half-line form: its window [0, ln 4] adapts to the cosine's period, and
+    the binomial tails beyond are closed form.  The value is real; it is
+    returned as a complex.  Agrees with beta_reg(tau, eps) to combined
+    tolerances; an oscillation too fast for the subdivision budget raises
+    ConvergenceError.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError("eps in (0, 1/2)")
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    tau = float(tau)
-
-    def f(v):
-        phase, weight = _mellin_parts(v + _MELLIN_CUT, eps)
-        return weight * np.cos(tau * phase)
-
-    far = _mellin_far(tau)
-    a = complex(eps, tau)  # the +tau half's tail; the -tau half's is its conjugate
-    tail = 2.0 * _binomial_tail(a, a.conjugate(), -1, far).real
-    return integrate_semi_infinite(f, far - _MELLIN_CUT, tail, spec, osc_freq=tau).value
+    a = complex(eps, float(tau))
+    return complex(beta_semi_infinite(a, a.conjugate(), spec).real)
 
 
 def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarray:
     """Vectorized forward Mellin values on a fixed composite panel rule.
 
-    One real cosine transform, row sums of cos(outer(taus, phase)) * (w * 2
-    weight) over the composite nodes u of [ln 2, _mellin_far(reach)] that
-    resolve |tau| up to ``reach``, plus the closed-form tails; once per
-    distinct |tau|, in blocks of _MELLIN_ROWS rows.  The pairing sweep sets
-    ``reach`` from its window, and a row sum sees no other row, so a node's
-    value does not depend on its batch; validated against the adaptive scalar
-    route in the tests.
+    beta_semi_infinite's form at a = eps + i tau, b = conj a, summed as one
+    real cosine transform: row sums of cos(outer(taus, v)) * (w * 2 weight),
+    weight = e^(-eps v) (1 + e^-v)^(-2 eps), over the composite nodes v of
+    [0, ln 4] that resolve |tau| up to ``reach``, plus twice the real part of
+    the closed-form tail; once per distinct |tau|, in blocks of _MELLIN_ROWS
+    rows.  The pairing sweep sets ``reach`` from its window, and a row sum
+    sees no other row, so a node's value does not depend on its batch;
+    validated against the adaptive scalar route in the tests.
     """
     taus = np.asarray(taus, dtype=float)
-    far = _mellin_far(reach)
+    cut = math.log(4.0)
     width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
-    n_panels = int(math.ceil((far - _MELLIN_CUT) / width))
-    edges = np.linspace(_MELLIN_CUT, far, n_panels + 1)
+    n_panels = int(math.ceil(cut / width))
+    edges = np.linspace(0.0, cut, n_panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
-    u = (mids[:, None] + halves[:, None] * _X_HI[None, :]).ravel()
+    v = (mids[:, None] + halves[:, None] * _X_HI[None, :]).ravel()
     w = (halves[:, None] * _W_HI[None, :]).ravel()
-    phase, weight = _mellin_parts(u, eps)
-    ww = w * weight
+    # e^-v >= 1/4, where numpy's complex log1p is accurate (it is not near 0).
+    ww = w * 2.0 * _rx(np.exp, -eps * v - 2.0 * eps * _rx(np.log1p, _rx(np.exp, -v)))
 
     def transform(mags):
         out = np.empty(mags.size)
         for i in range(0, mags.size, _MELLIN_ROWS):
             out[i:i + _MELLIN_ROWS] = (np.cos(np.multiply.outer(
-                mags[i:i + _MELLIN_ROWS], phase)) * ww).sum(axis=1)
-        a = eps + 1j * mags
-        return out + 2.0 * _binomial_tail(a, a.conj(), -1, far).real
+                mags[i:i + _MELLIN_ROWS], v)) * ww).sum(axis=1)
+        return out + 2.0 * _binomial_tail(eps + 1j * mags, 1.0 - 2.0 * eps, 1.0, cut).real
 
     return _even_in_tau(transform, taus)
 

@@ -315,6 +315,34 @@ def test_gamma_overflow_rejected():
         gamma(180.0)
 
 
+def test_expm1c_matches_mpmath_at_small_argument():
+    # The reflection's e^(2 pi i (z - n)) - 1 near a pole: |w| from 1e-15 to
+    # 0.5 in every direction, and on both sides of the switch at |w| = 0.5.
+    rng = np.random.default_rng(31)
+    ws = 10.0 ** rng.uniform(-15.0, math.log10(0.5), 400) \
+        * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 400))
+    for w in ws.tolist() + [0.5, -0.5j, 0.5 + 1e-3j]:
+        want = complex(mpmath.expm1(mpmath.mpc(w)))
+        assert abs(complexfn._expm1c(w) - want) <= 2e-15 * abs(want), w
+
+
+def test_series_coefficients_are_the_bernoulli_ratios():
+    # Each is one int / int from B_2n = p / q, so bit for bit these values.
+    assert complexfn._LG_COEFF == (
+        1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+        -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0,
+        43867.0 / 244188.0, -174611.0 / 125400.0,
+    )
+    assert complexfn._DG_COEFF == (
+        1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+        1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0,
+    )
+    assert complexfn._TG_COEFF == (
+        1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
+        5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0,
+    )
+
+
 # --------------------------------------------------------- digamma/trigamma
 
 def test_digamma_known_values():

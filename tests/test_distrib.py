@@ -27,7 +27,6 @@ from weaklim.distrib import (
     mellin_inverse_sweep,
     mellin_reg_forward,
     _binomial_tail,
-    _mellin_far,
     _mellin_forward_grid,
     omega_eps,
 )
@@ -432,9 +431,9 @@ def test_mellin_grid_cosine_blocks_are_bounded(monkeypatch):
     grid = _mellin_forward_grid(np.concatenate([-taus, taus]), 0.01, 1.0)
     assert grid.shape == (1240,)
     # 620 distinct |tau| in blocks of at most 32 rows, one block at a time,
-    # over 10 panels of 21 nodes on [ln 2, _mellin_far(1) = 7.25].
+    # over 2 panels of 21 nodes on [0, ln 4].
     assert len(shapes) == 20
-    assert all(rows <= distrib._MELLIN_ROWS == 32 and nodes == 210 for rows, nodes in shapes)
+    assert all(rows <= distrib._MELLIN_ROWS == 32 and nodes == 42 for rows, nodes in shapes)
 
 
 def test_mellin_sweep_value_does_not_depend_on_the_batch(monkeypatch):
@@ -464,39 +463,6 @@ def _half_tail(a: complex, s: complex, sign: float, u0: float) -> complex:
             break
         bk = bk * (k + 1 - s) / (-sign * (k + 1))
     return acc
-
-
-def test_mellin_tail_is_the_conjugate_pair_of_half_tails():
-    # At the grid's window end for |tau| <= 3 and at the scalar route's own.
-    taus = np.linspace(-3.0, 3.0, 25)
-    for eps in (1e-5, 1e-2, 0.3):
-        a = eps + 1j * taus
-        grid = 2.0 * _binomial_tail(a, a.conj(), -1.0, _mellin_far(3.0)).real
-        for t, g in zip(taus.tolist(), grid.tolist()):
-            a = complex(eps, t)
-            alone = 2.0 * _binomial_tail(a, a.conjugate(), -1.0, _mellin_far(t)).real
-            for far, got in ((_mellin_far(3.0), g), (_mellin_far(t), alone)):
-                plus = _half_tail(a, a.conjugate(), -1.0, far)
-                minus = _half_tail(a.conjugate(), a, -1.0, far)
-                assert abs(got - (plus + minus).real) <= 1e-15 * abs(plus)
-                assert abs((plus + minus).imag) <= 1e-15 * abs(plus)
-
-
-@pytest.mark.parametrize("reach", [0.0, 1.0, 4.0, 100.0, 1e4])
-def test_mellin_far_keeps_the_tail_to_seven_terms(monkeypatch, reach):
-    # The tail's term ratio e^-far max(1, |1 - s|) with s = eps - i tau, for
-    # every |tau| <= reach: at most 1e-3 (up to rounding), so the tail sums 7
-    # terms or fewer.
-    far = _mellin_far(reach)
-    lengths = []
-    arange = np.arange
-    monkeypatch.setattr(np, "arange", lambda n: lengths.append(n) or arange(n))
-    for eps in (1e-5, 0.1, 0.49):
-        for tau in (0.0, 0.5 * reach, reach):
-            assert math.exp(-far) * max(1.0, math.hypot(1.0 - eps, tau)) <= 1e-3 * (1.0 + 1e-12)
-            a = complex(eps, tau)
-            _binomial_tail(a, a.conjugate(), -1.0, far)
-    assert len(lengths) == 9 and max(lengths) <= 7
 
 
 def test_mellin_grid_matches_mpmath_on_ladder():
@@ -575,7 +541,7 @@ def test_mellin_routes_match_beta_reg_on_ladder():
 def test_mellin_forward_fast_oscillation():
     # The window adapts to a period finer than the initial partition can
     # afford.
-    for tau, eps in ((100.0, 0.1), (300.0, 1e-5)):
+    for tau, eps in ((100.0, 0.1), (300.0, 1e-5), (1000.0, 0.1)):
         want = beta_reg(tau, eps).real
         got = mellin_reg_forward(tau, eps)
         assert abs(got - want) <= max(1e-12, 1e-11 * abs(want)), (tau, eps)
@@ -583,7 +549,7 @@ def test_mellin_forward_fast_oscillation():
 
 def test_mellin_forward_past_the_subdivision_budget_raises():
     with pytest.raises(ConvergenceError):
-        mellin_reg_forward(1000.0, 0.1)
+        mellin_reg_forward(1e4, 0.1)
 
 
 def test_mellin_forward_sweep_reaches_two_pi():

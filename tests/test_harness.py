@@ -26,6 +26,7 @@ from weaklim.claims import (
 from weaklim.complexfn import DomainError
 from weaklim.config import RunConfig, build_run_config, load_config_file
 from weaklim.distrib import EpsilonLadder
+from weaklim.quad import QuadratureSpec
 from weaklim.report import relation_grid_csv, verdicts_to_csv, verdicts_to_json
 
 CLI = [sys.executable, "-m", "weaklim"]
@@ -44,10 +45,10 @@ EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
 # plane (E12, E21, E22, E25, E31), the closed-form tails of the half-line
 # integrals (E03, E45, E47, E49, E53, E54), the end rule of the Euler
 # integral (E04), the binomial tails summed over all terms at once (E03, E16),
-# the kit's routes and the Mellin window's end where its tail takes 7 terms
-# (E16) moved last digits after that record was taken.
+# the kit's routes and the Mellin grid's move to the half-line Beta form on
+# [0, ln 4] (E16) moved last digits after that record was taken.
 VERIFY_ALL_SHA256 = {
-    "2.4.6": "89f89f869e7d2b6caf947a10aa647c72dc2cc8178cd2ded0809fd2f8ddb969f6",
+    "2.4.6": "e8e37ef6d2c8f58af99d54adfdcf130e37a6e8e756efcff36c917c220a346ace",
 }
 # OpenBLAS kernels other than this host's, one per level child in turn; the
 # child at the lowest dispatched level (X86_V3 with numpy 2.4) takes Haswell,
@@ -280,6 +281,8 @@ def test_z_sweep_near_one_ratio_column():
     # The leading-log ratio climbs toward 1 as z - 1 falls.
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert 0.9 < ratios[-1] < 1.0
+    # Each ratio's stated error is the q_nu quadrature's relative contract.
+    assert [e for (_, _, e, _) in rows] == [QuadratureSpec().rel_tol * r for r in ratios]
 
 
 def test_nu_sweep_ratio_rows():
@@ -288,6 +291,8 @@ def test_nu_sweep_ratio_rows():
     assert [p for (p, _, _, _) in rows] == [10.0, 50.0, 250.0]
     devs = [d for (_, _, _, d) in rows]
     assert devs[0] > devs[-1]  # approaching the kernel-width constant
+    assert [e for (_, _, e, _) in rows] == [QuadratureSpec().rel_tol * abs(v)
+                                            for (_, v, _, _) in rows]
 
 
 def test_sweep_choices_are_the_claims_own():

@@ -95,8 +95,8 @@ MUTANTS = [
      lambda: edited(distrib, "_mellin_forward_grid", " * ww).sum(axis=1)", " @ ww)"),
      test_distrib.test_mellin_grid_value_does_not_depend_on_the_batch),
     ("mellin-grid-tail-at-36", distrib, "_mellin_forward_grid",
-     lambda: edited(distrib, "_mellin_forward_grid", "_binomial_tail(a, a.conj(), -1, far)",
-                    "_binomial_tail(a, a.conj(), -1, 36.0)"),
+     lambda: edited(distrib, "_mellin_forward_grid", "1.0 - 2.0 * eps, 1.0, cut)",
+                    "1.0 - 2.0 * eps, 1.0, 36.0)"),
      test_distrib.test_mellin_grid_matches_mpmath_on_ladder),
     ("tail-numpy-mul", distrib, "_binomial_tail",
      lambda: edited(distrib, "_binomial_tail", "_times(np.exp(-a * cut), terms.sum(axis=-1))",
@@ -120,9 +120,8 @@ MUTANTS = [
      functools.partial(test_complexfn.test_log_gamma_matches_mpmath, 0.25 + 0j)),
     ("beta-reg-scaled", distrib, "beta_reg", lambda: scaled(distrib.beta_reg, 1.005),
      test_distrib.test_beta_reg_values),
-    ("mellin-tail-dropped", distrib, "mellin_reg_forward",
-     lambda: edited(distrib, "mellin_reg_forward", "_MELLIN_CUT, tail, spec",
-                    "_MELLIN_CUT, 0.0, spec"),
+    ("mellin-tail-dropped", distrib, "beta_semi_infinite",
+     lambda: edited(distrib, "beta_semi_infinite", "cut, tail, spec", "cut, 0.0, spec"),
      test_distrib.test_mellin_forward_matches_closed_form),
     # The per-term loop reference reads _CONSECUTIVE_SMALL too, so the stop
     # rule is checked against mpmath instead.
