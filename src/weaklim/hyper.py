@@ -73,8 +73,9 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     cover the rest) and rel_tol in (0, 1), else DomainError.  The sum stops
     once 50 consecutive terms fall below rel_tol times the partial sum; a
     non-finite sum, or no stop within _MAX_TERMS terms, raises SeriesError.
-    Numpy chunks of 256 terms, doubling to 4096, round through complexfn's kit as
-    ``term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z; total += term``.
+    Numpy chunks of 256 terms, doubling to 4096, round as CPython's complex
+    ``term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z; total += term``:
+    in float64 when every imaginary part is zero, else through complexfn's kit.
     """
     a, b, c, z = (complex(v) for v in (a, b, c, z))
     for name, v in zip("abcz", (a, b, c, z)):
@@ -87,44 +88,62 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     if r > _MAX_ABS_Z:
         raise DomainError("|z| <= 1 - 1e-4",
                           f"|z| = {r:.6f} is too close to the unit circle")
-    total = term = 1.0 + 0j
+    if not (a.imag or b.imag or c.imag or z.imag):  # a real series: float64 chunks
+        a, b, c, z = a.real, b.real, c.real, z.real
+    total = term = type(z)(1.0)  # the chunks take term's dtype
     start, size, budget, last = 0, _FIRST_CHUNK, _MAX_TERMS, -1.0
     with np.errstate(all="ignore"):
         while start < budget:
             n = np.arange(start, min(start + size, budget), dtype=float)
-            terms = np.multiply.accumulate(_ratios(term, a, b, c, z, n))
+            ratios = _ratios(term, a, b, c, z, n)
+            terms = np.multiply.accumulate(ratios)
             sums = terms.copy()
             sums[0] = total
             terms, sums = terms[1:], np.add.accumulate(sums)[1:]
             # Term n is quiet unless |term| > rel_tol |total|, and last is the
             # latest loud n; a non-finite sum is quiet and stays non-finite.
-            loud = (np.hypot(terms.real, terms.imag)
-                    > rel_tol * np.hypot(sums.real, sums.imag))
+            loud = _modulus(terms) > rel_tol * _modulus(sums)
             last = np.maximum.accumulate(np.where(loud, n, last))
             stop = np.flatnonzero(n - last >= _CONSECUTIVE_SMALL)
             k = stop[0] if stop.size else -1
             if not cmath.isfinite(sums[k]):
                 k = np.argmin(np.isfinite(sums))
+                partial = complex(sums[k])
+                if ratios.dtype != complex and not math.isfinite(ratios[k + 1]):
+                    # CPython's complex product takes inf * 0 into the imaginary
+                    # part: a non-finite real ratio makes the loop's term NaN.
+                    partial = complex(math.nan, math.nan)
                 raise SeriesError("hypergeometric series is not finite",
-                                  complex(sums[k]), start + int(k) + 1)
+                                  partial, start + int(k) + 1)
             if stop.size:
                 return complex(sums[k])
-            term, total, last = complex(terms[-1]), complex(sums[-1]), last[-1]
+            term, total, last = terms[-1], sums[-1], last[-1]
             start, size = start + len(n), min(2 * size, _MAX_CHUNK)
-    raise SeriesError("hypergeometric series did not converge", total, budget)
+    raise SeriesError("hypergeometric series did not converge", complex(total), budget)
 
 
-def _ratios(term: complex, a: complex, b: complex, c: complex, z: complex, n):
-    """term, then (a + n)(b + n) / ((c + n)(n + 1.0)) * z as CPython rounds it,
-    by complexfn's kit, with (c + n)(n + 1.0) as a real scaling: signs of zero
-    may differ, and no partial sum keeps one.
+def _ratios(term, a, b, c, z, n):
+    """term, then (a + n)(b + n) / ((c + n)(n + 1.0)) * z as CPython's complex
+    arithmetic rounds it, in term's dtype.  Real operands take real * and /,
+    which round as CPython's complex * and Smith / with zero imaginary parts.
+    Complex ones take complexfn's kit, with (c + n)(n + 1.0) as a real scaling:
+    signs of zero may differ, and no partial sum keeps one.
     """
     m = n + 1.0
-    q = _cdiv(*_cmul(a.real + n, a.imag, b.real + n, b.imag), (c.real + n) * m, c.imag * m)
-    out = np.empty(len(n) + 1, dtype=complex)
+    out = np.empty(len(n) + 1, dtype=type(term))
     out[0] = term  # leads the running product
+    if out.dtype != complex:
+        out[1:] = (a + n) * (b + n) / ((c + n) * m) * z
+        return out
+    q = _cdiv(*_cmul(a.real + n, a.imag, b.real + n, b.imag), (c.real + n) * m, c.imag * m)
     out.real[1:], out.imag[1:] = _cmul(*q, z.real, z.imag)
     return out
+
+
+def _modulus(x):
+    """|x| elementwise: np.abs of a real array, np.hypot of a complex one's parts
+    (numpy's complex absolute is SIMD code)."""
+    return np.hypot(x.real, x.imag) if x.dtype == complex else np.abs(x)
 
 
 def gauss_sum(a, b, c) -> complex:

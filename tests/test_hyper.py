@@ -183,18 +183,67 @@ def test_chunked_series_matches_loop_over_bench_domain():
         assert _outcome(hyp2f1, *args) == _outcome(_loop_hyp2f1, *args), args
 
 
+def test_real_series_matches_loop():
+    # Real a, b, c and z sum in float64 chunks.  The draws: negative a and b,
+    # every eighth series terminating (a a non-positive integer), c in
+    # (0.25, 20], and z of either sign with |z| up to 1 - 1e-4 (one draw in
+    # 50 within 0.1 of 1, and z = -(1 - 1e-4)).  Then the overflows: a term
+    # that overflows is (inf, +-0) in CPython's complex arithmetic, as in
+    # float64, while a ratio that overflows (a product, a quotient by a small
+    # c, or after a zero term) turns the loop's term to (nan, nan), as inf * 0
+    # lands in its imaginary part.
+    rng = np.random.default_rng(21)
+    draws = []
+    for i, (ar, br, cr, r, s) in enumerate(rng.uniform(size=(2000, 5))):
+        a = -60.0 + 120.0 * ar if i % 8 else -float(int(40.0 * ar))
+        mag = 1.0 - 10.0 ** (-1.0 - 3.0 * r) if i % 50 == 0 else 0.9 * math.sqrt(r)
+        draws.append((a, -10.0 + 20.0 * br, 20.0 - 19.75 * cr, math.copysign(mag, s - 0.5)))
+    draws.append((-3.5, 1.5, 12.0, -(1.0 - 1e-4)))
+    for args in draws + [(200.0, 200.0, 1.0, 0.9), (1e200, 1e200, 1.0, 0.5),
+                         (1e150, -1e150, -1e-9, -0.5), (-2.0, 1e307, 1.0, 1e-300)]:
+        assert _outcome(hyp2f1, *args) == _outcome(_loop_hyp2f1, *args), args
+
+
+@pytest.mark.parametrize("args, dtype", [
+    ((0.5, 0.25, 2.0, 0.9), float),
+    ((0.5, 0.25, 2.0, 0.6 + 0.6j), complex),
+    ((0.5 + 1e-9j, 0.25, 2.0, 0.9), complex),
+    ((0.5, 0.25 - 1e-9j, 2.0, 0.9), complex),
+    ((0.5, 0.25, 2.0 + 1e-9j, 0.9), complex),
+    ((0.5, 0.25, 2.0, 0.9 - 1e-9j), complex),
+], ids=["real", "complex-z", "imag-a", "imag-b", "imag-c", "imag-z"])
+def test_series_dtype_follows_the_arguments(args, dtype):
+    # Only all-zero imaginary parts take the float64 chunks; one non-zero
+    # part, however small, keeps the complex chunks.  The spy goes in by a
+    # MonkeyPatch context, as the mutation catalog calls this test directly.
+    seen = set()
+
+    def spy(*a):
+        out = ratios(*a)
+        seen.add(out.dtype)
+        return out
+
+    ratios = hyper._ratios
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyper, "_ratios", spy)
+        got = _outcome(hyp2f1, *args)
+    assert seen == {np.dtype(dtype)}
+    assert got == _outcome(_loop_hyp2f1, *args)
+
+
 @pytest.mark.parametrize("args", [
     (1.5 + 0.5j, -2.25 + 1j, 0.5 + 20j, 0.7 + 0.2j),
     (3.0 + 1j, 2.0 - 1j, -30.5 + 2j, -0.6 + 0.5j),
     (-7.0, 1.5 + 0.5j, 2.25, 0.8 - 0.3j),
     (200.0, 200.0, 1.0, 0.9),
+    (200.0 + 1e-9j, 200.0, 1.0, 0.9),
     (complex(-3.0, -0.0), complex(2.5, -0.0), complex(-2.5, -0.0), complex(-0.5, -0.0)),
     (0.3 + 1j, -2.5, 4.0, complex(-0.0, -0.0)),
     *[(a, b, c, 1 - 1e-4) for a, b, c in
       [(1, 1, 3), (0.5, 0.25, 2), (2, 1, 4.5), (0.5, 1, 3), (1.5, 0.5, 3.25)]],
 ], ids=["smith-imag-branch", "smith-imag-branch-mid-chunk", "terminating",
-        "non-finite-in-second-chunk", "signed-zeros", "zero-z",
-        "e18-1", "e18-2", "e18-3", "e18-4", "e18-5"])
+        "non-finite-in-second-chunk", "non-finite-in-second-chunk-complex",
+        "signed-zeros", "zero-z", "e18-1", "e18-2", "e18-3", "e18-4", "e18-5"])
 def test_chunked_series_matches_loop(args):
     # Smith's |Im d| > |Re d| branch holds for n < 19.5 with c = 0.5 + 20i,
     # and for 28.5 < n < 32.5 with c = -30.5 + 2i.  Signs of zero never

@@ -127,6 +127,14 @@ MUTANTS = [
     # rule is checked against mpmath instead.
     ("hyp2f1-stop-3-quiet", hyper, "_CONSECUTIVE_SMALL", lambda: 3,
      functools.partial(test_hyper.test_series_waits_out_a_quiet_stretch, 80.0)),
+    ("hyp2f1-real-route-ignores-z-imag", hyper, "hyp2f1",
+     lambda: edited(hyper, "hyp2f1", "or c.imag or z.imag", "or c.imag"),
+     functools.partial(test_hyper.test_series_dtype_follows_the_arguments,
+                       (0.5, 0.25, 2.0, 0.9 - 1e-9j), complex)),
+    ("hyp2f1-real-ratio-reordered", hyper, "_ratios",
+     lambda: edited(hyper, "_ratios", "(a + n) * (b + n) / ((c + n) * m) * z",
+                    "(a + n) / (c + n) * (b + n) / m * z"),
+     test_hyper.test_real_series_matches_loop),
     ("hyp2f1-rel-tol-1e-6", hyper, "hyp2f1",
      lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
      test_hyper.test_series_matches_mpmath),
