@@ -24,6 +24,7 @@ from .quad import (
     QuadratureSpec,
     integrate_finite,
     integrate_pairing,
+    integrate_pairings,
     integrate_semi_infinite,
 )
 from .distrib import (
@@ -57,6 +58,7 @@ from .legendre import (
     EtaSolution,
     LargeNuAsymptotics,
     adjudicate_relation,
+    adjudicate_relations,
     asymptotic_large_nu,
     near_one_laws,
     q_nu,

@@ -364,12 +364,8 @@ _RELATION_GRID = [(nu, tau, z)
 
 def _relation_runner(grid):
     def run(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-        out = []
-        for nu, tau, z in grid:
-            v = legendre.adjudicate_relation(nu, tau, z)
-            out.append(_verdict(claim, cfg, v.point, v.deviation,
-                                claim.tolerance, extra=v.extra))
-        return out
+        return [_verdict(claim, cfg, v.point, v.deviation, claim.tolerance, extra=v.extra)
+                for v in legendre.adjudicate_relations(grid)]
     return run
 
 

@@ -153,31 +153,46 @@ def _log_gamma_right(z: complex) -> complex:
     return (z - 0.5) * cmath.log(z) - z + _LN_SQRT_2PI + w * s - acc
 
 
-def _log_gamma_right_array(x: float, y) -> np.ndarray:
-    """_log_gamma_right(complex(x, t)) for a float x > 0 and each t of y.
+def _log_gamma_right_array(x, y) -> np.ndarray:
+    """_log_gamma_right(complex(x, t)) for each t of a 1-d y, at a float x > 0
+    or at each x > 0 of an array shaped like y.
 
     Bit for bit, up to signs of zero: the same steps, with products and 1/z
     through the kit (_cmul, _cdiv), and cmath.log where np.log may differ.
+    An array x runs in groups of one shift count, each building its rows by
+    the scalar recurrence's repeated ``+ 1.0``; x's that all take as many
+    steps as the smallest one are a single group.
     """
     y = np.asarray(y, dtype=float)
     # Non-finite t, the pole and |t| > 1e305 (t ln t overflows) take the scalar
     # routine: it raises as log_gamma does, or gives inf where numpy would warn.
     edge = ~((np.abs(y) > _POLE_TOL) & (np.abs(y) <= 1e305))
     if edge.any():
+        xs = np.broadcast_to(x, y.shape)
         out = np.empty(y.shape, complex)
-        out[edge] = [_log_gamma_right(_check_pole(complex(x, t))) for t in y[edge]]
-        out[~edge] = _log_gamma_right_array(x, y[~edge])
+        out[edge] = [_log_gamma_right(_check_pole(complex(a, t)))
+                     for a, t in zip(xs[edge].tolist(), y[edge].tolist())]
+        out[~edge] = _log_gamma_right_array(xs[~edge] if np.ndim(x) else x, y[~edge])
         return out
     shifts = []  # Re z at each `z += 1.0` of the scalar recurrence
-    while x < _SERIES_EDGE:
+    low = x.min(initial=math.inf) if np.ndim(x) else x  # the smallest x steps most
+    while low < _SERIES_EDGE:
         shifts.append(x)
-        x += 1.0
-    rows = np.array(shifts)[:, None] + 1j * y
-    # np.log rounds as cmath.log off the square max(|Re|, |Im|) < 2, not on it.
-    near = np.maximum(np.abs(rows.real), np.abs(rows.imag)) < 2.0
-    logs = np.log(rows, out=np.empty_like(rows), where=~near)
-    logs[near] = np.fromiter(map(cmath.log, rows[near].tolist()), complex)
-    acc = np.add.accumulate(logs, axis=0)[-1] if shifts else 0j  # in order
+        x, low = x + 1.0, low + 1.0
+    if np.ndim(x) and shifts and not (late := shifts[-1] < _SERIES_EDGE).all():
+        # Some x took fewer steps than the smallest: one group each way.
+        out = np.empty(y.shape, complex)
+        for group in (late, ~late):
+            out[group] = _log_gamma_right_array(shifts[0][group], y[group])
+        return out
+    acc = 0j
+    if shifts:
+        rows = np.array(shifts).reshape(len(shifts), -1) + 1j * y
+        # np.log rounds as cmath.log off the square max(|Re|, |Im|) < 2, not on it.
+        near = np.maximum(np.abs(rows.real), np.abs(rows.imag)) < 2.0
+        logs = np.log(rows, out=np.empty_like(rows), where=~near)
+        logs[near] = np.fromiter(map(cmath.log, rows[near].tolist()), complex)
+        acc = np.add.accumulate(logs, axis=0)[-1]  # in order
     z = x + 1j * y
     w = np.empty_like(z)
     w.real, w.imag = _cdiv(1.0, 0.0, z.real, z.imag)

@@ -42,6 +42,7 @@ from .quad import (
     _X_HI,
     QuadratureSpec,
     integrate_pairing,
+    integrate_pairings,
     integrate_semi_infinite,
 )
 
@@ -213,17 +214,10 @@ def _fit_sweep(params, values, errs) -> tuple[complex, float]:
     return limit, order
 
 
-def _ladder_sweep(params, measure) -> PairingSweepResult:
-    """Measure each ladder parameter in order and fit the limit.
-
-    ``measure(p)`` returns (value, error estimate) at parameter p.
-    """
+def _ladder_sweep(params, measured) -> PairingSweepResult:
+    """Fit the limit of the (value, error estimate) measured at each ladder parameter."""
     params = list(params)
-    values, errs = [], []
-    for p in params:
-        value, err = measure(p)
-        values.append(value)
-        errs.append(err)
+    values, errs = (list(col) for col in zip(*measured))
     limit, order = _fit_sweep(params, values, errs)
     pts = tuple((float(p), complex(v), float(er))
                 for p, v, er in zip(params, values, errs))
@@ -233,12 +227,15 @@ def _ladder_sweep(params, measure) -> PairingSweepResult:
 def _pairing_ladder(kernel, probe: Probe, interval: tuple[float, float],
                     ladder: EpsilonLadder | None,
                     spec: QuadratureSpec) -> PairingSweepResult:
-    """Pair kernel(ts, eps) with a probe at each ladder eps, panels down to eps / 4."""
-    def measure(eps):
-        res = integrate_pairing(probe, lambda ts: kernel(ts, eps), *interval,
-                                spec, origin_scale=eps / 4.0)
-        return res.value, res.error_estimate
-    return _ladder_sweep((ladder or EpsilonLadder.default()).values, measure)
+    """Pair kernel(ts, eps) with a probe at each ladder eps, panels down to eps / 4.
+
+    One integrate_pairings pass: a single kernel call, with each node's eps,
+    seeds every rung, and each rung bisects with its own eps, so a kernel
+    takes eps as a float or as an array shaped like ts.
+    """
+    eps = (ladder or EpsilonLadder.default()).values
+    rungs = integrate_pairings(probe, kernel, *interval, [(e, e / 4.0) for e in eps], spec)
+    return _ladder_sweep(eps, [(r.value, r.error_estimate) for r in rungs])
 
 
 # ---------------------------------------------------------------- beta family
@@ -271,39 +268,57 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
     return integrate_semi_infinite(f, cut, tail, spec, osc_freq=freq).value
 
 
-def beta_reg(tau, eps: float):
+def beta_reg(tau, eps):
     """B(eps + i tau, eps - i tau) = |Gamma(eps + i tau)|^2 / Gamma(2 eps).
 
     Euler's Beta at those two arguments, evaluated through conjugate
     symmetry: log_gamma(eps -+ i tau) sum to 2 Re log_gamma(eps + i tau).  An
-    array tau takes one array log-gamma call over its distinct |tau|, with
-    the scalar route's bits, and one log-gamma for Gamma(2 eps).  The value
-    is real, returned as a complex; a scalar tau gives a scalar.
+    array tau, with a float eps or one eps per node, takes one array
+    log-gamma call over its distinct (eps, |tau|), with the scalar route's
+    bits, and one log-gamma for Gamma(2 eps) per distinct eps.  The value is
+    real, returned as a complex; a scalar tau gives a scalar.
     """
-    if not eps > 0.0:
-        raise DomainError("eps > 0")
-    lg_2eps = log_gamma(complex(2.0 * eps)).real
     taus = np.asarray(tau, dtype=float)
     if taus.ndim == 0:
+        if not eps > 0.0:
+            raise DomainError("eps > 0")
+        lg_2eps = log_gamma(complex(2.0 * eps)).real
         return cmath.exp(2.0 * log_gamma(complex(eps, float(taus))).real - lg_2eps)
-    # Through numpy's complex exp, as _rx: it rounds as cmath.exp at every level.
-    return _even_in_tau(lambda mags: np.exp((
-        2.0 * _log_gamma_right_array(eps, mags).real - lg_2eps).astype(complex)), taus)
+    if not np.all(np.greater(eps, 0.0)):
+        raise DomainError("eps > 0")
+
+    def node(x, mags):
+        lg_2eps = _per_eps(lambda e: log_gamma(complex(2.0 * e)).real, x)
+        # Through numpy's complex exp, as _rx: it rounds as cmath.exp at every level.
+        return np.exp((2.0 * _log_gamma_right_array(x, mags).real - lg_2eps).astype(complex))
+
+    return _even_in_tau(node, taus, eps)
 
 
-def _even_in_tau(node: Callable, tau, conj: bool = False):
-    """An even kernel at each tau, evaluated once per distinct |tau|.
+def _even_in_tau(node: Callable, tau, eps, conj: bool = False):
+    """An even kernel at each (tau, eps), evaluated once per distinct (eps, |tau|).
 
-    ``node`` maps the 1-d array of distinct |tau|, ascending, to the kernel
-    there; with ``conj`` the kernel is conjugate-even instead,
-    K(-tau) = conj K(tau).  The result has the shape of tau.
+    ``node(x, mags)`` maps the 1-d array of distinct |tau| to the kernel
+    there, at x = eps for a float eps, and else at x, the eps of each;
+    with ``conj`` the kernel is conjugate-even instead, K(-tau) = conj K(tau).
+    The result has the shape of tau.
     """
     taus = np.asarray(tau, dtype=float)
-    mags, where = np.unique(np.abs(taus).ravel(), return_inverse=True)
-    out = node(mags)[where].reshape(taus.shape)
+    keys = np.empty(taus.size, complex)  # sorted by eps, then |tau|
+    keys.real, keys.imag = np.broadcast_to(eps, taus.shape).ravel(), np.abs(taus).ravel()
+    keys, where = np.unique(keys, return_inverse=True)
+    out = node(keys.real if np.ndim(eps) else eps, keys.imag)[where].reshape(taus.shape)
     if conj:
         np.conjugate(out, out=out, where=taus < 0.0)
     return out
+
+
+def _per_eps(f, x):
+    """f(x) for a float x; for an array, f at each distinct eps of x, spread over x."""
+    if not np.ndim(x):
+        return f(x)
+    eps, where = np.unique(x, return_inverse=True)
+    return np.array([f(e) for e in eps.tolist()])[where]
 
 
 # ----------------------------------------------------------- delta pairings
@@ -369,7 +384,7 @@ def mellin_reg_forward(tau: float, eps: float,
     return complex(beta_semi_infinite(a, a.conjugate(), spec).real)
 
 
-def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarray:
+def _mellin_forward_grid(taus: np.ndarray, eps, reach: float) -> np.ndarray:
     """Vectorized forward Mellin values on a fixed composite panel rule.
 
     beta_semi_infinite's form at a = eps + i tau, b = conj a, summed as one
@@ -379,9 +394,16 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarr
     the closed-form tail; once per distinct |tau|, in blocks of _MELLIN_ROWS
     rows.  The pairing sweep sets ``reach`` from its window, and a row sum
     sees no other row, so a node's value does not depend on its batch;
-    validated against the adaptive scalar route in the tests.
+    validated against the adaptive scalar route in the tests.  One eps per
+    tau runs as one such rule per distinct eps.
     """
     taus = np.asarray(taus, dtype=float)
+    if np.ndim(eps):
+        out = np.empty(taus.shape)
+        for e in np.unique(eps).tolist():
+            at = eps == e
+            out[at] = _mellin_forward_grid(taus[at], e, reach)
+        return out
     cut = math.log(4.0)
     width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
     n_panels = int(math.ceil(cut / width))
@@ -393,14 +415,14 @@ def _mellin_forward_grid(taus: np.ndarray, eps: float, reach: float) -> np.ndarr
     # e^-v >= 1/4, where numpy's complex log1p is accurate (it is not near 0).
     ww = w * 2.0 * _rx(np.exp, -eps * v - 2.0 * eps * _rx(np.log1p, _rx(np.exp, -v)))
 
-    def transform(mags):
+    def transform(eps, mags):
         out = np.empty(mags.size)
         for i in range(0, mags.size, _MELLIN_ROWS):
             out[i:i + _MELLIN_ROWS] = (np.cos(np.multiply.outer(
                 mags[i:i + _MELLIN_ROWS], v)) * ww).sum(axis=1)
         return out + 2.0 * _binomial_tail(eps + 1j * mags, 1.0 - 2.0 * eps, 1.0, cut).real
 
-    return _even_in_tau(transform, taus)
+    return _even_in_tau(transform, taus, eps)
 
 
 def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
@@ -458,5 +480,5 @@ def mellin_inverse_check(t: float, eps: float) -> complex:
 def mellin_inverse_sweep(t: float,
                          ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Mollified inverse values and estimates along the ladder; the limit targets 1."""
-    return _ladder_sweep((ladder or EpsilonLadder.default()).values,
-                         lambda eps: _mellin_inverse(t, eps))
+    eps = (ladder or EpsilonLadder.default()).values
+    return _ladder_sweep(eps, [_mellin_inverse(t, e) for e in eps])

@@ -32,9 +32,10 @@ from .distrib import (
     PairingSweepResult,
     Probe,
     _SWEEP_SPEC,
-    _ladder_sweep,
     _even_in_tau,
+    _ladder_sweep,
     _pairing_ladder,
+    _per_eps,
 )
 from .quad import integrate_pairing
 
@@ -70,9 +71,10 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     """2F1(a, b; c; z) by the power series, symmetric in a and b.
 
     Needs finite a, b, c, |z| <= 1 - 1e-4 (the unit-argument closed forms
-    cover the rest) and rel_tol in (0, 1), else DomainError.  The sum stops
-    once 50 consecutive terms fall below rel_tol times the partial sum; a
-    non-finite sum, or no stop within _MAX_TERMS terms, raises SeriesError.
+    cover the rest) and rel_tol in (0, 1), else DomainError; z = 0 gives
+    exactly 1.  The sum stops once 50 consecutive terms fall below rel_tol
+    times the partial sum; a non-finite sum, or no stop within _MAX_TERMS
+    terms, raises SeriesError.
     Numpy chunks of 256 terms, doubling to 4096, round as CPython's complex
     ``term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z; total += term``:
     in float64 when every imaginary part is zero, else through complexfn's kit.
@@ -88,6 +90,8 @@ def hyp2f1(a, b, c, z, *, rel_tol: float = 1e-13) -> complex:
     if r > _MAX_ABS_Z:
         raise DomainError("|z| <= 1 - 1e-4",
                           f"|z| = {r:.6f} is too close to the unit circle")
+    if r == 0.0:  # every term past the first is 0, however large a and b
+        return 1.0 + 0j
     if not (a.imag or b.imag or c.imag or z.imag):  # a real series: float64 chunks
         a, b, c, z = a.real, b.real, c.real, z.real
     total = term = type(z)(1.0)  # the chunks take term's dtype
@@ -167,39 +171,48 @@ def gauss_sum(a, b, c) -> complex:
 
 # ------------------------------------------------------ the imaginary family
 
-def family_closed_form(tau, eps: float):
+def family_closed_form(tau, eps):
     """Unit-argument value of the family: Gauss's sum, 1 identically at tau = 0.
 
     ``gauss_sum(2 i tau, eps + i tau, 2 eps + 2 i tau)`` term for term, with
-    log_gamma(eps - i tau) taken as the conjugate of log_gamma(eps + i tau):
-    two array log-gammas over the distinct nonzero |tau| (F(-tau) = conj F(tau))
-    and one for Gamma(2 eps) if any tau is nonzero.  A scalar tau gives a
-    scalar; past |tau| = 1e305, where they overflow, F has underflowed to 0.
+    log_gamma(eps - i tau) taken as the conjugate of log_gamma(eps + i tau).
+    An array tau, with a float eps or one eps per node, takes two array
+    log-gammas over the distinct (eps, |tau|) with tau nonzero
+    (F(-tau) = conj F(tau)), and one log-gamma for Gamma(2 eps) per distinct
+    eps of a nonzero tau.  A scalar tau gives a scalar; past |tau| = 1e305,
+    where they overflow, F has underflowed to 0.
     """
-    if not eps > 0.0:
-        raise DomainError("eps > 0")
     taus = np.asarray(tau, dtype=float)
-    lg_2eps = log_gamma(complex(2 * eps)) if np.count_nonzero(taus) else 0j
     if taus.ndim == 0:
+        if not eps > 0.0:
+            raise DomainError("eps > 0")
         t = float(taus)
         if t == 0.0:
             return 1.0 + 0j  # the four gamma factors cancel pairwise
+        lg_2eps = log_gamma(complex(2 * eps))
         if 1e305 < abs(t) < math.inf:
             return 0j
         lg_b = log_gamma(complex(eps, t))
         return cmath.exp(log_gamma(complex(2 * eps, 2 * t)) + lg_b.conjugate()
                          - lg_2eps - lg_b)
+    if not np.all(np.greater(eps, 0.0)):
+        raise DomainError("eps > 0")
 
-    def node(mags):
-        live = (mags != 0.0) & ~((1e305 < mags) & (mags < math.inf))
+    def node(x, mags):
+        at = lambda v, where: v[where] if np.ndim(v) else v  # a float eps stays one
         out = np.where(mags == 0.0, 1.0 + 0j, 0j)
-        t = mags[live]
-        lg_b = _log_gamma_right_array(eps, t)
-        out[live] = np.exp(_log_gamma_right_array(2 * eps, 2 * t)  # as cmath.exp
-                           + lg_b.conj() - lg_2eps - lg_b)
+        nonzero = mags != 0.0
+        x, t = at(x, nonzero), mags[nonzero]
+        # Gamma(2 eps) at each eps of a nonzero tau, as on the scalar route.
+        lg_2eps = _per_eps(lambda e: log_gamma(complex(2 * e)), x) if t.size else 0j
+        live = ~((1e305 < t) & (t < math.inf))
+        x, lg_2eps, t = at(x, live), at(lg_2eps, live), t[live]
+        lg_b = _log_gamma_right_array(x, t)
+        out[np.flatnonzero(nonzero)[live]] = np.exp(  # as cmath.exp
+            _log_gamma_right_array(2 * x, 2 * t) + lg_b.conj() - lg_2eps - lg_b)
         return out
 
-    return _even_in_tau(node, taus, conj=True)
+    return _even_in_tau(node, taus, eps, conj=True)
 
 
 def family_duplication_form(tau: float, eps: float) -> complex:
@@ -276,4 +289,4 @@ def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...]
             kern = lambda ts: np.exp(-1j * L * ts)
         res = integrate_pairing(probe, kern, *interval, _SWEEP_SPEC, osc_freq=L)
         return res.value, res.error_estimate
-    return _ladder_sweep(vals, measure)
+    return _ladder_sweep(vals, [measure(d) for d in vals])

@@ -41,6 +41,7 @@ __all__ = [
     "solve_eta",
     "relation_rhs",
     "adjudicate_relation",
+    "adjudicate_relations",
     "asymptotic_large_nu",
     "near_one_laws",
 ]
@@ -191,11 +192,14 @@ def solve_eta(nu: float, tau: float) -> EtaSolution:
 
 def relation_rhs(nu, tau: float, z) -> complex:
     """Right-hand side of the imaginary-order relation, from gamma and Q_nu."""
+    return _relation_factor(nu, tau) * q_nu(nu, z)
+
+
+def _relation_factor(nu, tau: float) -> complex:
+    """exp(-pi tau) Gamma(nu + i tau + 1) / Gamma(nu + 1), the relation's factor."""
     nu = complex(nu)
     t = float(tau)
-    pref = cmath.exp(-math.pi * t + log_gamma(nu + 1.0 + 1j * t)
-                     - log_gamma(nu + 1.0))
-    return pref * q_nu(nu, z)
+    return cmath.exp(-math.pi * t + log_gamma(nu + 1.0 + 1j * t) - log_gamma(nu + 1.0))
 
 
 def adjudicate_relation(nu, tau: float, z) -> ClaimVerdict:
@@ -204,24 +208,36 @@ def adjudicate_relation(nu, tau: float, z) -> ClaimVerdict:
     The deviation |lhs - rhs| / |lhs| is recorded, never judged: the verdict
     is always REPORTED, and a claim applies its own tolerance to it.
     """
-    lhs = q_nu_itau_direct(nu, tau, z)
-    rhs = relation_rhs(nu, tau, z)
-    dev = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    nu_c = complex(nu)
-    z_c = complex(z)
-    return ClaimVerdict(
-        claim="legendre-relation",
-        point=f"nu={nu_c.real:g}{nu_c.imag:+g}j;tau={float(tau):g};"
-              f"z={z_c.real:g}{z_c.imag:+g}j",
-        deviation=dev,
-        extra={
-            "nu_re": nu_c.real, "nu_im": nu_c.imag, "tau": float(tau),
-            "z_re": z_c.real, "z_im": z_c.imag,
-            "lhs_re": lhs.real, "lhs_im": lhs.imag,
-            "rhs_re": rhs.real, "rhs_im": rhs.imag,
-            "rel_dev": dev,
-        },
-    )
+    return adjudicate_relations([(nu, tau, z)])[0]
+
+
+def adjudicate_relations(grid) -> list[ClaimVerdict]:
+    """adjudicate_relation at each (nu, tau, z) of grid, in order, taking
+    Q_nu(z) once per distinct (nu, z)."""
+    q = {}
+    out = []
+    for nu, tau, z in grid:
+        lhs = q_nu_itau_direct(nu, tau, z)
+        if (nu, z) not in q:
+            q[nu, z] = q_nu(nu, z)
+        rhs = _relation_factor(nu, tau) * q[nu, z]
+        dev = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+        nu_c = complex(nu)
+        z_c = complex(z)
+        out.append(ClaimVerdict(
+            claim="legendre-relation",
+            point=f"nu={nu_c.real:g}{nu_c.imag:+g}j;tau={float(tau):g};"
+                  f"z={z_c.real:g}{z_c.imag:+g}j",
+            deviation=dev,
+            extra={
+                "nu_re": nu_c.real, "nu_im": nu_c.imag, "tau": float(tau),
+                "z_re": z_c.real, "z_im": z_c.imag,
+                "lhs_re": lhs.real, "lhs_im": lhs.imag,
+                "rhs_re": rhs.real, "rhs_im": rhs.imag,
+                "rel_dev": dev,
+            },
+        ))
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Adaptive complex-valued quadrature on embedded Gauss-Legendre panels.
 
-Three entry points cover the integral shapes used by the rest of the
-library, with no per-caller overrides:
+Three integral shapes are used by the rest of the library, with no
+per-caller overrides:
 
     integrate_finite         finite interval, algebraic endpoint behavior
     integrate_pairing        test function against a kernel family on a
-                             finite window, refined around the origin peak
+                             finite window, refined around the origin peak;
+                             integrate_pairings takes a ladder of them
     integrate_semi_infinite  [0, inf) with exponential decay: the pairing
                              window over [0, T] plus the caller's exact tail
 
@@ -24,12 +25,15 @@ its initial panels at half periods while they fit half the budget; a faster
 oscillation is left to bisection.
 
 Panels are evaluated in batches, one integrand call each: the initial
-partition of each piece, then the two halves of each bisection.  Integrands
-receive a numpy array of abscissae, the batch's nodes panel by panel, and
-must return an array of values (real or complex); values that each depend
-on their own abscissa only give the same result, bit for bit, as one call
-per panel, and at every SIMD level and BLAS kernel: the rules are row sums
-of products through complexfn's kit.  Everything here is pure and
+partition of each piece, then the two halves of each bisection.  A ladder of
+pairings, one integral per rung (p, origin_scale), shares one batch for the
+initial partitions of all its rungs, kernel(ts, ps) with each node's p; each
+rung then bisects in its own heap with kernel(ts, p).  Integrands receive a
+numpy array of abscissae, the batch's nodes panel by panel, and must return
+an array of values (real or complex); values that each depend on their own
+abscissa (and p) only give the same result, bit for bit, as one call per
+panel, and at every SIMD level and BLAS kernel: the rules are row sums of
+products through complexfn's kit.  Everything here is pure and
 deterministic; independent integrations may run concurrently.
 """
 
@@ -53,6 +57,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_pairing",
+    "integrate_pairings",
 ]
 
 _X_LO, _W_LO = np.polynomial.legendre.leggauss(10)
@@ -149,30 +154,43 @@ def _panels(f, spans):
         yield hi, abs(hi - lo)
 
 
-def _adaptive(pieces, spec: QuadratureSpec):
-    """Worst-panel bisection of (integrand, breakpoints, row) pieces, one heap.
+def _spans(breakpoints, row) -> list:
+    """The panels (a, b, row) between breakpoints: the first takes ``row``, the
+    rest _WEIGHTS."""
+    rows = itertools.chain([row], itertools.repeat(_WEIGHTS))
+    spans = [s for s in zip(breakpoints[:-1], breakpoints[1:], rows) if s[1] > s[0]]
+    if not spans:
+        raise DomainError("non-empty interval")
+    return spans
 
-    A piece's first panel takes ``row`` and a bisected panel's left half
-    keeps its row; every other panel takes _WEIGHTS.
+
+def _seed(pieces) -> list:
+    """The initial panels (a, b, row, value, error, f) of (f, breakpoints, row)
+    pieces, from one call of each piece's f."""
+    panels = []
+    for f, breakpoints, row in pieces:
+        spans = _spans(breakpoints, row)
+        panels += [(*span, *out, f) for span, out in zip(spans, _panels(f, spans))]
+    return panels
+
+
+def _adaptive(panels, spec: QuadratureSpec):
+    """Worst-panel bisection of evaluated panels (a, b, row, value, error, f), one heap.
+
+    A bisected panel's left half keeps its row and its right half takes
+    _WEIGHTS; both are evaluated by one call of the panel's own f.
     """
     heap = []
     seq = itertools.count()
 
-    def push(f, spans):
-        out = list(_panels(f, spans))
-        for (a, b, row), (val, err) in zip(spans, out):
-            heapq.heappush(heap, (-err, next(seq), a, b, row, val, err, f))
-        return out
+    def push(a, b, row, val, err, f):
+        heapq.heappush(heap, (-err, next(seq), a, b, row, val, err, f))
 
     def sums():
         return sum(item[5] for item in heap), sum(item[6] for item in heap)
 
-    for f, breakpoints, row in pieces:
-        rows = itertools.chain([row], itertools.repeat(_WEIGHTS))
-        spans = [s for s in zip(breakpoints[:-1], breakpoints[1:], rows) if s[1] > s[0]]
-        if not spans:
-            raise DomainError("non-empty interval")
-        push(f, spans)
+    for panel in panels:
+        push(*panel)
     evals = 31 * len(heap)
 
     scale = sum(abs(item[5]) for item in heap)
@@ -188,7 +206,9 @@ def _adaptive(pieces, spec: QuadratureSpec):
             )
         _, _, a, b, row, val, err, f = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = push(f, [(a, m, row), (m, b, _WEIGHTS)])
+        (v1, e1), (v2, e2) = _panels(f, [(a, m, row), (m, b, _WEIGHTS)])
+        push(a, m, row, v1, e1, f)
+        push(m, b, _WEIGHTS, v2, e2, f)
         evals += 62
         total += v1 + v2 - val
         err_total += e1 + e2 - err
@@ -225,14 +245,19 @@ def _breakpoints(a: float, b: float, inner: float | None = None,
     return sorted(pts)
 
 
-def _window(f, a: float, b: float, spec: QuadratureSpec | None, inner: float | None,
-            freq: float | None) -> IntegralResult:
-    """Adaptive pass over a finite [a, b]; half periods may take half the budget."""
-    spec = spec or DEFAULT_SPEC
+def _partition(a: float, b: float, spec: QuadratureSpec, inner: float | None,
+               freq: float | None) -> list[float]:
+    """Initial breakpoints of a finite [a, b]; half periods may take half the budget."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("finite interval [a, b]")
-    pts = _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
-    return _adaptive([(f, pts, _WEIGHTS)], spec)
+    return _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
+
+
+def _window(f, a: float, b: float, spec: QuadratureSpec | None, inner: float | None,
+            freq: float | None) -> IntegralResult:
+    """Adaptive pass over a finite [a, b] from its _partition."""
+    spec = spec or DEFAULT_SPEC
+    return _adaptive(_seed([(f, _partition(a, b, spec, inner, freq), _WEIGHTS)]), spec)
 
 
 def _default_edge(f, end: float, sign: float, name: str):
@@ -271,8 +296,8 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     # Each half in distance coordinates u = t - a (left) or u = b - t (right).
     left = left_edge or _default_edge(f, a, 1.0, "left_edge")
     right = right_edge or _default_edge(f, b, -1.0, "right_edge")
-    return _adaptive([(left, [0.0, mid - a], _end_weights(exps.left_p)),
-                      (right, [0.0, b - mid], _end_weights(exps.right_p))], spec)
+    return _adaptive(_seed([(left, [0.0, mid - a], _end_weights(exps.left_p)),
+                            (right, [0.0, b - mid], _end_weights(exps.right_p))]), spec)
 
 
 def integrate_semi_infinite(f, cut: float, tail: complex,
@@ -302,11 +327,38 @@ def integrate_pairing(phi, kernel, a: float, b: float,
     down to ``origin_scale`` (default 1e-6 (b - a)) so that a
     delta-approximant peak of that width cannot slip between coarse nodes.
     ``osc_freq`` is the integrand's angular frequency, if it oscillates.
+    This is the one-rung case of integrate_pairings.
     """
-    if origin_scale is not None and not origin_scale > 0.0:
-        raise DomainError("origin_scale > 0")
+    return integrate_pairings(phi, lambda ts, _: kernel(ts), a, b, [(None, origin_scale)],
+                              spec, osc_freq=osc_freq)[0]
 
-    def g(ts):
-        return np.asarray(phi(ts)) * np.asarray(kernel(ts))
 
-    return _window(g, a, b, spec, origin_scale or 1e-6 * (b - a), osc_freq)
+def integrate_pairings(phi, kernel, a: float, b: float, rungs,
+                       spec: QuadratureSpec | None = None, *,
+                       osc_freq: float | None = None) -> list[IntegralResult]:
+    """phi(tau) * kernel(tau, p) over [a, b] at each rung (p, origin_scale).
+
+    Each rung is its own integral, as integrate_pairing's with that
+    ``origin_scale``, and gives the same result bit for bit: one call
+    kernel(ts, ps), ps each node's p, evaluates the initial panels of every
+    rung, and each rung then bisects its worst panels in its own heap, with
+    kernel(ts, p).
+    """
+    spec = spec or DEFAULT_SPEC
+    pieces = []
+    for p, scale in rungs:
+        if scale is not None and not scale > 0.0:
+            raise DomainError("origin_scale > 0")
+        pts = _partition(a, b, spec, scale or 1e-6 * (b - a), osc_freq)
+        pieces.append((p, _spans(pts, _WEIGHTS)))
+
+    def integrand(p):
+        return lambda ts: np.asarray(phi(ts)) * np.asarray(kernel(ts, p))
+
+    ps = np.repeat([p for p, _ in pieces], [31 * len(spans) for _, spans in pieces])
+    seeds = iter(_panels(integrand(ps), [span for _, spans in pieces for span in spans]))
+    results = []
+    for p, spans in pieces:
+        f = integrand(p)
+        results.append(_adaptive([(*span, *next(seeds), f) for span in spans], spec))
+    return results

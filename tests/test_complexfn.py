@@ -2,12 +2,8 @@
 
 import cmath
 import math
-import os
-import subprocess
-import sys
 import warnings
 from itertools import product
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -148,45 +144,64 @@ def test_log_gamma_array_takes_the_scalar_route_past_the_overflow():
     assert beta_reg(ts, 0.1).tolist() == [beta_reg(t, 0.1) for t in ts.tolist()]
 
 
-_DISPATCH_CHILD = """
-import sys
-import numpy as np
-from weaklim.complexfn import _log_gamma_right_array
-from weaklim.distrib import beta_reg
-from weaklim.hyper import family_closed_form
-ts = np.frombuffer(sys.stdin.buffer.read())
-for v in (*(_log_gamma_right_array(x, ts) for x in (1e-5, 0.3, 1.5, 7.0)),
-          beta_reg(ts, 1e-3), family_closed_form(ts, 1e-3)):
-    sys.stdout.buffer.write(v.tobytes())
-"""
+def _shift_count(x: float) -> int:
+    """The `z += 1.0` steps the scalar recurrence takes from Re z = x."""
+    n = 0
+    while x < 10.0:
+        x += 1.0
+        n += 1
+    return n
 
 
-def test_array_kernels_give_the_same_bytes_at_every_dispatch_level():
+def test_log_gamma_array_at_one_x_per_node_matches_scalar_bit_for_bit():
+    # x over 1e-5..12 takes every shift count from 10 down to 0 (x >= 10
+    # takes none) in one call; t = 0 and |t| > 1e305 take the scalar route
+    # in place, and a non-finite t raises as it does.
+    rng = np.random.default_rng(43)
+    n = 30_000
+    xs = 10.0 ** rng.uniform(-5.0, math.log10(12.0), n)
+    ts = rng.uniform(-130.0, 130.0, n)
+    ts[rng.choice(n, 6, replace=False)] = [0.0, -0.0, 3e-15, 2e305, -1e306, 1.7e308]
+    assert {_shift_count(x) for x in xs.tolist()} == set(range(11))
+    got = _log_gamma_right_array(xs, ts)
+    want = np.array([_log_gamma_right(complex(x, t)) for x, t in zip(xs.tolist(), ts.tolist())])
+    bad = np.flatnonzero((got.real != want.real) | (got.imag != want.imag))
+    assert bad.size == 0, [(xs[i], ts[i], got[i], want[i]) for i in bad[:5]]
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="not finite"):
+            _log_gamma_right_array(xs[:3], [0.5, t, 1.0])
+
+
+def _kernel_nodes() -> np.ndarray:
+    """The array kernels' nodes in the dispatch-level children (conftest.py)."""
+    rng = np.random.default_rng(41)
+    return np.concatenate([rng.uniform(-2.0, 2.0, 1000), rng.uniform(-130.0, 130.0, 1000)])
+
+
+def kernel_payload(data: bytes) -> bytes:
+    """The array kernels' bytes at the nodes ts in data: log-gamma at four x and
+    at one x per node over 1e-5..12, then beta_reg and family_closed_form at
+    eps = 1e-3 and at one eps per node, the default ladder's in turn."""
+    import numpy as np
+    from weaklim.complexfn import _log_gamma_right_array
+    from weaklim.distrib import EpsilonLadder, beta_reg
+    from weaklim.hyper import family_closed_form
+    ts = np.frombuffer(data)
+    xs = 1e-5 + 12.0 / ts.size * np.arange(ts.size)  # the same bits at every level
+    eps = np.resize(EpsilonLadder.default().values, ts.size)
+    return b"".join(v.tobytes() for v in (
+        *(_log_gamma_right_array(x, ts) for x in (1e-5, 0.3, 1.5, 7.0)),
+        _log_gamma_right_array(xs, ts), beta_reg(ts, 1e-3), family_closed_form(ts, 1e-3),
+        beta_reg(ts, eps), family_closed_form(ts, eps)))
+
+
+def test_array_kernels_give_the_same_bytes_at_every_dispatch_level(dispatch_children):
     # Each numpy SIMD level this host can emulate, from all dispatch targets
     # off to only the highest one off, must give the bytes of this process.
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    targets = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
-    rng = np.random.default_rng(41)
-    ts = np.concatenate([rng.uniform(-2.0, 2.0, 1000), rng.uniform(-130.0, 130.0, 1000)])
-    want = b"".join(v.tobytes() for v in (
-        *(_log_gamma_right_array(x, ts) for x in (1e-5, 0.3, 1.5, 7.0)),
-        beta_reg(ts, 1e-3), family_closed_form(ts, 1e-3)))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    children = {}
-    for k, target in enumerate(targets):
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets[k:]),
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        children[target] = subprocess.Popen(
-            [sys.executable, "-c", _DISPATCH_CHILD], env=env,
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    for target, child in children.items():
-        out, err = child.communicate(ts.tobytes(), timeout=120)
-        assert child.returncode == 0, (target, err.decode())
-        assert out == want, f"bytes differ with {target} and above disabled"
+    want = kernel_payload(_kernel_nodes().tobytes())
+    for config, child in dispatch_children.items():
+        assert child.returncode == 0, (config, child.stderr)
+        assert child.kernels == want, f"bytes differ with {config} disabled"
 
 
 # ---------------------------------------------------- CPython-exact array kit

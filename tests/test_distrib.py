@@ -1,17 +1,13 @@
 """Delta approximants, regularized Beta, and the Mellin pair."""
 
 import cmath
-import inspect
 import math
-import subprocess
-import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from test_harness import CLI_ENV, dispatch_targets
-from weaklim import distrib, quad
+from weaklim import claims, distrib, hyper, quad
 from weaklim.complexfn import DomainError
 from weaklim.distrib import (
     PROBES,
@@ -289,6 +285,26 @@ def test_beta_reg_log_gamma_count(monkeypatch):
     assert arrays == []
 
 
+@pytest.mark.parametrize("claim_id, module, kernel, calls, nodes, arrays", [
+    ("E12-beta-delta", distrib, "beta_reg", 3, 5921, 3),
+    ("E31-weak-limit-2f1", hyper, "family_closed_form", 2, 4123, 4),
+])
+def test_pairing_claims_take_one_kernel_call_per_ladder(monkeypatch, claim_id, module,
+                                                        kernel, calls, nodes, arrays):
+    # No rung of the default ladder bisects, so each of the claim's ladders
+    # is one kernel call over every rung's initial panels, with each node's
+    # eps: one array log-gamma for beta_reg, two for the family.
+    sizes, logs = [], []
+    inner, inner_array = getattr(module, kernel), module._log_gamma_right_array
+    monkeypatch.setattr(module, kernel,
+                        lambda ts, eps: sizes.append(np.size(ts)) or inner(ts, eps))
+    monkeypatch.setattr(module, "_log_gamma_right_array",
+                        lambda x, y: logs.append(np.ndim(x)) or inner_array(x, y))
+    claims.run_claim(claim_id)
+    assert (len(sizes), sum(sizes), len(logs)) == (calls, nodes, arrays)
+    assert all(logs)
+
+
 def test_beta_reg_is_even_bit_for_bit():
     rng = np.random.default_rng(13)
     taus = rng.uniform(0.0, 50.0, 500)
@@ -496,33 +512,20 @@ def test_beta_tails_match_the_term_by_term_sum():
             assert abs(got - want) <= 1e-14 * abs(want), (a, b)
 
 
-_TAIL_CHILD = """
-import math, sys
-import numpy as np
-from weaklim.distrib import _binomial_tail
-""" + inspect.getsource(_beta_tails) + """
-pairs = np.frombuffer(sys.stdin.buffer.read(), dtype=complex).reshape(-1, 2).tolist()
-sys.stdout.buffer.write(np.concatenate([_beta_tails(a, b) for a, b in pairs]).tobytes())
-"""
+def tail_payload(data: bytes) -> bytes:
+    """The bytes of _beta_tails at each (a, b) pair in data."""
+    pairs = np.frombuffer(data, dtype=complex).reshape(-1, 2).tolist()
+    return np.concatenate([_beta_tails(a, b) for a, b in pairs]).tobytes()
 
 
-def test_binomial_tail_bytes_at_every_dispatch_level():
+def test_binomial_tail_bytes_at_every_dispatch_level(dispatch_children):
     # The Beta tails of the 300 pairs in a child at each numpy SIMD level
     # below this process's (at the host's own level, if this process runs
     # with all of them off): the bytes of this process.
-    want = np.concatenate([_beta_tails(a, b) for a, b in _TAIL_PAIRS.tolist()]).tobytes()
-    targets = dispatch_targets()
-    children = {
-        level: subprocess.Popen([sys.executable, "-c", _TAIL_CHILD],
-                                env={**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": level},
-                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
-        for level in [" ".join(targets[k:]) for k in range(len(targets))] or [""]
-    }
-    for level, child in children.items():
-        out, err = child.communicate(_TAIL_PAIRS.tobytes(), timeout=120)
-        assert child.returncode == 0, (level, err.decode())
-        assert out == want, f"bytes differ with {level or 'nothing'} disabled"
+    want = tail_payload(_TAIL_PAIRS.tobytes())
+    for config, child in dispatch_children.items():
+        assert child.returncode == 0, (config, child.stderr)
+        assert child.tails == want, f"bytes differ with {config} disabled"
 
 
 def test_mellin_routes_match_beta_reg_on_ladder():

@@ -159,25 +159,14 @@ def test_every_claim_in_summary_once(summary):
     check_digest(text)
 
 
-def test_verify_all_at_every_lower_dispatch_level(summary):
+def test_verify_all_at_every_lower_dispatch_level(summary, dispatch_children):
     # verify-all in a child process at each numpy SIMD level below this
     # process's own that the host can emulate, on an x86-64 host with AVX2
     # each with another OpenBLAS kernel: the bytes of this process's JSON.
     text = verdicts_to_json(summary.verdicts, summary.summary_dict())
-    targets = dispatch_targets()
-    kernels = BLAS_CORETYPES if {"AVX2", "X86_V3"} & set(targets) else ()
-    children = {}
-    for k in range(len(targets)):
-        env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": " ".join(targets[k:])}
-        if kernels:
-            env["OPENBLAS_CORETYPE"] = kernels[(k - 1) % len(kernels)]
-        children[targets[k - 1] if k else "baseline", env.get("OPENBLAS_CORETYPE")] = \
-            subprocess.Popen([*CLI, "verify-all"], env=env, stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True)
-    for config, child in children.items():
-        out, err = child.communicate(timeout=120)
-        assert child.returncode == 0, (config, err)
-        assert out == text, config
+    for config, child in dispatch_children.items():
+        assert child.returncode == 0, (config, child.stderr)
+        assert child.verify_all == text, config
 
 
 def test_short_ladder_named_error(capsys):

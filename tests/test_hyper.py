@@ -32,6 +32,22 @@ def test_series_at_zero():
     assert hyp2f1(0.3 + 1j, -2.5, 4.0, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("z", [0.0, -0.0, 0j, complex(-0.0, -0.0)])
+def test_series_at_zero_is_exactly_one(z):
+    # As the per-term reference, whatever a and b: with a = b = 1e200 the
+    # first ratio (a + n)(b + n) overflows, and inf * 0 would be NaN.  The
+    # argument checks still come first.
+    for a, b, c in ((1e200, 1e200, 1.0), (1e200 + 1j, -1e200, 0.5j), (0.3 + 1j, -2.5, 4.0)):
+        assert repr(hyp2f1(a, b, c, z)) == repr(_loop_hyp2f1(a, b, c, z)) == "(1+0j)"
+    with pytest.raises(PoleError):
+        hyp2f1(1e200, 1e200, -3.0, z)
+    for args, kwargs, condition in (((math.inf, 1e200, 1.0, z), {}, "finite a"),
+                                    ((1e200, 1e200, 1.0, z), {"rel_tol": 0.0}, "0 < rel_tol < 1")):
+        with pytest.raises(DomainError) as exc:
+            hyp2f1(*args, **kwargs)
+        assert exc.value.condition == condition
+
+
 def test_series_binomial_case():
     # b = c collapses the series to (1 - z)^(-a).
     got = hyp2f1(0.5, 1.5, 1.5, 0.25)

@@ -138,6 +138,15 @@ MUTANTS = [
     ("hyp2f1-rel-tol-1e-6", hyper, "hyp2f1",
      lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
      test_hyper.test_series_matches_mpmath),
+    ("pairings-first-eps-everywhere", quad, "integrate_pairings",
+     lambda: edited(quad, "integrate_pairings", "np.repeat([p for p, _ in pieces]",
+                    "np.repeat([pieces[0][0] for p, _ in pieces]"),
+     functools.partial(test_quad.test_ladder_rungs_are_the_pairings_at_each_eps,
+                       "beta_reg", "gaussian", (-1.0, 1.0))),
+    ("log-gamma-one-shift-count", complexfn, "_log_gamma_right_array",
+     lambda: edited(complexfn, "_log_gamma_right_array",
+                    "shifts and not (late := shifts[-1] < _SERIES_EDGE).all()", "False"),
+     test_complexfn.test_log_gamma_array_at_one_x_per_node_matches_scalar_bit_for_bit),
 ]
 
 NUMPY_MUL_IS_CPYTHON = (numpy_mul_is_cpython, "numpy's complex * uses no FMA at this "
@@ -159,15 +168,17 @@ IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad,
 
 
 @pytest.mark.parametrize("row", MUTANTS, ids=[row[0] for row in MUTANTS])
-def test_mutant_is_killed_by_its_targeted_test(monkeypatch, row):
+def test_mutant_is_killed_by_its_targeted_test(monkeypatch, request, row):
     mutant_id, owner, name, mutant, target = row
     equivalent, why = EQUIVALENT_ON_SOME_HOSTS.get(mutant_id, (lambda: False, ""))
     if equivalent():
         pytest.skip(f"equivalent here: {why}")
+    # A targeted test's fixtures (the dispatch-level children) come unmutated.
+    fixtures = {arg: request.getfixturevalue(arg) for arg in inspect.signature(target).parameters}
     original = getattr(owner, name)
     mutant = mutant()
     for module in IMPORTERS:
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, mutant)
     with pytest.raises((AssertionError, RuntimeWarning)):
-        target()
+        target(**fixtures)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from weaklim.complexfn import DomainError, gamma
-from weaklim.distrib import PROBES, _binomial_tail, _mellin_forward_grid, beta_reg
+from weaklim.distrib import (PROBES, _SWEEP_SPEC, EpsilonLadder, _binomial_tail,
+                             _mellin_forward_grid, beta_reg)
 from weaklim.hyper import family_closed_form
 from weaklim.legendre import _gegenbauer_tail
 from weaklim.quad import (
@@ -23,9 +24,11 @@ from weaklim.quad import (
     _breakpoints,
     _end_weights,
     _panels,
+    _seed,
     _window,
     integrate_finite,
     integrate_pairing,
+    integrate_pairings,
     integrate_semi_infinite,
 )
 
@@ -339,12 +342,12 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     pts = _breakpoints(-1.0, 1.0, 0.1)  # coarse: the peak needs bisection
-    res = _adaptive([(f, pts, _WEIGHTS)], spec)
+    res = _adaptive(_seed([(f, pts, _WEIGHTS)]), spec)
     # The initial partition in one call, then each split's two children.
     assert sizes[0] == 31 * (len(pts) - 1)
     assert len(sizes) > 1 and set(sizes[1:]) == {62}
     assert res.evaluations == sum(sizes)
-    assert res == _adaptive([(_per_panel(f), pts, _WEIGHTS)], spec)
+    assert res == _adaptive(_seed([(_per_panel(f), pts, _WEIGHTS)]), spec)
 
     # Two pieces share one heap: one call per piece for its initial
     # partition, then calls of 62 nodes, each to its own panel's integrand.
@@ -356,14 +359,14 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     sizes.clear()
     far = [p + 3.0 for p in pts]
-    both = _adaptive([(f, pts, _WEIGHTS), (shifted, far, _WEIGHTS)], spec)
+    both = _adaptive(_seed([(f, pts, _WEIGHTS), (shifted, far, _WEIGHTS)]), spec)
     for calls in (sizes, shifted_sizes):
         assert calls[0] == 31 * (len(pts) - 1)
         assert len(calls) > 1 and set(calls[1:]) == {62}
     assert both.evaluations == sum(sizes) + sum(shifted_sizes)
     assert abs(both.value - 2.0 * res.value) <= 2e-9 * abs(res.value)
-    assert both == _adaptive([(_per_panel(f), pts, _WEIGHTS),
-                              (_per_panel(shifted), far, _WEIGHTS)], spec)
+    assert both == _adaptive(_seed([(_per_panel(f), pts, _WEIGHTS),
+                                    (_per_panel(shifted), far, _WEIGHTS)]), spec)
 
 
 @pytest.mark.parametrize("run", [
@@ -386,6 +389,40 @@ def test_batched_panels_match_per_panel_evaluation(run):
     # Bit for bit: the same values, error estimates and evaluation counts.
     batched = run(lambda f: f)
     assert batched == run(_per_panel)
+
+
+# The ladder kernels as their sweeps pair them: (kernel(ts, eps, interval), spec).
+_LADDER_KERNELS = {
+    "beta_reg": (lambda ts, eps, _: beta_reg(ts, eps), _SWEEP_SPEC),
+    "family": (lambda ts, eps, _: family_closed_form(ts, eps), _SWEEP_SPEC),
+    "mellin-grid": (lambda ts, eps, iv: _mellin_forward_grid(ts, eps, max(map(abs, iv))),
+                    QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)),
+}
+
+
+@pytest.mark.parametrize("probe, interval", [("gaussian", (-1.0, 1.0)), ("bump", (-1.0, 1.0)),
+                                             ("bump", (-3.0, 2.0))])
+@pytest.mark.parametrize("kernel", list(_LADDER_KERNELS))
+def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval):
+    # Each rung's value, error estimate and evaluations are integrate_pairing's
+    # at its eps, bit for bit: one kernel call with each node's eps seeds all
+    # rungs, and on the bump probe the rungs then bisect, each with its own eps.
+    kernel, spec = _LADDER_KERNELS[kernel]
+    eps = EpsilonLadder.default().values
+    calls = []
+
+    def counted(ts, e):
+        calls.append(np.ndim(e))
+        return kernel(ts, e, interval)
+
+    rungs = integrate_pairings(PROBES[probe], counted, *interval,
+                               [(e, e / 4.0) for e in eps], spec)
+    assert calls[0] == 1 and not any(calls[1:])
+    assert (len(calls) > 1) == (probe == "bump")
+    for e, got in zip(eps, rungs):
+        want = integrate_pairing(PROBES[probe], lambda ts: kernel(ts, e, interval), *interval,
+                                 spec, origin_scale=e / 4.0)
+        assert got == want, e
 
 
 # ------------------------------------------------------------ end panels
