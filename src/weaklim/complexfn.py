@@ -2,9 +2,12 @@
 
 Everything is evaluated in double precision by upward recurrence into a
 zone where the Stirling-type asymptotic series is accurate to machine
-precision.  Log-gamma reflects into the right half plane only for
+precision.  Log-gamma's recurrence multiplies the shifted arguments and
+takes one log, with a 2 pi i for each turn of the product past the
+negative real axis.  All three reflect into the right half plane for
 Re z <= 0, where the recurrence would take about |Re z| + 10 steps past the
-poles.  Accuracy targets (relative, for |z| <= 100 off the poles):
+poles (and none at all once z + 1 rounds to z).  Accuracy targets
+(relative, for |z| <= 100 off the poles):
 
     gamma(z)      1e-12
     digamma(z)    1e-10
@@ -139,12 +142,34 @@ def _expm1c(w: complex) -> complex:
     return 2.0 * cmath.sinh(h) * cmath.exp(h)
 
 
+def _two_pi_i_frac(z: complex) -> complex:
+    """2 pi i (z - n) for z's nearest integer n: e^(2 pi i z) taken at it keeps full
+    relative accuracy near the integers, and stays finite for Im z >= 0 where
+    sin(pi z) overflows (|Im z| past about 226)."""
+    return 2j * math.pi * (z - round(z.real))
+
+
 def _log_gamma_right(z: complex) -> complex:
-    """Principal log-gamma for Re z > 0: recurrence plus Stirling series."""
+    """Principal log-gamma for Re z > 0: recurrence plus Stirling series.
+
+    While Re z < 10 and |Im z| < 10 the recurrence multiplies the shifted
+    arguments into one product p and takes one log.  Each factor's argument
+    lies in (-pi/2, pi/2), so Log p loses a turn of 2 pi exactly where the
+    running product crosses the negative real axis; ``turns`` counts those
+    crossings (Hare, J. Algorithms 25, 1997).  |p| stays below about 1e13.
+    """
     acc = 0j
-    while z.real < _SERIES_EDGE:
-        acc += cmath.log(z)
+    if z.real < _SERIES_EDGE and abs(z.imag) < _SERIES_EDGE:
+        p, turns = z, 0
         z += 1.0
+        while z.real < _SERIES_EDGE:
+            q = p * z
+            if q.real < 0.0:  # +1 crossing into Im < 0, -1 out of it
+                turns += (q.imag < 0.0) - (p.imag < 0.0)
+            p = q
+            z += 1.0
+        acc = cmath.log(p)
+        acc = complex(acc.real, acc.imag + math.tau * turns)
     w = 1.0 / z
     w2 = w * w
     s = _LG_COEFF[-1]
@@ -157,11 +182,9 @@ def _log_gamma_right_array(x, y) -> np.ndarray:
     """_log_gamma_right(complex(x, t)) for each t of a 1-d y, at a float x > 0
     or at each x > 0 of an array shaped like y.
 
-    Bit for bit, up to signs of zero: the same steps, with products and 1/z
-    through the kit (_cmul, _cdiv), and cmath.log where np.log may differ.
-    An array x runs in groups of one shift count, each building its rows by
-    the scalar recurrence's repeated ``+ 1.0``; x's that all take as many
-    steps as the smallest one are a single group.
+    Bit for bit, up to signs of zero: the same steps in one masked pass over
+    the shifted nodes, with products and 1/z through the kit (_cmul, _cdiv),
+    and cmath.log where np.log may differ.
     """
     y = np.asarray(y, dtype=float)
     # Non-finite t, the pole and |t| > 1e305 (t ln t overflows) take the scalar
@@ -174,25 +197,27 @@ def _log_gamma_right_array(x, y) -> np.ndarray:
                      for a, t in zip(xs[edge].tolist(), y[edge].tolist())]
         out[~edge] = _log_gamma_right_array(xs[~edge] if np.ndim(x) else x, y[~edge])
         return out
-    shifts = []  # Re z at each `z += 1.0` of the scalar recurrence
-    low = x.min(initial=math.inf) if np.ndim(x) else x  # the smallest x steps most
-    while low < _SERIES_EDGE:
-        shifts.append(x)
-        x, low = x + 1.0, low + 1.0
-    if np.ndim(x) and shifts and not (late := shifts[-1] < _SERIES_EDGE).all():
-        # Some x took fewer steps than the smallest: one group each way.
-        out = np.empty(y.shape, complex)
-        for group in (late, ~late):
-            out[group] = _log_gamma_right_array(shifts[0][group], y[group])
-        return out
-    acc = 0j
-    if shifts:
-        rows = np.array(shifts).reshape(len(shifts), -1) + 1j * y
+    x = np.array(np.broadcast_to(x, y.shape), dtype=float)  # Re z, shifted in place
+    acc = np.zeros(y.shape, complex)
+    run = (x < _SERIES_EDGE) & (np.abs(y) < _SERIES_EDGE)
+    if run.any():
+        pr, pi, t = x[run], y[run], y[run]  # p = z
+        zr = pr + 1.0
+        turns = np.zeros(pr.shape, int)
+        while (live := zr < _SERIES_EDGE).any():
+            qr, qi = _cmul(pr, pi, zr, t)
+            np.add(turns, np.subtract(qi < 0.0, pi < 0.0, dtype=int), out=turns,
+                   where=live & (qr < 0.0))
+            np.copyto(pr, qr, where=live)
+            np.copyto(pi, qi, where=live)
+            np.add(zr, 1.0, out=zr, where=live)
+        p = pr + 1j * pi
         # np.log rounds as cmath.log off the square max(|Re|, |Im|) < 2, not on it.
-        near = np.maximum(np.abs(rows.real), np.abs(rows.imag)) < 2.0
-        logs = np.log(rows, out=np.empty_like(rows), where=~near)
-        logs[near] = np.fromiter(map(cmath.log, rows[near].tolist()), complex)
-        acc = np.add.accumulate(logs, axis=0)[-1]  # in order
+        near = np.maximum(np.abs(pr), np.abs(pi)) < 2.0
+        logs = np.log(p, out=np.empty_like(p), where=~near)
+        logs[near] = np.fromiter(map(cmath.log, p[near].tolist()), complex)
+        logs.imag += math.tau * turns
+        acc[run], x[run] = logs, zr
     z = x + 1j * y
     w = np.empty_like(z)
     w.real, w.imag = _cdiv(1.0, 0.0, z.real, z.imag)
@@ -240,8 +265,9 @@ def log_gamma(z) -> complex:
 
     Relative error of exp(log_gamma(z)) is kept below 1e-12 for |z| <= 100.
     For Re z > 0 it is the recurrence plus Stirling series: every shifted
-    argument z + k stays in the right half plane, so the summed principal
-    logs are the principal branch, and real z gives a real value.  For
+    argument z + k stays in the right half plane, so one log of their
+    product, corrected by 2 pi i per crossing of the negative real axis, is
+    the principal branch, and real z gives a real value.  For
     Re z <= 0 the right-half-plane value is reflected through
 
         ln Gamma(z) = ln 2pi - i pi/2 + i pi z
@@ -256,15 +282,11 @@ def log_gamma(z) -> complex:
         return _log_gamma_right(z)
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
-    # 1 - e^{2 pi i z} evaluated against the nearest integer so that the
-    # cancellation near the poles stays fully accurate.
-    n = round(z.real)
-    one_minus = -_expm1c(2j * math.pi * (z - n))
     return (
         _LN_2PI
         - 0.5j * math.pi
         + 1j * math.pi * z
-        - cmath.log(one_minus)
+        - cmath.log(-_expm1c(_two_pi_i_frac(z)))
         - _log_gamma_right(1.0 - z)
     )
 
@@ -288,9 +310,23 @@ def gamma(z) -> complex:
 
 
 def digamma(z) -> complex:
-    """psi(z) = Gamma'(z)/Gamma(z), to 1e-10 relative for |z| <= 100."""
+    """psi(z) = Gamma'(z)/Gamma(z), to 1e-10 relative for |z| <= 100.
+
+    Re z <= 0 reflects, as log_gamma does, through
+
+        psi(z) = psi(1 - z) - pi cot(pi z),  cot(pi z) = i (1 + 2 / m)
+
+    with m = e^(2 pi i z) - 1 in the upper half plane, taken at z less its
+    nearest integer; the lower half plane follows by conjugation symmetry,
+    and real z gives a real value.  So the recurrence takes at most 10 steps.
+    """
     z = complex(z)
     _check_pole(z)
+    if z.real <= 0.0:
+        if z.imag < 0.0:
+            return digamma(z.conjugate()).conjugate()
+        psi = digamma(1.0 - z) - 1j * math.pi * (1.0 + 2.0 / _expm1c(_two_pi_i_frac(z)))
+        return psi if z.imag else complex(psi.real)
     acc = 0j
     while z.real < _SERIES_EDGE:
         acc += 1.0 / z
@@ -304,9 +340,24 @@ def digamma(z) -> complex:
 
 
 def trigamma(z) -> complex:
-    """psi'(z), to 1e-8 relative for |z| <= 100."""
+    """psi'(z), to 1e-8 relative for |z| <= 100.
+
+    Re z <= 0 reflects as digamma does, through
+
+        psi'(z) = -psi'(1 - z) + pi^2 / sin^2(pi z),  1 / sin^2(pi z) = -4 e^(2 pi i z) / m^2
+
+    with e^(2 pi i z) taken apart from m, as 1 + m would lose its digits far
+    from the real axis.
+    """
     z = complex(z)
     _check_pole(z)
+    if z.real <= 0.0:
+        if z.imag < 0.0:
+            return trigamma(z.conjugate()).conjugate()
+        w = _two_pi_i_frac(z)
+        m = _expm1c(w)
+        psi1 = -trigamma(1.0 - z) - 4.0 * math.pi ** 2 * cmath.exp(w) / (m * m)
+        return psi1 if z.imag else complex(psi1.real)
     acc = 0j
     while z.real < _SERIES_EDGE:
         acc += 1.0 / (z * z)

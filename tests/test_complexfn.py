@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import signal
 import warnings
 from itertools import product
 
@@ -144,25 +145,26 @@ def test_log_gamma_array_takes_the_scalar_route_past_the_overflow():
     assert beta_reg(ts, 0.1).tolist() == [beta_reg(t, 0.1) for t in ts.tolist()]
 
 
-def _shift_count(x: float) -> int:
-    """The `z += 1.0` steps the scalar recurrence takes from Re z = x."""
+def _shift_count(x: float, t: float) -> int:
+    """The `z += 1.0` steps the scalar recurrence takes from z = x + i t: none
+    once |t| >= 10, else one per step up to Re z >= 10."""
     n = 0
-    while x < 10.0:
+    while x < 10.0 and abs(t) < 10.0:
         x += 1.0
         n += 1
     return n
 
 
 def test_log_gamma_array_at_one_x_per_node_matches_scalar_bit_for_bit():
-    # x over 1e-5..12 takes every shift count from 10 down to 0 (x >= 10
-    # takes none) in one call; t = 0 and |t| > 1e305 take the scalar route
-    # in place, and a non-finite t raises as it does.
+    # x over 1e-5..12 with |t| < 10 takes every shift count from 10 down to 0
+    # (x >= 10 or |t| >= 10 takes none) in one call; t = 0 and |t| > 1e305
+    # take the scalar route in place, and a non-finite t raises as it does.
     rng = np.random.default_rng(43)
     n = 30_000
     xs = 10.0 ** rng.uniform(-5.0, math.log10(12.0), n)
     ts = rng.uniform(-130.0, 130.0, n)
     ts[rng.choice(n, 6, replace=False)] = [0.0, -0.0, 3e-15, 2e305, -1e306, 1.7e308]
-    assert {_shift_count(x) for x in xs.tolist()} == set(range(11))
+    assert {_shift_count(x, t) for x, t in zip(xs.tolist(), ts.tolist())} == set(range(11))
     got = _log_gamma_right_array(xs, ts)
     want = np.array([_log_gamma_right(complex(x, t)) for x, t in zip(xs.tolist(), ts.tolist())])
     bad = np.flatnonzero((got.real != want.real) | (got.imag != want.imag))
@@ -170,6 +172,64 @@ def test_log_gamma_array_at_one_x_per_node_matches_scalar_bit_for_bit():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="not finite"):
             _log_gamma_right_array(xs[:3], [0.5, t, 1.0])
+
+
+_WRAP_XS = (5e-324, 1e-300, 1e-8, 1e-5, 0.5, 9.999999)
+
+
+def _wrap_ts(x: float) -> list:
+    """t > 0 around each point where the shifted arguments' summed argument
+    sum_k arg(x + k + i t) crosses pi and 3 pi, that is where their product
+    crosses the negative real axis, within a few ulps and up to 1e-9 relative;
+    then t just inside and on the shift band's edge |t| = 10."""
+    def arg_sum(t):
+        return sum(math.atan2(t, x + k) for k in range(_shift_count(x, t)))
+
+    ts = [math.nextafter(10.0, 0.0), 10.0]
+    for target in (math.pi, 3.0 * math.pi):
+        if arg_sum(ts[0]) <= target:
+            continue
+        lo, hi = 0.0, 10.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if arg_sum(mid) < target else (lo, mid)
+        for _ in range(4):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 10.0)
+        ts += [lo * (1.0 + d) for d in (-1e-9, -1e-12, 1e-12, 1e-9)]
+        while lo <= hi:
+            ts.append(lo)
+            lo = math.nextafter(lo, 10.0)
+    return ts
+
+
+def _both_routes_match_mpmath(x: float, half: list) -> None:
+    """log_gamma and the array route at x + i t, for t = +-each of half."""
+    ts = np.array([*half, *(-t for t in half)])
+    for t, got in zip(ts.tolist(), _log_gamma_right_array(x, ts).tolist()):
+        want = complex(mpmath.loggamma(mpmath.mpc(x, t)))
+        tol = GAMMA_CONTRACT.target_rel_err * max(1.0, abs(want))
+        assert abs(log_gamma(complex(x, t)) - want) <= tol, (x, t)
+        assert abs(got - want) <= tol, (x, t)
+
+
+def test_log_gamma_at_the_product_wrap_points_matches_mpmath():
+    # Both routes take one log of the shifted arguments' product and count
+    # its turns past the negative real axis; each crossing is met from both
+    # sides, for t of both signs, and every x but 9.999999 (one shift, never
+    # past pi / 2) crosses pi and 3 pi.
+    halves = [_wrap_ts(x) for x in _WRAP_XS]
+    assert [len(half) > 2 for half in halves] == [True] * 5 + [False]
+    for x, half in zip(_WRAP_XS, halves):
+        _both_routes_match_mpmath(x, half)
+
+
+def test_log_gamma_past_the_shift_band_matches_mpmath():
+    # |t| >= 10 takes no shift on either route: Stirling's 10 terms at |z| >= 10
+    # in the right half plane.  A product of the ten shifted arguments would
+    # overflow past |t| of about 6e30 (1e31 and 1e40 here).
+    for x in _WRAP_XS:
+        _both_routes_match_mpmath(x, [10.0, 10.5, 30.0, 1e3, 1e10, 1e31, 1e40, 1e100, 1e200,
+                                      1e305])
 
 
 def _kernel_nodes() -> np.ndarray:
@@ -390,6 +450,34 @@ def test_trigamma_vs_digamma_difference():
 def test_psi_functions_match_mpmath(z):
     assert abs(digamma(z) - complex(mpmath.psi(0, mpmath.mpc(z)))) <= 1e-10
     assert abs(trigamma(z) - complex(mpmath.psi(1, mpmath.mpc(z)))) <= 1e-8
+
+
+def _within_one_second(f, z):
+    """f(z), or a TimeoutError once it has run for 1 s."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{f.__name__}({z!r}) ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return f(z)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("z", [-1e17 + 0.5j, -1e17 - 0.5j, -1e6 + 300j])
+def test_psi_functions_reflect_far_left(z):
+    # Upward recurrence from Re z << 0 takes |Re z| steps, and never ends
+    # where z + 1 rounds to z.  mpmath's psi(1, z) recurs too (about 10 s at
+    # -1e6), so trigamma's oracle is the reflection in 30 digits, with
+    # sinpi's exact argument reduction.
+    zm = mpmath.mpc(z)
+    want_psi = complex(mpmath.psi(0, zm))
+    want_psi1 = complex(-mpmath.psi(1, 1 - zm) + (mpmath.pi / mpmath.sinpi(zm)) ** 2)
+    psi, psi1 = _within_one_second(digamma, z), _within_one_second(trigamma, z)
+    assert rel(psi, want_psi) <= complexfn.DIGAMMA_CONTRACT.target_rel_err
+    assert rel(psi1, want_psi1) <= complexfn.TRIGAMMA_CONTRACT.target_rel_err
 
 
 # -------------------------------------------------------------- duplication

@@ -143,10 +143,23 @@ MUTANTS = [
                     "np.repeat([pieces[0][0] for p, _ in pieces]"),
      functools.partial(test_quad.test_ladder_rungs_are_the_pairings_at_each_eps,
                        "beta_reg", "gaussian", (-1.0, 1.0))),
+    # A node whose scalar twin has stopped keeps multiplying by its last z.
     ("log-gamma-one-shift-count", complexfn, "_log_gamma_right_array",
      lambda: edited(complexfn, "_log_gamma_right_array",
-                    "shifts and not (late := shifts[-1] < _SERIES_EDGE).all()", "False"),
+                    "np.copyto(pr, qr, where=live)\n            np.copyto(pi, qi, where=live)",
+                    "pr, pi = qr, qi"),
      test_complexfn.test_log_gamma_array_at_one_x_per_node_matches_scalar_bit_for_bit),
+    ("log-gamma-no-turns", complexfn, "_log_gamma_right",
+     lambda: edited(complexfn, "_log_gamma_right", "acc.imag + math.tau * turns", "acc.imag"),
+     test_complexfn.test_log_gamma_at_the_product_wrap_points_matches_mpmath),
+    ("log-gamma-shift-ignores-imag", complexfn, "_log_gamma_right_array",
+     lambda: edited(complexfn, "_log_gamma_right_array",
+                    "(x < _SERIES_EDGE) & (np.abs(y) < _SERIES_EDGE)", "x < _SERIES_EDGE"),
+     test_complexfn.test_log_gamma_past_the_shift_band_matches_mpmath),
+    ("digamma-reflect-unreduced", complexfn, "digamma",
+     lambda: edited(complexfn, "digamma", "_expm1c(_two_pi_i_frac(z))",
+                    "_expm1c(2j * math.pi * z)"),
+     functools.partial(test_complexfn.test_psi_functions_reflect_far_left, -1e17 + 0.5j)),
 ]
 
 NUMPY_MUL_IS_CPYTHON = (numpy_mul_is_cpython, "numpy's complex * uses no FMA at this "
