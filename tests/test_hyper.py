@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weaklim import hyper
+from weaklim import claims, hyper
 from weaklim.complexfn import DomainError, PoleError, _check_pole, gamma, log_gamma
 from weaklim.distrib import PROBES, omega_eps
 from weaklim.hyper import (
@@ -286,6 +286,65 @@ def test_quiet_run_straddling_the_first_chunk_edge(monkeypatch):
     unsettled = _outcome(hyp2f1, *args)
     assert unsettled == _outcome(_loop_hyp2f1, *args)
     assert unsettled[2] == 286
+
+
+def _running_max_stop(loud, last):
+    """The stop index as a running maximum over every term finds it."""
+    n = np.arange(len(loud))
+    lasts = np.maximum.accumulate(np.where(loud, n, last))
+    stop = np.flatnonzero(n - lasts >= hyper._CONSECUTIVE_SMALL)
+    return stop[0] if stop.size else -1
+
+
+def test_stop_index_matches_running_maximum():
+    rng = np.random.default_rng(24)
+    for size in range(1, 301):
+        for density in (0.0, 0.005, 0.02, 0.05, 0.2, 0.5, 0.9, 0.99, 1.0):
+            loud = rng.uniform(size=size) < density
+            last = int(rng.integers(-60, 0))
+            got = hyper._stop_index(loud.nonzero()[0], last, size)
+            assert got == _running_max_stop(loud, last), (size, density, last)
+
+
+def _pattern(size, *indices):
+    loud = np.zeros(size, dtype=bool)
+    loud[list(indices)] = True
+    return loud
+
+
+# (loud pattern of a chunk, carried last, stop index) by name.
+STOP_CASES = {
+    "no-loud": (_pattern(256), -1, 49),
+    "no-loud-short-chunk": (_pattern(40), -1, -1),
+    "all-loud": (np.ones(256, dtype=bool), -1, -1),
+    "gap-49": (_pattern(150, 10, 59), -1, 109),
+    "gap-50": (_pattern(150, 10, 60), -1, 110),
+    "gap-51": (_pattern(150, 10, 61), -1, 60),
+    "run-ends-at-chunk-end": (_pattern(256, *range(0, 201, 40), 205), -1, 255),
+    "run-passes-chunk-end": (_pattern(256, *range(0, 201, 40), 206), -1, -1),
+    "carried-last-stops": (_pattern(256, 25, 30), -30, 20),
+    "carried-last-reaches-a-loud-term": (_pattern(256, 20, 30), -30, 80),
+}
+
+
+@pytest.mark.parametrize("loud, last, want", STOP_CASES.values(), ids=STOP_CASES)
+def test_stop_index_cases(loud, last, want):
+    # A gap of g between loud indices leaves g - 1 quiet terms: the 50th quiet
+    # term after a loud one stops the sum only when g > 50.
+    assert hyper._stop_index(loud.nonzero()[0], last, len(loud)) == want
+    assert _running_max_stop(loud, last) == want
+
+
+def test_e18_series_counts(monkeypatch):
+    # E18's ten sums near z = 1, counted at the chunk loop: deterministic, so
+    # a change of chunk sizes or stop rule shows here exactly.
+    chunks = []
+    ratios = hyper._ratios
+    monkeypatch.setattr(hyper, "_ratios", lambda *a: chunks.append(a[-1]) or ratios(*a))
+    claims.run_claim("E18-gauss-summation")
+    assert sum(n[0] == 0 for n in chunks) == 10
+    assert len(chunks) == 108
+    assert sum(map(len, chunks)) == 316_928
 
 
 @pytest.mark.parametrize("budget", [10, 300])

@@ -135,6 +135,15 @@ MUTANTS = [
      lambda: edited(hyper, "_ratios", "(a + n) * (b + n) / ((c + n) * m) * z",
                     "(a + n) / (c + n) * (b + n) / m * z"),
      test_hyper.test_real_series_matches_loop),
+    # A gap of exactly 50 loud indices holds 49 quiet terms, not 50.
+    ("hyp2f1-stop-gap-off-by-one", hyper, "_stop_index",
+     lambda: edited(hyper, "_stop_index", "loud[:-1] > _CONSECUTIVE_SMALL",
+                    "loud[:-1] >= _CONSECUTIVE_SMALL"),
+     functools.partial(test_hyper.test_stop_index_cases, *test_hyper.STOP_CASES["gap-50"])),
+    ("hyp2f1-stop-drops-carried-last", hyper, "hyp2f1",
+     lambda: edited(hyper, "hyp2f1", "last = (loud[-1] if loud.size else last) - len(n)",
+                    "last = -1"),
+     test_hyper.test_quiet_run_straddling_the_first_chunk_edge),
     ("hyp2f1-rel-tol-1e-6", hyper, "hyp2f1",
      lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
      test_hyper.test_series_matches_mpmath),
