@@ -23,11 +23,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import distrib, hyper, legendre
 from .complexfn import DomainError, _times, log_gamma
 from .config import RunConfig
 from .distrib import PROBES, EpsilonLadder
-from .quad import EndpointExponents, QuadratureSpec, integrate_finite
+from .quad import EndpointExponents, Ends, QuadratureSpec, integrate_batch
 from .report import ClaimVerdict
 
 __all__ = ["Claim", "REGISTRY", "claim_ids", "run_claim", "run_claims",
@@ -96,21 +98,32 @@ _BETA_GRID_6 = [
 ]
 
 
-def _beta_integral(al: complex, be: complex) -> complex:
-    """Euler's Beta integral over [0, 1] with both singular ends."""
-    f = lambda t: _times(t ** (al - 1.0), (1.0 - t) ** (be - 1.0))
-    # Edge forms keep the distance to the singular endpoint exact.
-    left = lambda u: _times(u ** (al - 1.0), (1.0 - u) ** (be - 1.0))
-    right = lambda u: _times((1.0 - u) ** (al - 1.0), u ** (be - 1.0))
-    return integrate_finite(f, 0.0, 1.0, EndpointExponents(al, be),
-                            left_edge=left, right_edge=right).value
+def _beta_integrals(grid) -> list[complex]:
+    """Euler's Beta integral over [0, 1] with both singular ends, at each
+    (alpha, beta) of grid, in one integrate_batch.
+
+    Edge forms keep the distance to the singular endpoint exact: key 2 i
+    takes point i's left end, u^(alpha-1) (1-u)^(beta-1), and key 2 i + 1
+    its right end, (1-u)^(alpha-1) u^(beta-1).
+    """
+    left_exp = np.array([al - 1.0 for al, _ in grid])
+    right_exp = np.array([be - 1.0 for _, be in grid])
+
+    def edges(u, keys):
+        point, right = keys >> 1, keys & 1
+        v = 1.0 - u
+        return _times(np.where(right, v, u) ** left_exp[point],
+                      np.where(right, u, v) ** right_exp[point])
+
+    ends = [Ends((2 * i, 2 * i + 1), 0.0, 1.0, EndpointExponents(al, be))
+            for i, (al, be) in enumerate(grid)]
+    return [res.value for res in integrate_batch(edges, ends)]
 
 
 def _beta_runner(grid, route):
     def run(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
         out = []
-        for al, be in grid:
-            got = route(al, be)
+        for (al, be), got in zip(grid, route(grid)):
             closed = distrib.beta(al, be)
             dev = abs(got - closed) / abs(closed)
             out.append(_verdict(claim, cfg, f"alpha={_fmt_c(al)};beta={_fmt_c(be)}",
@@ -181,13 +194,14 @@ def _mellin_inverse_pairing(cfg: RunConfig, ladder: EpsilonLadder):
 
 
 def _run_mellin_inverse(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    sweep_res, limit = _mellin_inverse_pairing(cfg, cfg.ladder())
+    # The ladder (mellin_inverse_sweep's) and the check at eps = 1e-4, one batch.
+    ladder = cfg.ladder().values
+    *measured, (v4, _) = distrib._mellin_inverse(math.e, (*ladder, 1e-4))
     out = [_verdict(claim, cfg, f"t=e;eps={eps:.6g}", abs(v - math.exp(-eps)),
                     claim.tolerance)
-           for eps, v, _ in sweep_res.points]
-    v4 = distrib.mellin_inverse_check(math.e, 1e-4)
+           for eps, (v, _) in zip(ladder, measured)]
     out.append(_verdict(claim, cfg, "t=e;eps=0.0001;check=limit->1",
-                        abs(v4 - limit), 1e-4))
+                        abs(v4 - 1.0), 1e-4))
     return out
 
 
@@ -328,12 +342,12 @@ _LARGE_Z_CASES = ((0.0, 0.0 + 0j), (2.0, 0.5 + 0j), (1.0, 0.5j))
 def _run_large_z(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     z = 1e3
     out = []
-    for nu, mu in _LARGE_Z_CASES:
+    values = legendre.q_nu_mu_grid([(nu, mu, z) for nu, mu in _LARGE_Z_CASES])
+    for (nu, mu), got in zip(_LARGE_Z_CASES, values):
         asym = (SQRT_PI * cmath.exp(1j * math.pi * mu
                                     + log_gamma(nu + mu + 1.0)
                                     - log_gamma(nu + 1.5))
                 * (2.0 * z) ** (-nu - 1.0))
-        got = legendre.q_nu_mu(nu, mu, z)
         dev = abs(got / asym - 1.0)
         out.append(_verdict(claim, cfg, f"nu={_fmt_c(nu)};mu={_fmt_c(mu)};z=1000",
                             dev, claim.tolerance))
@@ -403,38 +417,46 @@ def _sweep_large_nu(cfg: RunConfig, ladder):
 
 # --------------------------------------------------------------- E53 / E54
 
-def _log_law_ratio(nu: float, z: float) -> float:
-    """|leading-logarithm law / Q_nu(z)|; tends to 1 as z -> 1+."""
-    return abs(legendre.near_one_laws(nu, z, kind="log") / legendre.q_nu(nu, z))
+def _log_law_ratios(points) -> list[float]:
+    """|leading-logarithm law / Q_nu(z)| at each (nu, z) of points; it tends to 1
+    as z -> 1+."""
+    qs = legendre.q_nu_mu_grid([(nu, 0.0, z) for nu, z in points])
+    return [abs(legendre.near_one_laws(nu, z, kind="log") / q)
+            for (nu, z), q in zip(points, qs)]
 
 
 def _run_near_one(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     out = []
     z = 1.0 + 1e-6
-    for nu in (0.0, 1.0):
+    # Q_0(z) and Q_1(z) under their laws, and Q_1(z) under the relation's
+    # right side (relation_rhs), in one pass.
+    *laws, q1 = legendre.q_nu_mu_grid([(0.0, 0.0, z), (1.0, 0.0, z), (1.0, 0.0, z)])
+    for nu, q in zip((0.0, 1.0), laws):
+        ratio = abs(legendre.near_one_laws(nu, z, kind="log") / q)
         out.append(_verdict(claim, cfg, f"nu={nu:g};z-1=1e-06;law=log",
-                            abs(_log_law_ratio(nu, z) - 1.0), claim.tolerance))
+                            abs(ratio - 1.0), claim.tolerance))
     law53 = legendre.near_one_laws(1.0, z, tau=0.5, kind="log_itau")
-    rhs = legendre.relation_rhs(1.0, 0.5, z)
+    rhs = legendre._relation_factor(1.0, 0.5) * q1
     out.append(_verdict(claim, cfg, "nu=1;tau=0.5;z-1=1e-06;law=log_itau",
                         abs(abs(law53 / rhs) - 1.0), claim.tolerance))
     return out
 
 
 def _sweep_near_one(cfg: RunConfig, ladder):
-    rows = []
-    for d in ladder or (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        ratio = _log_law_ratio(0.0, 1.0 + d)
-        rows.append((d, complex(ratio), _Q_NU_REL_TOL * ratio, abs(ratio - 1.0)))
-    return "z_minus_one", rows
+    ds = ladder or (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    ratios = _log_law_ratios([(0.0, 1.0 + d) for d in ds])
+    return "z_minus_one", [(d, complex(r), _Q_NU_REL_TOL * r, abs(r - 1.0))
+                           for d, r in zip(ds, ratios)]
 
 
 def _run_power_slope(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     deltas = (1e-3, 1e-4, 1e-5)
     out = []
-    for nu, mu in ((0.0, 0.5), (1.0, 1.0)):
+    cases = ((0.0, 0.5), (1.0, 1.0))
+    qs = iter(legendre.q_nu_mu_grid([(nu, mu, 1.0 + d) for nu, mu in cases for d in deltas]))
+    for nu, mu in cases:
         xs = [math.log(d) for d in deltas]
-        ys = [math.log(abs(legendre.q_nu_mu(nu, mu, 1.0 + d))) for d in deltas]
+        ys = [math.log(abs(next(qs))) for _ in deltas]
         slope, _ = distrib._lsq_slope(xs, ys)
         dev = abs(slope + 0.5 * mu)
         out.append(_verdict(claim, cfg, f"nu={nu:g};mu={mu:g};check=slope",
@@ -447,9 +469,9 @@ def _run_power_slope(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 REGISTRY: tuple[Claim, ...] = tuple(sorted([
     # Routes look library functions up at call time, as bench/spans.py needs.
     Claim("E03-beta-substitution", "ASSERT", 1e-9, _beta_runner(
-        _BETA_GRID_6, lambda al, be: distrib.beta_semi_infinite(al, be))),
+        _BETA_GRID_6, lambda grid: [distrib.beta_semi_infinite(al, be) for al, be in grid])),
     Claim("E04-euler-beta", "ASSERT", 1e-9,
-          _beta_runner(_BETA_GRID_12, _beta_integral)),
+          _beta_runner(_BETA_GRID_12, _beta_integrals)),
     Claim("E12-beta-delta", "ASSERT", 1e-2, _run_beta_delta,
           _eps_sweep(_beta_delta_pairing)),
     Claim("E16-mellin-forward", "ASSERT", 1e-2, _run_mellin_forward,

@@ -249,7 +249,8 @@ def _times(a, b) -> np.ndarray:
     """a * b for complex arrays (or a scalar b), through _cmul; a real b scales each
     part, which CPython's complex * rounds the same up to signs of zero."""
     out = np.empty_like(a)
-    out.real, out.imag = ((a.real * b, a.imag * b) if np.isrealobj(b)
+    real = b.dtype.kind != "c" if hasattr(b, "dtype") else not isinstance(b, complex)
+    out.real, out.imag = ((a.real * b, a.imag * b) if real
                           else _cmul(a.real, a.imag, b.real, b.imag))
     return out
 

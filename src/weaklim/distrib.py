@@ -41,7 +41,8 @@ from .quad import (
     _W_HI,
     _X_HI,
     QuadratureSpec,
-    integrate_pairing,
+    Window,
+    integrate_batch,
     integrate_pairings,
     integrate_semi_infinite,
 )
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_MELLIN_ROWS = 32  # distinct |tau| per cosine block of _mellin_forward_grid
 _SWEEP_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)  # Beta-delta, family, oscillatory
 
 
@@ -340,7 +342,7 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
 
 # ------------------------------------------------------- regularized Mellin
 
-_MELLIN_ROWS = 32  # taus per cosine block of _mellin_forward_grid
+_INVERSE_BUDGET = 2.5e-10  # of _mellin_inverse's tail by parts
 
 
 def _binomial_tail(a, s, sign: float, cut: float):
@@ -374,13 +376,16 @@ def mellin_reg_forward(tau: float, eps: float,
     half-line form: its window [0, ln 4] adapts to the cosine's period, and
     the binomial tails beyond are closed form.  The value is real; it is
     returned as a complex.  Agrees with beta_reg(tau, eps) to combined
-    tolerances; an oscillation too fast for the subdivision budget raises
-    ConvergenceError.
+    tolerances; a non-finite tau raises DomainError, and an oscillation too
+    fast for the subdivision budget ConvergenceError.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError("eps in (0, 1/2)")
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise DomainError("finite tau", f"tau = {tau!r} is not finite")
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    a = complex(eps, float(tau))
+    a = complex(eps, tau)
     return complex(beta_semi_infinite(a, a.conjugate(), spec).real)
 
 
@@ -391,19 +396,14 @@ def _mellin_forward_grid(taus: np.ndarray, eps, reach: float) -> np.ndarray:
     real cosine transform: row sums of cos(outer(taus, v)) * (w * 2 weight),
     weight = e^(-eps v) (1 + e^-v)^(-2 eps), over the composite nodes v of
     [0, ln 4] that resolve |tau| up to ``reach``, plus twice the real part of
-    the closed-form tail; once per distinct |tau|, in blocks of _MELLIN_ROWS
-    rows.  The pairing sweep sets ``reach`` from its window, and a row sum
-    sees no other row, so a node's value does not depend on its batch;
-    validated against the adaptive scalar route in the tests.  One eps per
-    tau runs as one such rule per distinct eps.
+    the closed-form tail.  The rule (v, w) is built once, the cosines are
+    taken once per distinct |tau| over every eps of the call, in blocks of
+    _MELLIN_ROWS, and each distinct (eps, |tau|) takes one row sum against
+    its eps's weights.  The pairing sweep sets ``reach`` from its window,
+    and a row sum sees no other row, so a node's value does not depend on
+    its batch; validated against the adaptive scalar route in the tests.
+    eps is a float or one eps per tau.
     """
-    taus = np.asarray(taus, dtype=float)
-    if np.ndim(eps):
-        out = np.empty(taus.shape)
-        for e in np.unique(eps).tolist():
-            at = eps == e
-            out[at] = _mellin_forward_grid(taus[at], e, reach)
-        return out
     cut = math.log(4.0)
     width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
     n_panels = int(math.ceil(cut / width))
@@ -413,14 +413,23 @@ def _mellin_forward_grid(taus: np.ndarray, eps, reach: float) -> np.ndarray:
     v = (mids[:, None] + halves[:, None] * _X_HI[None, :]).ravel()
     w = (halves[:, None] * _W_HI[None, :]).ravel()
     # e^-v >= 1/4, where numpy's complex log1p is accurate (it is not near 0).
-    ww = w * 2.0 * _rx(np.exp, -eps * v - 2.0 * eps * _rx(np.log1p, _rx(np.exp, -v)))
+    log_base = _rx(np.log1p, _rx(np.exp, -v))
 
-    def transform(eps, mags):
+    def transform(x, mags):
+        x = np.broadcast_to(x, mags.shape)
+        epss, at_eps = np.unique(x, return_inverse=True)
+        rows = w * 2.0 * _rx(np.exp, -epss[:, None] * v - 2.0 * epss[:, None] * log_base)
+        distinct, at_mag = np.unique(mags, return_inverse=True)
+        block = at_mag // _MELLIN_ROWS
         out = np.empty(mags.size)
-        for i in range(0, mags.size, _MELLIN_ROWS):
-            out[i:i + _MELLIN_ROWS] = (np.cos(np.multiply.outer(
-                mags[i:i + _MELLIN_ROWS], v)) * ww).sum(axis=1)
-        return out + 2.0 * _binomial_tail(eps + 1j * mags, 1.0 - 2.0 * eps, 1.0, cut).real
+        for start in range(0, distinct.size, _MELLIN_ROWS):
+            cosines = np.cos(np.multiply.outer(distinct[start:start + _MELLIN_ROWS], v))
+            at = block == start // _MELLIN_ROWS
+            out[at] = (cosines[at_mag[at] - start] * rows[at_eps[at]]).sum(axis=1)
+        for k, eps in enumerate(epss.tolist()):
+            at = at_eps == k
+            out[at] += 2.0 * _binomial_tail(eps + 1j * mags[at], 1.0 - 2.0 * eps, 1.0, cut).real
+        return out
 
     return _even_in_tau(transform, taus, eps)
 
@@ -435,36 +444,58 @@ def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
 
 # --------------------------------------------------------- mollified inverse
 
-def _mellin_inverse(t: float, eps: float) -> tuple[complex, float]:
-    """mellin_inverse_check's value and error estimate: one pairing of
-    cos(L x) omega_eps(x), L = |ln t|, over [0, X] plus a closed-form tail,
-    arctan at L = 0 (cos(L x) is exactly 1) and otherwise two integrations by
-    parts; the estimate is twice the window's plus the tail's budget."""
+def _mellin_inverse(t: float, epss) -> list[tuple[complex, float]]:
+    """mellin_inverse_check's value and error estimate at each eps of epss.
+
+    Each is one pairing of cos(L x) omega_eps(x), L = |ln t|, over [0, X] plus
+    a closed-form tail, arctan at L = 0 (cos(L x) is exactly 1) and otherwise
+    two integrations by parts; the estimate is twice the window's plus the
+    tail's budget.  The windows of all eps are one integrate_batch keyed by eps.
+    """
     if not 0.0 < t < math.inf:
         raise DomainError("0 < t < inf")
-    if not eps > 0.0:
-        raise DomainError("eps > 0")
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=4000)
     L = abs(math.log(t))
-    if L == 0.0:
-        X = max(50.0 * eps, 1.0)
-        tail, budget = math.atan2(eps, X) / math.pi, 0.0
-    else:
-        budget = 2.5e-10
-        X = max(
-            20.0 * eps,
-            (6.0 * eps / (math.pi * L ** 3 * budget)) ** 0.25,
-            6.0 * TWO_PI / L,
-        )
-        c, d = eps / math.pi, eps * eps + X * X  # omega_eps(X) = c / d
-        g, gp, gpp = c / d, -2.0 * c * X / d ** 2, 2.0 * c * (3.0 * X * X - eps * eps) / d ** 3
-        sin_lx, cos_lx = math.sin(L * X), math.cos(L * X)
-        tail = -g * sin_lx / L - gp * cos_lx / L ** 2 + gpp * sin_lx / L ** 3
-    f = lambda x: np.cos(L * x) * (eps / math.pi) / (eps * eps + x * x)
-    res = integrate_pairing(PROBES["const"], f, 0.0, X, spec,
-                            origin_scale=eps / 4.0, osc_freq=L)
-    return (complex(2.0 * (res.value.real + tail), 0.0),
-            2.0 * (res.error_estimate + budget))
+    windows, tails = [], []
+    for eps in epss:
+        if not eps > 0.0:
+            raise DomainError("eps > 0")
+        if L == 0.0:
+            X = max(50.0 * eps, 1.0)
+        else:
+            X = max(
+                20.0 * eps,
+                (6.0 * eps / (math.pi * L ** 3 * _INVERSE_BUDGET)) ** 0.25,
+                6.0 * TWO_PI / L,
+            )
+        d = eps * eps + X * X
+        if not math.isfinite(d):
+            raise DomainError("eps^2 + X^2 finite",
+                              f"eps = {eps!r}: the window [0, {X!r}] or omega_eps on it "
+                              "leaves double range")
+        if L == 0.0:
+            tail = math.atan2(eps, X) / math.pi
+        else:
+            c = eps / math.pi  # omega_eps(X) = c / d
+            try:
+                g, gp = c / d, -2.0 * c * X / d ** 2
+                gpp = 2.0 * c * (3.0 * X * X - eps * eps) / d ** 3
+                sin_lx, cos_lx = math.sin(L * X), math.cos(L * X)
+                tail = -g * sin_lx / L - gp * cos_lx / L ** 2 + gpp * sin_lx / L ** 3
+            except OverflowError:  # d ** 2 past double range
+                tail = math.inf
+        if not math.isfinite(tail):
+            raise DomainError("finite closed-form tail",
+                              f"eps = {eps!r}: the tail past X = {X!r} is not finite")
+        windows.append(Window(eps, 0.0, X, eps / 4.0, L))
+        tails.append(tail)
+
+    def kernel(x, eps):
+        return np.cos(L * x) * (eps / math.pi) / (eps * eps + x * x)
+
+    budget = 0.0 if L == 0.0 else _INVERSE_BUDGET
+    return [(complex(2.0 * (res.value.real + tail), 0.0), 2.0 * (res.error_estimate + budget))
+            for res, tail in zip(integrate_batch(kernel, windows, spec), tails)]
 
 
 def mellin_inverse_check(t: float, eps: float) -> complex:
@@ -472,13 +503,15 @@ def mellin_inverse_check(t: float, eps: float) -> complex:
 
     Quadrature over a finite window plus a closed-form tail; the closed form
     is exp(-eps |ln t|), and the returned value matches it to ~1e-9, tending
-    to 1 as eps -> 0+.
+    to 1 as eps -> 0+.  An eps whose window or tail leaves double range
+    raises DomainError.
     """
-    return _mellin_inverse(t, eps)[0]
+    return _mellin_inverse(t, [eps])[0][0]
 
 
 def mellin_inverse_sweep(t: float,
                          ladder: EpsilonLadder | None = None) -> PairingSweepResult:
-    """Mollified inverse values and estimates along the ladder; the limit targets 1."""
+    """Mollified inverse values and estimates along the ladder, one batch; the
+    limit targets 1."""
     eps = (ladder or EpsilonLadder.default()).values
-    return _ladder_sweep(eps, [_mellin_inverse(t, e) for e in eps])
+    return _ladder_sweep(eps, _mellin_inverse(t, eps))

@@ -37,7 +37,7 @@ from .distrib import (
     _pairing_ladder,
     _per_eps,
 )
-from .quad import integrate_pairing
+from .quad import Window, integrate_batch
 
 __all__ = [
     "hyp2f1",
@@ -299,15 +299,16 @@ def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...]
     if kind not in ("cos", "sin", "power"):
         raise DomainError("kind in {cos, sin, power}")
     vals = EpsilonLadder(tuple(float(d) for d in z_ladder)).values
-
-    def measure(d):
-        L = math.log(d)
-        if kind == "cos":
-            kern = lambda ts: np.cos(L * ts)
-        elif kind == "sin":
-            kern = lambda ts: np.sin(L * ts)
-        else:
-            kern = lambda ts: np.exp(-1j * L * ts)
-        res = integrate_pairing(probe, kern, *interval, _SWEEP_SPEC, osc_freq=L)
-        return res.value, res.error_estimate
-    return _ladder_sweep(vals, [measure(d) for d in vals])
+    rates = [math.log(d) for d in vals]
+    # integrate_pairing's window at each d, with frequency L = ln d: one batch keyed by L.
+    if kind == "cos":
+        kern = lambda ts, L: np.cos(L * ts)
+    elif kind == "sin":
+        kern = lambda ts, L: np.sin(L * ts)
+    else:
+        kern = lambda ts, L: np.exp(-1j * L * ts)
+    a, b = interval
+    windows = [Window(L, a, b, 1e-6 * (b - a), L) for L in rates]
+    res = integrate_batch(lambda ts, L: np.asarray(probe(ts)) * np.asarray(kern(ts, L)),
+                          windows, _SWEEP_SPEC)
+    return _ladder_sweep(vals, [(r.value, r.error_estimate) for r in res])

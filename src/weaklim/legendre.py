@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfn import DomainError, _pole_index, _rx, log_gamma
-from .quad import QuadratureSpec, integrate_semi_infinite
+from .quad import QuadratureSpec, Window, integrate_batch
 from .report import ClaimVerdict
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "sqrt_cut",
     "q_nu",
     "q_nu_mu",
+    "q_nu_mu_grid",
     "q_nu_itau_direct",
     "solve_eta",
     "relation_rhs",
@@ -98,14 +99,15 @@ def _gegenbauer_tail(nu: complex, mu: complex, z: complex, w: complex,
     acc = 0j
     d_prev, d = 0j, 1.0 + 0j
     quiet = 0
+    rate_minus, rate_plus, two_lam = lam - mu, lam + mu, 2.0 * lam
     for n in range(200):
-        term = d * (amp_minus / (lam - mu + n) + amp_plus / (lam + mu + n))
+        term = d * (amp_minus / (rate_minus + n) + amp_plus / (rate_plus + n))
         acc += term
         quiet = quiet + 1 if abs(term) <= 1e-17 * abs(acc) else 0
         if quiet == 2:
             break
         d_prev, d = d, (2.0 * (n + lam) * x * y * d
-                        - (n + 2.0 * lam - 1.0) * y * y * d_prev) / (n + 1)
+                        - (n + two_lam - 1.0) * y * y * d_prev) / (n + 1)
     return acc
 
 
@@ -117,33 +119,57 @@ def q_nu_mu(nu, mu, z, spec: QuadratureSpec | None = None) -> complex:
     nu - mu + 1 off the poles of the gamma prefactor.  Past the window [0, T],
     T = ln(4 rho max(1, |nu + 1|)) with rho = max |(-z -+ 1) / w| the larger
     root modulus of 1 - 2 x y + y^2, the Gegenbauer tail's terms fall 4-fold
-    or faster in the end, and do not rise first at large degree.
+    or faster in the end, and do not rise first at large degree.  This is
+    the one-point case of q_nu_mu_grid.
     """
-    nu = complex(nu)
-    mu = complex(mu)
-    z = _off_cut(z)
-    if _pole_index(nu + 1.0) is not None:
-        raise DomainError("nu != -1, -2, ...", f"degree {nu!r} is a pole")
-    if not (nu + mu).real > -1.0:
-        raise DomainError("Re(nu + mu) > -1")
-    if not nu.real + 1.0 - abs(mu.real) > 0.0:
-        raise DomainError("Re(nu + 1) > |Re(mu)|",
-                          "kernel decay too weak for the order")
-    pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0)
-                     - log_gamma(nu - mu + 1.0))
-    w = sqrt_cut(z)
-    rho = max(abs(z + 1.0), abs(z - 1.0)) / abs(w)
-    cut = math.log(4.0 * rho * max(1.0, abs(nu + 1.0)))
-    tail = _gegenbauer_tail(nu, mu, z, w, cut)
-    if pref == 0.0:
-        return 0j  # the prefactor underflowed: no window to integrate
+    return q_nu_mu_grid([(nu, mu, z)], spec)[0]
 
-    def f(t):  # cosh(mu t) in the exponent: its overflow alone is no overflow of f
+
+def q_nu_mu_grid(points, spec: QuadratureSpec | None = None) -> list[complex]:
+    """q_nu_mu at each (nu, mu, z) of points, in order, from one integrate_batch.
+
+    Every point is checked first; then the windows of all points are bisected
+    in lockstep, one kernel call per round, each node with its own point's
+    parameters, and each value is the one the point gives alone, bit for bit.
+    """
+    out, windows, slots, params = [], [], [], []
+    for nu, mu, z in points:
+        nu, mu, z = complex(nu), complex(mu), _off_cut(z)
+        if _pole_index(nu + 1.0) is not None:
+            raise DomainError("nu != -1, -2, ...", f"degree {nu!r} is a pole")
+        if not (nu + mu).real > -1.0:
+            raise DomainError("Re(nu + mu) > -1")
+        if not nu.real + 1.0 - abs(mu.real) > 0.0:
+            raise DomainError("Re(nu + 1) > |Re(mu)|",
+                              "kernel decay too weak for the order")
+        pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0)
+                         - log_gamma(nu - mu + 1.0))
+        w = sqrt_cut(z)
+        rho = max(abs(z + 1.0), abs(z - 1.0)) / abs(w)
+        cut = math.log(4.0 * rho * max(1.0, abs(nu + 1.0)))
+        tail = _gegenbauer_tail(nu, mu, z, w, cut)
+        if pref == 0.0:  # the prefactor underflowed: no window to integrate
+            out.append(0j)
+            continue
+        out.append(pref)
+        windows.append(Window(len(params), 0.0, cut, osc_freq=mu.imag, tail=tail))
+        slots.append(len(out) - 1)
+        params.append((-nu - 1.0, z, 0.5 * w, mu))
+    if not windows:
+        return out
+    # -nu - 1, z, w / 2 and mu of one point (a key k), or of each node (keys k)
+    columns = np.array(params).T.copy() if len(params) > 1 else None
+
+    def kernel(t, k):  # cosh(mu t) in the exponent: its overflow alone is no overflow of f
+        power, shift, half_w, order = params[k] if isinstance(k, int) else columns[:, k]
         e = _rx(np.exp, t)  # cosh t from one exp: a complex np.cosh costs twice as much
-        log_bare = (-nu - 1.0) * np.log(z + 0.5 * w * (e + 1.0 / e))
-        return 0.5 * (np.exp(log_bare - mu * t) + np.exp(log_bare + mu * t))
+        log_bare = power * np.log(shift + half_w * (e + 1.0 / e))
+        mu_t = order * t
+        return 0.5 * (np.exp(log_bare - mu_t) + np.exp(log_bare + mu_t))
 
-    return pref * integrate_semi_infinite(f, cut, tail, spec, osc_freq=mu.imag).value
+    for i, res in zip(slots, integrate_batch(kernel, windows, spec)):
+        out[i] *= res.value
+    return out
 
 
 def q_nu_itau_direct(nu, tau: float, z,
@@ -213,13 +239,15 @@ def adjudicate_relation(nu, tau: float, z) -> ClaimVerdict:
 
 def adjudicate_relations(grid) -> list[ClaimVerdict]:
     """adjudicate_relation at each (nu, tau, z) of grid, in order, taking
-    Q_nu(z) once per distinct (nu, z)."""
-    q = {}
+    Q_nu(z) once per distinct (nu, z); both sides' integrals are one
+    q_nu_mu_grid."""
+    grid = [(nu, float(tau), z) for nu, tau, z in grid]
+    bases = list(dict.fromkeys((nu, z) for nu, _, z in grid))
+    values = q_nu_mu_grid([(nu, 1j * tau, z) for nu, tau, z in grid]
+                          + [(nu, 0.0, z) for nu, z in bases])
+    q = dict(zip(bases, values[len(grid):]))
     out = []
-    for nu, tau, z in grid:
-        lhs = q_nu_itau_direct(nu, tau, z)
-        if (nu, z) not in q:
-            q[nu, z] = q_nu(nu, z)
+    for (nu, tau, z), lhs in zip(grid, values):
         rhs = _relation_factor(nu, tau) * q[nu, z]
         dev = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         nu_c = complex(nu)
@@ -258,10 +286,14 @@ def asymptotic_large_nu(nu, tau: float, z,
     being large enough for either to be meaningful.
     """
     nu = complex(nu)
+    if not cmath.isfinite(nu):
+        raise DomainError("finite nu", f"nu = {nu!r} is not finite")
     if not nu.real > 0.0:
         raise DomainError("Re(nu) > 0")
     z = _off_cut(z)
     t = float(tau)
+    if not math.isfinite(t):
+        raise DomainError("finite tau", f"tau = {t!r} is not finite")
     log_nu = cmath.log(nu)
     explicit = cmath.exp(
         (-0.5 + 1j * t) * log_nu - math.pi * t

@@ -10,11 +10,12 @@ per-caller overrides:
     integrate_semi_infinite  [0, inf) with exponential decay: the pairing
                              window over [0, T] plus the caller's exact tail
 
-Each integral is one adaptive pass, with one heap over the panels of its
-pieces (a window, or the two ends of a finite integral) and one stopping rule.
-Each panel is evaluated with a 21-point Gauss-Legendre rule; the error
-estimate is the difference against the embedded 10-point rule.  At an end
-where f(u) = u^(p-1) g(u), u the distance to the end, the panel takes product
+integrate_batch takes a grid of them at once (Window, Ends).  Each integral
+is one adaptive pass, with one heap over the panels of its pieces (a window,
+or the two ends of a finite integral) and one stopping rule.  Each panel is
+evaluated with a 21-point Gauss-Legendre rule; the error estimate is the
+difference against the embedded 10-point rule.  At an end where
+f(u) = u^(p-1) g(u), u the distance to the end, the panel takes product
 weights on the same nodes, which integrate u^(p-1) exactly against the
 polynomial through g's values (QUADPACK's QAWS).  The worst panel is bisected
 until the total estimate meets max(floor, rel_tol * |value|) or the
@@ -24,17 +25,22 @@ meets the relative contract.  A window's angular frequency ``osc_freq`` cuts
 its initial panels at half periods while they fit half the budget; a faster
 oscillation is left to bisection.
 
-Panels are evaluated in batches, one integrand call each: the initial
-partition of each piece, then the two halves of each bisection.  A ladder of
-pairings, one integral per rung (p, origin_scale), shares one batch for the
-initial partitions of all its rungs, kernel(ts, ps) with each node's p; each
-rung then bisects in its own heap with kernel(ts, p).  Integrands receive a
-numpy array of abscissae, the batch's nodes panel by panel, and must return
-an array of values (real or complex); values that each depend on their own
-abscissa (and p) only give the same result, bit for bit, as one call per
-panel, and at every SIMD level and BLAS kernel: the rules are row sums of
-products through complexfn's kit.  Everything here is pure and
-deterministic; independent integrations may run concurrently.
+Panels are evaluated in batches, one integrand call each, by one routine that
+runs every integral of a batch in lockstep (a scalar entry point is a batch
+of one), in the manner of Shampine's vectorized adaptive quadrature (J.
+Comput. Appl. Math. 211, 2008).  One call per distinct integrand evaluates
+the initial panels of all integrals; then each round pops the worst panel of
+every integral still above its target and evaluates all their halves in one
+call.  A batch integrand is g(ts, keys): keys holds each node's key (the
+rung's p of a ladder, a grid point's index), or the one key of a call whose
+nodes share it.  Integrands receive a numpy array of abscissae, panel by
+panel, and must return an array of values (real or complex); values that
+each depend on their own abscissa and key only give each integral the same
+result, bit for bit, as a batch of its own or one call per panel, and at
+every SIMD level and BLAS kernel: each integral keeps its own heap and sums,
+and the rules are row sums of products through complexfn's kit.  Everything
+here is pure and deterministic; independent integrations may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +65,9 @@ __all__ = [
     "integrate_semi_infinite",
     "integrate_pairing",
     "integrate_pairings",
+    "integrate_batch",
+    "Window",
+    "Ends",
 ]
 
 _X_LO, _W_LO = np.polynomial.legendre.leggauss(10)
@@ -66,9 +76,10 @@ _NODES = np.concatenate([_X_HI, _X_LO])
 _WEIGHTS = np.concatenate([_W_HI, _W_LO])
 # (k + 1/2) P_k(x_j) w_j for k < 21, and 0 past k = 9 on the 10-point nodes.
 _LEGENDRE = np.polynomial.legendre.legvander(_NODES, 20).T * (np.arange(21) + 0.5)[:, None]
-_LEGENDRE = (_LEGENDRE * _WEIGHTS).astype(complex)
+_LEGENDRE = _LEGENDRE * _WEIGHTS
 _LEGENDRE[10:, 21:] = 0.0
-_LOG1P = np.array([math.log1p(x) for x in _NODES.tolist()], dtype=complex)
+_LOG1P = np.array([math.log1p(x) for x in _NODES.tolist()])
+_WEIGHTS_C = _WEIGHTS.astype(complex)  # _WEIGHTS weighed beside an end's complex row
 
 
 @dataclass(frozen=True)
@@ -122,104 +133,208 @@ class ConvergenceError(RuntimeError):
                          f"error estimate {best.error_estimate:.3e})")
 
 
-def _end_weights(p: complex) -> np.ndarray:
-    """The 31 weights of a panel [0, d] on which f(u) = u^(p-1) g(u), g smooth.
+def _end_weights(ps) -> np.ndarray:
+    """The 31 weights of a panel [0, d] on which f(u) = u^(p-1) g(u), g smooth,
+    one row for each p of ps.
 
     w_j (1+x_j)^(1-p) sum_k (k+1/2) P_k(x_j) m_k, from the moments m_k of
     (1+x)^(p-1) P_k over [-1, 1]: m_0 = 2^p / p, m_(k+1) = m_k (p-1-k) / (p+1+k).
-    The factor (1+x_j)^(1-p) divides the weight back out of f.  CPython
-    moments and _times make the weights the same at every SIMD level; at
-    p = 1 they are _WEIGHTS, bit for bit.
+    The factor (1+x_j)^(1-p) divides the weight back out of f.  The moments
+    are CPython's, each p's recurrence on its own (21 complex steps cost less
+    there than 20 rounds of _cmul and _cdiv over the batch).  The rows are
+    built together: the real tables _LEGENDRE and _LOG1P scale each part of
+    the moments and of 1 - p, as CPython's complex * with a zero imaginary
+    part does up to signs of zero, and the last product goes through _times,
+    so each row is the same at every SIMD level and in every batch; at p = 1
+    a row is _WEIGHTS, bit for bit.
     """
-    p = complex(p)
-    moments = [2.0 ** p / p]
-    for k in range(20):
-        moments.append(moments[-1] * (p - 1 - k) / (p + 1 + k))
-    sums = _times(_LEGENDRE, np.array(moments)[:, None]).sum(axis=0)
-    return _times(sums, np.exp(_times(_LOG1P, 1.0 - p)))
+    ps = [complex(p) for p in ps]
+    moments = []
+    for p in ps:
+        moments.append([2.0 ** p / p])
+        for k in range(20):
+            moments[-1].append(moments[-1][-1] * (p - 1 - k) / (p + 1 + k))
+    m = np.array(moments)[:, :, None]
+    sums = np.empty((len(ps), 31), complex)
+    sums.real, sums.imag = (_LEGENDRE * m.real).sum(axis=1), (_LEGENDRE * m.imag).sum(axis=1)
+    fold = np.array([1.0 - p for p in ps])[:, None]
+    exponent = np.empty_like(sums)
+    exponent.real, exponent.imag = _LOG1P * fold.real, _LOG1P * fold.imag
+    return _times(sums, np.exp(exponent))
 
 
-def _panels(f, spans):
-    """(value, error estimate) of each panel (a, b, row) in spans, from one call of f.
+def _panels(g, spans):
+    """(value, error estimate) of each panel (a, b, row, g, key) in spans, from
+    one call g(ts, keys): keys is each node's panel key, or the one key of
+    every panel when they share one.
 
-    Both rules are row sums of f times the row of weights, _WEIGHTS or an end's.
+    Both rules are row sums of g times the row of weights, _WEIGHTS or an
+    end's, through _times as in a call of each panel's integral alone: a
+    panel whose row is _WEIGHTS is scaled by it, a complex row (an end's, or
+    _WEIGHTS_C) goes through _cmul.
     """
-    a, b, rows = map(np.array, zip(*spans))
-    halves = 0.5 * (b - a)
-    xs = (0.5 * (a + b))[:, None] + halves[:, None] * _NODES
-    ys = np.ascontiguousarray(f(xs.ravel()), dtype=complex).reshape(xs.shape)
-    sums = np.add.reduceat(_times(ys, rows), [0, 21], axis=1).tolist()
-    for half, (w_hi, w_lo) in zip(halves.tolist(), sums):
+    a, b, rows, _, keys = zip(*spans)
+    halves = [0.5 * (y - x) for x, y in zip(a, b)]
+    mids = [0.5 * (x + y) for x, y in zip(a, b)]
+    xs = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
+    if keys.count(keys[0]) < len(keys):
+        keys = np.repeat(keys, 31)
+    else:
+        keys = keys[0]
+    ys = np.ascontiguousarray(g(xs.ravel(), keys), dtype=complex).reshape(xs.shape)
+    plain = [row is _WEIGHTS for row in rows]
+    if all(plain):
+        products = _times(ys, _WEIGHTS)
+    elif not any(plain):
+        products = _times(ys, np.array(rows))
+    else:
+        products = np.empty_like(ys)
+        for pick in (np.flatnonzero(plain), np.flatnonzero(np.logical_not(plain))):
+            products[pick] = _times(ys[pick], np.array([rows[i] for i in pick.tolist()]))
+    out = []
+    for half, (w_hi, w_lo) in zip(halves, np.add.reduceat(products, [0, 21], axis=1).tolist()):
         hi, lo = half * w_hi, half * w_lo
-        yield hi, abs(hi - lo)
+        out.append((hi, abs(hi - lo)))
+    return out
 
 
-def _spans(breakpoints, row) -> list:
-    """The panels (a, b, row) between breakpoints: the first takes ``row``, the
-    rest _WEIGHTS."""
-    rows = itertools.chain([row], itertools.repeat(_WEIGHTS))
-    spans = [s for s in zip(breakpoints[:-1], breakpoints[1:], rows) if s[1] > s[0]]
+def _evaluate(spans) -> list:
+    """(value, error estimate) of each panel (a, b, row, g, key) of spans, from
+    one _panels call per distinct g, in order of first appearance."""
+    if len({span[3] for span in spans}) == 1:
+        return _panels(spans[0][3], spans)
+    groups = {}
+    for i, span in enumerate(spans):
+        groups.setdefault(span[3], []).append(i)
+    out = [None] * len(spans)
+    for g, picks in groups.items():
+        for i, res in zip(picks, _panels(g, [spans[i] for i in picks])):
+            out[i] = res
+    return out
+
+
+def _spans(breakpoints) -> list:
+    """The panels (a, b) between breakpoints."""
+    spans = [s for s in zip(breakpoints[:-1], breakpoints[1:]) if s[1] > s[0]]
     if not spans:
         raise DomainError("non-empty interval")
     return spans
 
 
-def _seed(pieces) -> list:
-    """The initial panels (a, b, row, value, error, f) of (f, breakpoints, row)
-    pieces, from one call of each piece's f."""
-    panels = []
-    for f, breakpoints, row in pieces:
-        spans = _spans(breakpoints, row)
-        panels += [(*span, *out, f) for span, out in zip(spans, _panels(f, spans))]
-    return panels
+class _Run:
+    """One integral of a lockstep pass: its heap of panels, running sums and splits.
 
-
-def _adaptive(panels, spec: QuadratureSpec):
-    """Worst-panel bisection of evaluated panels (a, b, row, value, error, f), one heap.
-
-    A bisected panel's left half keeps its row and its right half takes
-    _WEIGHTS; both are evaluated by one call of the panel's own f.
+    A heap item is (-error, seq, a, b, row, g, key, value, error).
     """
-    heap = []
-    seq = itertools.count()
 
-    def push(a, b, row, val, err, f):
-        heapq.heappush(heap, (-err, next(seq), a, b, row, val, err, f))
+    __slots__ = ("spec", "tail", "heap", "seq", "splits", "result", "failure",
+                 "evals", "abs_tol", "total", "err_total")
 
-    def sums():
-        return sum(item[5] for item in heap), sum(item[6] for item in heap)
+    def __init__(self, spec: QuadratureSpec, tail):
+        self.spec, self.tail = spec, tail
+        self.heap, self.seq = [], itertools.count()
+        self.splits = 0
+        self.result = self.failure = None
 
-    for panel in panels:
-        push(*panel)
-    evals = 31 * len(heap)
+    def sums(self):
+        """The value and estimate summed over the heap, in heap order."""
+        return sum([item[7] for item in self.heap]), sum([item[8] for item in self.heap])
 
-    scale = sum(abs(item[5]) for item in heap)
-    abs_tol = min(spec.abs_tol, max(scale * spec.rel_tol, 1e-300))
+    def start(self):
+        """Budget and running sums from the initial panels."""
+        self.evals = 31 * len(self.heap)
+        scale = sum([abs(item[7]) for item in self.heap])
+        self.abs_tol = min(self.spec.abs_tol, max(scale * self.spec.rel_tol, 1e-300))
+        self.total, self.err_total = self.sums()
 
-    total, err_total = sums()
-    splits = 0
-    while err_total > max(abs_tol, spec.rel_tol * abs(total)):
-        if splits >= spec.max_subdivisions:
-            raise ConvergenceError(
-                "quadrature did not converge within the subdivision budget",
-                IntegralResult(total, err_total, evals),
-            )
-        _, _, a, b, row, val, err, f = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = _panels(f, [(a, m, row), (m, b, _WEIGHTS)])
-        push(a, m, row, v1, e1, f)
-        push(m, b, _WEIGHTS, v2, e2, f)
-        evals += 62
-        total += v1 + v2 - val
-        err_total += e1 + e2 - err
-        splits += 1
-        if splits % 256 == 0:  # kill accumulation drift in the running sums
-            total, err_total = sums()
-    res = IntegralResult(*sums(), evals)
-    if not (cmath.isfinite(res.value) and math.isfinite(res.error_estimate)):
-        # A NaN estimate ends the loop above as if it had converged.
-        raise ConvergenceError("quadrature produced a non-finite value", res)
-    return res
+    def finish(self):
+        # Unsplit, the running sums are still the heap's sums.
+        res = IntegralResult(*(self.sums() if self.splits else (self.total, self.err_total)),
+                             self.evals)
+        if not (cmath.isfinite(res.value) and math.isfinite(res.error_estimate)):
+            # A NaN estimate ends the bisection as if it had converged.
+            self.failure = ConvergenceError("quadrature produced a non-finite value", res)
+            return
+        if self.tail is not None:
+            res.value += self.tail
+            if not cmath.isfinite(res.value):
+                self.failure = ConvergenceError("the closed-form tail is not finite", res)
+                return
+        self.result = res
+
+
+def _adaptive(batch) -> list[IntegralResult]:
+    """Worst-panel bisection of every integral of a batch, in lockstep.
+
+    ``batch`` holds one (spec, pieces, tail) per integral: its tolerance, its
+    pieces (g, key, breakpoints, p), each the plain panels between its
+    breakpoints or, for an exponent p, one end panel [breakpoints], and a
+    closed-form tail added to its value (or None).  All integrals share one
+    call per distinct g for their initial panels and one per round: each
+    round pops the worst panel of every integral still above its target and
+    evaluates all the halves together.  A bisected panel's left half keeps
+    its row and its right half takes _WEIGHTS; each integral keeps its own
+    heap and sums, so it sees the pops it would see alone, and its value,
+    estimate and evaluation count are the same, bit for bit.  A panel is
+    weighed as in a call of its own integral alone: beside an end's complex
+    row, _WEIGHTS as a complex row.  The first integral in input order that
+    fails raises its ConvergenceError; the integrals after a failed one stop
+    at once.
+    """
+    ends = [p for _, pieces, _ in batch for _, _, _, p in pieces if p is not None]
+    rows = iter(_end_weights(ends)) if ends else None
+    runs, seeds, homes = [], [], []
+    for spec, pieces, tail in batch:
+        run = _Run(spec, tail)
+        runs.append(run)
+        for g, key, breakpoints, p in pieces:
+            row = _WEIGHTS if p is None else next(rows)
+            for a, b in _spans(breakpoints):
+                seeds.append((a, b, row, g, key))
+                homes.append(run)
+    for run, (a, b, row, g, key), (val, err) in zip(homes, seeds, _evaluate(seeds)):
+        heapq.heappush(run.heap, (-err, next(run.seq), a, b, row, g, key, val, err))
+    for run in runs:
+        run.start()
+
+    live = runs
+    while live:
+        split, halves = [], []
+        for run in live:  # in input order
+            spec = run.spec
+            if not run.err_total > max(run.abs_tol, spec.rel_tol * abs(run.total)):
+                run.finish()
+            elif run.splits >= spec.max_subdivisions:
+                run.failure = ConvergenceError(
+                    "quadrature did not converge within the subdivision budget",
+                    IntegralResult(run.total, run.err_total, run.evals))
+            else:
+                item = heapq.heappop(run.heap)
+                _, _, a, b, row, g, key, _, _ = item
+                m = 0.5 * (a + b)
+                split.append((run, item, m))
+                halves += [(a, m, row, g, key),
+                           (m, b, _WEIGHTS if row is _WEIGHTS else _WEIGHTS_C, g, key)]
+                continue
+            if run.failure is not None:  # the integrals after it no longer matter
+                break
+        outs = _evaluate(halves) if halves else []
+        # The left half keeps the popped panel's row, the right half takes _WEIGHTS.
+        for (run, item, m), (v1, e1), (v2, e2) in zip(split, outs[::2], outs[1::2]):
+            _, _, a, b, row, g, key, val, err = item
+            heapq.heappush(run.heap, (-e1, next(run.seq), a, m, row, g, key, v1, e1))
+            heapq.heappush(run.heap, (-e2, next(run.seq), m, b, _WEIGHTS, g, key, v2, e2))
+            run.evals += 62
+            run.total += v1 + v2 - val
+            run.err_total += e1 + e2 - err
+            run.splits += 1
+            if run.splits % 256 == 0:  # kill accumulation drift in the running sums
+                run.total, run.err_total = run.sums()
+        live = [run for run, _, _ in split]
+    for run in runs:
+        if run.failure is not None:
+            raise run.failure
+    return [run.result for run in runs]
 
 
 def _breakpoints(a: float, b: float, inner: float | None = None,
@@ -253,13 +368,6 @@ def _partition(a: float, b: float, spec: QuadratureSpec, inner: float | None,
     return _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
 
 
-def _window(f, a: float, b: float, spec: QuadratureSpec | None, inner: float | None,
-            freq: float | None) -> IntegralResult:
-    """Adaptive pass over a finite [a, b] from its _partition."""
-    spec = spec or DEFAULT_SPEC
-    return _adaptive(_seed([(f, _partition(a, b, spec, inner, freq), _WEIGHTS)]), spec)
-
-
 def _default_edge(f, end: float, sign: float, name: str):
     """f(end + sign * u); a distance u > 0 that rounds onto the end raises."""
     def g(u):
@@ -269,6 +377,68 @@ def _default_edge(f, end: float, sign: float, name: str):
         return f(t)
 
     return g
+
+
+def _ends(left, right, a: float, b: float, exps: EndpointExponents | None) -> list:
+    """integrate_finite's pieces of [a, b]: the halves in the distance u from
+    each end, each one end panel, for the (g, key) of each side."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError("a < b finite")
+    exps = exps or EndpointExponents()
+    mid = 0.5 * (a + b)
+    return [(*left, [0.0, mid - a], exps.left_p), (*right, [0.0, b - mid], exps.right_p)]
+
+
+class Window(NamedTuple):
+    """A finite window [a, b] of an integrate_batch, with ``key`` its nodes' key.
+
+    The shape of integrate_pairing (panels clustered at the origin down to
+    ``origin_scale``, cut at half periods of ``osc_freq``) and, with no
+    origin_scale, of integrate_semi_infinite, whose closed-form ``tail`` is
+    added to the window's value.
+    """
+
+    key: object
+    a: float
+    b: float
+    origin_scale: float | None = None
+    osc_freq: float | None = None
+    tail: complex | None = None
+
+    def plan(self, g, spec: QuadratureSpec):
+        pts = _partition(self.a, self.b, spec, self.origin_scale, self.osc_freq)
+        return spec, [(g, self.key, pts, None)], self.tail
+
+
+class Ends(NamedTuple):
+    """integrate_finite's shape in an integrate_batch: [a, b] as its halves in
+    the distance u from each end, with end exponents ``exps``; g takes u, and
+    the nodes of the left and right half take ``keys[0]`` and ``keys[1]``."""
+
+    keys: tuple
+    a: float
+    b: float
+    exps: EndpointExponents | None = None
+
+    def plan(self, g, spec: QuadratureSpec):
+        return spec, _ends((g, self.keys[0]), (g, self.keys[1]), self.a, self.b, self.exps), None
+
+
+def integrate_batch(g, integrals, spec: QuadratureSpec | None = None) -> list[IntegralResult]:
+    """Integrate each of ``integrals`` (Window or Ends) in one lockstep adaptive pass.
+
+    ``g(ts, keys)`` is the batch's integrand, with ``keys`` each node's key,
+    or the one key of a call whose nodes all share it; its value at a node
+    must depend on that node's abscissa and key alone.
+    Each round of bisection calls g once, on the halves of every integral
+    still above its target.  Each result is the one that integral gives alone
+    (integrate_pairing, integrate_semi_infinite, integrate_finite), bit for
+    bit, and so is the ConvergenceError raised, that of the first integral in
+    input order that fails.  Every integral is checked before any is
+    integrated.
+    """
+    spec = spec or DEFAULT_SPEC
+    return _adaptive([integral.plan(g, spec) for integral in integrals])
 
 
 def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = None,
@@ -288,16 +458,11 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     declared smoother than it is gets bisected toward it.
     """
     spec = spec or DEFAULT_SPEC
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("a < b finite")
-
-    exps = exps or EndpointExponents()
-    mid = 0.5 * (a + b)
     # Each half in distance coordinates u = t - a (left) or u = b - t (right).
     left = left_edge or _default_edge(f, a, 1.0, "left_edge")
     right = right_edge or _default_edge(f, b, -1.0, "right_edge")
-    return _adaptive(_seed([(left, [0.0, mid - a], _end_weights(exps.left_p)),
-                            (right, [0.0, b - mid], _end_weights(exps.right_p))]), spec)
+    pieces = _ends((lambda u, _: left(u), None), (lambda u, _: right(u), None), a, b, exps)
+    return _adaptive([(spec, pieces, None)])[0]
 
 
 def integrate_semi_infinite(f, cut: float, tail: complex,
@@ -309,11 +474,8 @@ def integrate_semi_infinite(f, cut: float, tail: complex,
     ``osc_freq`` the window's angular frequency.  A non-finite tail raises
     ConvergenceError, as a non-finite window does.
     """
-    res = _window(f, 0.0, cut, spec, None, osc_freq)
-    res.value += tail
-    if not cmath.isfinite(res.value):
-        raise ConvergenceError("the closed-form tail is not finite", res)
-    return res
+    window = Window(None, 0.0, cut, osc_freq=osc_freq, tail=tail)
+    return integrate_batch(lambda ts, _: f(ts), [window], spec)[0]
 
 
 def integrate_pairing(phi, kernel, a: float, b: float,
@@ -339,26 +501,15 @@ def integrate_pairings(phi, kernel, a: float, b: float, rungs,
     """phi(tau) * kernel(tau, p) over [a, b] at each rung (p, origin_scale).
 
     Each rung is its own integral, as integrate_pairing's with that
-    ``origin_scale``, and gives the same result bit for bit: one call
-    kernel(ts, ps), ps each node's p, evaluates the initial panels of every
-    rung, and each rung then bisects its worst panels in its own heap, with
-    kernel(ts, p).
+    ``origin_scale``, and gives the same result bit for bit: the rungs are
+    one integrate_batch of windows keyed by p, so each call kernel(ts, ps),
+    ps each node's p, evaluates the initial panels, or one round of
+    bisection, of every rung at once.
     """
-    spec = spec or DEFAULT_SPEC
-    pieces = []
+    windows = []
     for p, scale in rungs:
         if scale is not None and not scale > 0.0:
             raise DomainError("origin_scale > 0")
-        pts = _partition(a, b, spec, scale or 1e-6 * (b - a), osc_freq)
-        pieces.append((p, _spans(pts, _WEIGHTS)))
-
-    def integrand(p):
-        return lambda ts: np.asarray(phi(ts)) * np.asarray(kernel(ts, p))
-
-    ps = np.repeat([p for p, _ in pieces], [31 * len(spans) for _, spans in pieces])
-    seeds = iter(_panels(integrand(ps), [span for _, spans in pieces for span in spans]))
-    results = []
-    for p, spans in pieces:
-        f = integrand(p)
-        results.append(_adaptive([(*span, *next(seeds), f) for span in spans], spec))
-    return results
+        windows.append(Window(p, a, b, scale or 1e-6 * (b - a), osc_freq))
+    return integrate_batch(lambda ts, ps: np.asarray(phi(ts)) * np.asarray(kernel(ts, ps)),
+                           windows, spec)

@@ -390,7 +390,7 @@ def quad_calls(monkeypatch):
         return call
 
     monkeypatch.setattr(quad, "_adaptive", recorded("_adaptive", quad._adaptive))
-    for name in ("integrate_pairing", "integrate_semi_infinite"):
+    for name in ("integrate_batch", "integrate_semi_infinite"):
         monkeypatch.setattr(distrib, name, recorded(name, getattr(distrib, name)))
     return calls
 
@@ -594,7 +594,7 @@ def test_mellin_inverse_sweep_limit_is_one():
 @pytest.mark.parametrize("t", [1.0, math.e, 0.25])
 def test_mellin_inverse_is_one_pairing(quad_calls, t):
     mellin_inverse_check(t, 1e-3)
-    assert [name for name, _ in quad_calls] == ["_adaptive", "integrate_pairing"]
+    assert [name for name, _ in quad_calls] == ["_adaptive", "integrate_batch"]
 
 
 def test_mellin_inverse_sweep_reports_its_own_estimates(quad_calls):
@@ -604,11 +604,69 @@ def test_mellin_inverse_sweep_reports_its_own_estimates(quad_calls):
     for t, budget in ((math.e, 2.5e-10), (1.0, 0.0)):
         quad_calls.clear()
         sweep = mellin_inverse_sweep(t, ladder)
-        windows = [res for name, res in quad_calls if name == "integrate_pairing"]
+        (windows,) = [out for name, out in quad_calls if name == "integrate_batch"]
         assert [err for _, _, err in sweep.points] \
             == [2.0 * (w.error_estimate + budget) for w in windows]
         for eps, value, err in sweep.points:
             assert abs(value - math.exp(-eps * abs(math.log(t)))) <= err, (t, eps)
+
+
+def test_mellin_inverse_ladder_is_one_batch_of_the_pairings(monkeypatch):
+    # The ladder and E17's check at eps = 1e-4 in one batch: each eps gets the
+    # value and estimate it gets alone, and each window is the pairing
+    # integrate_pairing gives at that eps, bit for bit.
+    batches = []
+    batch = distrib.integrate_batch
+
+    def recorded(g, windows, spec):
+        batches.append((g, windows, spec, batch(g, windows, spec)))
+        return batches[-1][3]
+
+    monkeypatch.setattr(distrib, "integrate_batch", recorded)
+    eps = (*EpsilonLadder.default().values, 1e-4)
+    for t in (math.e, 1.0, 0.25):
+        batches.clear()
+        together = distrib._mellin_inverse(t, eps)
+        assert together == [distrib._mellin_inverse(t, [e])[0] for e in eps]
+        g, windows, spec, results = batches[0]
+        for window, res in zip(windows, results):
+            assert res == integrate_pairing(
+                PROBES["const"], lambda x: g(x, window.key), window.a, window.b, spec,
+                origin_scale=window.origin_scale, osc_freq=window.osc_freq), (t, window.key)
+
+
+@pytest.mark.parametrize("t, eps, condition", [
+    (2.0, 1e100, "finite closed-form tail"),
+    (2.0, 1e200, "eps^2 + X^2 finite"),
+    (2.0, math.inf, "eps^2 + X^2 finite"),
+    (1.0, 1e200, "eps^2 + X^2 finite"),
+    (1.0, math.inf, "eps^2 + X^2 finite"),
+])
+def test_mellin_inverse_rejects_an_eps_past_double_range(t, eps, condition):
+    # eps = 1e100 overflowed in the tail by parts, 1e200 returned NaN (at
+    # t = 1, the value of a window where omega_eps underflows to 0) and inf
+    # failed in math.sin.
+    with pytest.raises(DomainError) as exc:
+        mellin_inverse_check(t, eps)
+    assert exc.value.condition == condition
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_mellin_forward_rejects_a_non_finite_tau(tau):
+    # Before its ConvergenceError the quadrature leaked numpy RuntimeWarnings.
+    with pytest.raises(DomainError) as exc:
+        mellin_reg_forward(tau, 0.1)
+    assert exc.value.condition == "finite tau"
+
+
+def test_mellin_grid_takes_each_cosine_once_over_the_ladder(monkeypatch):
+    # E16's ladder is one kernel call over 1,922 distinct (eps, |tau|) but
+    # only 496 distinct |tau|: one cosine row each, in blocks of at most 32.
+    rows = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda x: rows.append(np.shape(x)[0]) or cos(x))
+    mellin_forward_sweep(PROBES["gaussian"], (-1.0, 1.0))
+    assert sum(rows) == 496 and max(rows) <= distrib._MELLIN_ROWS == 32
 
 
 def test_mellin_inverse_domain():

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weaklim import cli, distrib
+from weaklim import cli, distrib, quad
 from weaklim.claims import (
     _GAUSS_SETS,
     REGISTRY,
@@ -115,6 +115,44 @@ def test_run_claim_e04_all_pass():
     assert len(verdicts) == 12
     assert all(v.status == "PASS" for v in verdicts)
     assert all(v.deviation <= 1e-9 for v in verdicts)
+
+
+# Integrand calls and nodes of each claim that integrates, in one run_all().
+# Each claim's grid of integrals is one lockstep batch: one call for the
+# initial panels and one per round of bisection, per distinct integrand.
+CLAIM_INTEGRAND_CALLS = {
+    "E03-beta-substitution": (6, 186),
+    "E04-euler-beta": (3, 1240),
+    "E12-beta-delta": (3, 5921),
+    "E16-mellin-forward": (1, 3844),
+    "E17-mellin-inverse": (4, 11098),
+    "E31-weak-limit-2f1": (2, 4123),
+    "E35-oscillatory": (2, 10478),
+    "E45-large-z-asym": (1, 93),
+    "E47-legendre-exact": (2, 496),
+    "E47-legendre-relation": (2, 1767),
+    "E49-large-nu-asym": (4, 217),
+    "E53-near-one": (2, 279),
+    "E54-power-slope": (3, 620),
+}
+
+
+def test_integrand_calls_per_claim(monkeypatch):
+    # Counted at quad's panel evaluation, one _panels call per integrand call.
+    counts = {}
+    panels = quad._panels
+
+    def counted(g, spans):
+        calls, nodes = counts.get(claim, (0, 0))
+        counts[claim] = (calls + 1, nodes + 31 * len(spans))
+        return panels(g, spans)
+
+    monkeypatch.setattr(quad, "_panels", counted)
+    for claim in claim_ids():
+        run_claim(claim)
+    assert counts == CLAIM_INTEGRAND_CALLS
+    assert sum(calls for calls, _ in counts.values()) == 35
+    assert sum(nodes for _, nodes in counts.values()) == 40362
 
 
 def test_report_claim_never_fails():
@@ -494,6 +532,15 @@ def test_cli_library_error_exits_2(argv, says, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+
+
+@pytest.mark.parametrize("eps", ["1e100", "1e200", "inf"])
+def test_cli_mellin_inverse_eps_past_double_range_exits_2(eps, capsys):
+    # The window, omega_eps on it or the tail by parts leaves double range:
+    # a named DomainError, not a traceback or a NaN value.
+    assert cli.main(["eval", "mellin_inverse", "t=2", f"eps={eps}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("double range" in err or "not finite" in err)
 
 
 @pytest.mark.parametrize("text, value", [

@@ -9,7 +9,7 @@ import pytest
 
 from weaklim import claims, hyper
 from weaklim.complexfn import DomainError, PoleError, _check_pole, gamma, log_gamma
-from weaklim.distrib import PROBES, omega_eps
+from weaklim.distrib import _SWEEP_SPEC, PROBES, omega_eps
 from weaklim.hyper import (
     SeriesError,
     f_derivatives,
@@ -21,6 +21,7 @@ from weaklim.hyper import (
     hyp2f1,
     oscillatory_limit_sweep,
 )
+from weaklim.quad import integrate_pairing
 
 mpmath.mp.dps = 30
 SQRT_PI = math.sqrt(math.pi)
@@ -639,6 +640,23 @@ def test_oscillatory_constant_probe_antiderivative():
     oracle = 2.0 * math.sin(k) / k
     assert abs(val - oracle) <= 1e-9
     assert abs(val) <= 0.1
+
+
+@pytest.mark.parametrize("kind, kernel", [
+    ("cos", lambda L: lambda ts: np.cos(L * ts)),
+    ("sin", lambda L: lambda ts: np.sin(L * ts)),
+    ("power", lambda L: lambda ts: np.exp(-1j * L * ts)),
+])
+def test_oscillatory_sweep_is_each_pairing_alone(kind, kernel):
+    # One batch keyed by L = ln d gives each d the pairing integrate_pairing
+    # gives alone, with its own half periods, bit for bit.
+    ladder = tuple(math.exp(-k) for k in (3.0, 7.0, 12.0))
+    sweep = oscillatory_limit_sweep(PROBES["gaussian"], kind, ladder, interval=(-5.0, 5.0))
+    for d, value, err in sweep.points:
+        L = math.log(d)
+        alone = integrate_pairing(PROBES["gaussian"], kernel(L), -5.0, 5.0, _SWEEP_SPEC,
+                                  osc_freq=L)
+        assert (value, err) == (alone.value, alone.error_estimate), (kind, d)
 
 
 def test_oscillatory_rejects_bad_ladder():

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from weaklim import legendre
-from weaklim.complexfn import EULER_GAMMA, DomainError, digamma, gamma
+from weaklim.complexfn import EULER_GAMMA, DomainError, _rx, digamma, gamma, log_gamma
 from weaklim.legendre import (
     BranchCutError,
+    _gegenbauer_tail,
     adjudicate_relation,
     asymptotic_large_nu,
     near_one_laws,
     q_nu,
     q_nu_itau_direct,
     q_nu_mu,
+    q_nu_mu_grid,
     relation_rhs,
     solve_eta,
     sqrt_cut,
@@ -193,6 +195,54 @@ def test_q_nu_mu_named_preconditions():
 
 # ----------------------------------------------------------- imaginary order
 
+def _q_alone(nu, mu, z):
+    """Q_nu^mu(z) one point at a time, with every kernel parameter a Python
+    complex: the window through integrate_semi_infinite, plus its tail."""
+    nu, mu, z = complex(nu), complex(mu), complex(z)
+    pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0) - log_gamma(nu - mu + 1.0))
+    w = sqrt_cut(z)
+    rho = max(abs(z + 1.0), abs(z - 1.0)) / abs(w)
+    cut = math.log(4.0 * rho * max(1.0, abs(nu + 1.0)))
+    tail = _gegenbauer_tail(nu, mu, z, w, cut)
+    if pref == 0.0:
+        return 0j
+
+    def f(t):
+        e = _rx(np.exp, t)
+        log_bare = (-nu - 1.0) * np.log(z + 0.5 * w * (e + 1.0 / e))
+        return 0.5 * (np.exp(log_bare - mu * t) + np.exp(log_bare + mu * t))
+
+    return pref * integrate_semi_infinite(f, cut, tail, osc_freq=mu.imag).value
+
+
+# Real and complex degrees, orders and arguments; windows that converge on
+# their initial panels and ones that bisect many times (fast cos(tau t), z
+# near the cut at 1); an underflowed prefactor that skips its window.
+_Q_GRID = [
+    (0.0, 0.0, 2.0), (1.0, 0.5j, 1.5), (2.0, 1.0j, 5.0), (0.5 + 0.3j, 0.4 - 0.2j, 1.5 + 0.5j),
+    (3.0, 2.5, 1.0 + 1e-5), (1.0, 6.0j, 1.2), (40.0 - 5.0j, 1.0 + 2.0j, 3.0 - 1.0j),
+    (0.0, 1e4j, 2.0), (-0.3, 0.2, 1.0 + 1e-3j), (2.0, 0.0, 1.0 + 1e-6),
+]
+
+
+def test_q_grid_is_each_point_alone():
+    # One lockstep pass over the grid, each node with its own point's
+    # parameters, gives each point the bits of its own scalar kernel.
+    got = q_nu_mu_grid(_Q_GRID)
+    want = [_q_alone(*point) for point in _Q_GRID]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert got[7] == 0j  # the underflowed prefactor
+
+
+@pytest.mark.parametrize("nu, tau", [(5.0, math.nan), (5.0, math.inf), (5.0, -math.inf),
+                                     (complex(5.0, math.nan), 1.0), (math.inf, 1.0)])
+def test_large_nu_forms_reject_non_finite_arguments(nu, tau):
+    # A NaN tau, or a NaN imaginary part of nu, gave explicit=(nan+nanj).
+    with pytest.raises(DomainError) as exc:
+        asymptotic_large_nu(nu, tau, 2.0)
+    assert exc.value.condition in ("finite nu", "finite tau")
+
+
 def test_itau_reduces_at_tau_zero():
     for (nu, z) in [(0.0, 2.0), (2.0, 5.0)]:
         a = q_nu_itau_direct(nu, 0.0, z)
@@ -223,7 +273,7 @@ def test_underflowed_prefactor_skips_the_window(monkeypatch):
     bound = (mpmath.exp(-mpmath.pi * tau) / abs(mpmath.gamma(mpmath.mpc(1, -tau)))
              * abs(mpmath.legenq(0, 0, 2, type=3)))
     assert float(bound) == 0.0
-    monkeypatch.setattr(legendre, "integrate_semi_infinite", None)  # a call raises
+    monkeypatch.setattr(legendre, "integrate_batch", None)  # a call raises
     assert q_nu_itau_direct(0.0, tau, 2.0) == 0j
 
 

@@ -92,7 +92,8 @@ MUTANTS = [
     ("rx-real-ufunc", complexfn, "_rx", lambda: real_ufunc,
      test_complexfn.test_rx_rounds_as_libm),
     ("mellin-grid-gemv", distrib, "_mellin_forward_grid",
-     lambda: edited(distrib, "_mellin_forward_grid", " * ww).sum(axis=1)", " @ ww)"),
+     lambda: edited(distrib, "_mellin_forward_grid", " * rows[at_eps[at]]).sum(axis=1)",
+                    " @ rows[0])"),
      test_distrib.test_mellin_grid_value_does_not_depend_on_the_batch),
     ("mellin-grid-tail-at-36", distrib, "_mellin_forward_grid",
      lambda: edited(distrib, "_mellin_forward_grid", "1.0 - 2.0 * eps, 1.0, cut)",
@@ -106,15 +107,14 @@ MUTANTS = [
      lambda: edited(quad, "_end_weights", "(p - 1 - k)", "(p - k)"),
      functools.partial(test_quad.test_end_rule_is_exact_on_powers, 0.3 - 60.47j)),
     ("end-fold-dropped", quad, "_end_weights",
-     lambda: edited(quad, "_end_weights", "_times(sums, np.exp(_times(_LOG1P, 1.0 - p)))",
-                    "sums"),
+     lambda: edited(quad, "_end_weights", "_times(sums, np.exp(exponent))", "sums"),
      functools.partial(test_quad.test_end_rule_is_exact_on_powers, 0.05 + 0j)),
     ("panel-numpy-mul", quad, "_panels",
-     lambda: edited(quad, "_panels", "_times(ys, rows)", "ys * rows"),
+     lambda: edited(quad, "_panels", "_times(ys, np.array(rows))", "ys * np.array(rows)"),
      test_quad.test_panel_rules_are_row_sums_of_cpython_products),
     ("panel-row-sum-gemm", quad, "_panels",
-     lambda: edited(quad, "_panels", "np.add.reduceat(_times(ys, rows), [0, 21], axis=1)",
-                    "_times(ys, rows) @ np.equal.outer(np.arange(31) >= 21, [False, True])"),
+     lambda: edited(quad, "_panels", "np.add.reduceat(products, [0, 21], axis=1)",
+                    "products @ np.equal.outer(np.arange(31) >= 21, [False, True])"),
      test_quad.test_panel_rules_are_row_sums_of_cpython_products),
     ("stirling-3-terms", complexfn, "_LG_COEFF", lambda: complexfn._LG_COEFF[:3],
      functools.partial(test_complexfn.test_log_gamma_matches_mpmath, 0.25 + 0j)),
@@ -148,10 +148,25 @@ MUTANTS = [
      lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
      test_hyper.test_series_matches_mpmath),
     ("pairings-first-eps-everywhere", quad, "integrate_pairings",
-     lambda: edited(quad, "integrate_pairings", "np.repeat([p for p, _ in pieces]",
-                    "np.repeat([pieces[0][0] for p, _ in pieces]"),
+     lambda: edited(quad, "integrate_pairings", "windows.append(Window(p, a, b,",
+                    "windows.append(Window(rungs[0][0], a, b,"),
      functools.partial(test_quad.test_ladder_rungs_are_the_pairings_at_each_eps,
                        "beta_reg", "gaussian", (-1.0, 1.0))),
+    # The lockstep pass (_adaptive): each integral's halves go back to its own heap,
+    # every integral is bisected until it converges, and the first failure in
+    # input order is the one raised.
+    ("lockstep-halves-to-the-wrong-heap", quad, "_adaptive",
+     lambda: edited(quad, "_adaptive", "zip(split, outs[::2], outs[1::2])",
+                    "zip(split[::-1], outs[::2], outs[1::2])"),
+     test_quad.test_batch_results_are_each_integral_alone),
+    ("lockstep-stops-when-one-converges", quad, "_adaptive",
+     lambda: edited(quad, "_adaptive", "live = [run for run, _, _ in split]",
+                    "live = [run for run, _, _ in split] if len(split) == len(live) else []"),
+     test_quad.test_batch_results_are_each_integral_alone),
+    ("lockstep-raises-the-last-failure", quad, "_adaptive",
+     lambda: edited(quad, "_adaptive", "for run in runs:\n        if run.failure",
+                    "for run in runs[::-1]:\n        if run.failure"),
+     test_quad.test_batch_raises_the_first_failure_in_input_order),
     # A node whose scalar twin has stopped keeps multiplying by its last z.
     ("log-gamma-one-shift-count", complexfn, "_log_gamma_right_array",
      lambda: edited(complexfn, "_log_gamma_right_array",

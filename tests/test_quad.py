@@ -18,14 +18,15 @@ from weaklim.quad import (
     DEFAULT_SPEC,
     ConvergenceError,
     EndpointExponents,
+    Ends,
     IntegralResult,
     QuadratureSpec,
+    Window,
     _adaptive,
     _breakpoints,
     _end_weights,
     _panels,
-    _seed,
-    _window,
+    integrate_batch,
     integrate_finite,
     integrate_pairing,
     integrate_pairings,
@@ -145,7 +146,7 @@ def test_semi_infinite_is_the_window_to_truncation(f, tail, freq):
     # The window [0, T] plus the tail, bit for bit; the window to 2 T plus
     # the tail there gives the same integral.
     res = integrate_semi_infinite(f, 2.0, tail(2.0), osc_freq=freq)
-    win = _window(f, 0.0, 2.0, DEFAULT_SPEC, None, freq)
+    (win,) = integrate_batch(_keyless(f), [Window(None, 0.0, 2.0, osc_freq=freq)])
     assert (res.value, res.error_estimate, res.evaluations) \
         == (win.value + tail(2.0), win.error_estimate, win.evaluations)
     doubled = integrate_semi_infinite(f, 4.0, tail(4.0), osc_freq=freq)
@@ -325,6 +326,16 @@ def test_spec_validation():
 
 # ------------------------------------------------------ batched evaluation
 
+def _keyless(f):
+    """f as a batch integrand g(ts, keys) that ignores the keys."""
+    return lambda ts, _: f(ts)
+
+
+def _plain(f, pts, spec):
+    """One integral of f over plain panels between pts, as _adaptive takes it."""
+    return spec, [(_keyless(f), None, pts, None)], None
+
+
 def _per_panel(f):
     """f called on one 31-node panel at a time, the unbatched evaluation."""
     def g(x):
@@ -342,12 +353,12 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     pts = _breakpoints(-1.0, 1.0, 0.1)  # coarse: the peak needs bisection
-    res = _adaptive(_seed([(f, pts, _WEIGHTS)]), spec)
+    (res,) = _adaptive([_plain(f, pts, spec)])
     # The initial partition in one call, then each split's two children.
     assert sizes[0] == 31 * (len(pts) - 1)
     assert len(sizes) > 1 and set(sizes[1:]) == {62}
     assert res.evaluations == sum(sizes)
-    assert res == _adaptive(_seed([(_per_panel(f), pts, _WEIGHTS)]), spec)
+    assert [res] == _adaptive([_plain(_per_panel(f), pts, spec)])
 
     # Two pieces share one heap: one call per piece for its initial
     # partition, then calls of 62 nodes, each to its own panel's integrand.
@@ -359,14 +370,16 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     sizes.clear()
     far = [p + 3.0 for p in pts]
-    both = _adaptive(_seed([(f, pts, _WEIGHTS), (shifted, far, _WEIGHTS)]), spec)
+    (both,) = _adaptive([(spec, [(_keyless(f), None, pts, None),
+                                 (_keyless(shifted), None, far, None)], None)])
     for calls in (sizes, shifted_sizes):
         assert calls[0] == 31 * (len(pts) - 1)
         assert len(calls) > 1 and set(calls[1:]) == {62}
     assert both.evaluations == sum(sizes) + sum(shifted_sizes)
     assert abs(both.value - 2.0 * res.value) <= 2e-9 * abs(res.value)
-    assert both == _adaptive(_seed([(_per_panel(f), pts, _WEIGHTS),
-                                    (_per_panel(shifted), far, _WEIGHTS)]), spec)
+    assert [both] == _adaptive([(spec, [(_keyless(_per_panel(f)), None, pts, None),
+                                        (_keyless(_per_panel(shifted)), None, far, None)],
+                                 None)])
 
 
 @pytest.mark.parametrize("run", [
@@ -406,7 +419,9 @@ _LADDER_KERNELS = {
 def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval):
     # Each rung's value, error estimate and evaluations are integrate_pairing's
     # at its eps, bit for bit: one kernel call with each node's eps seeds all
-    # rungs, and on the bump probe the rungs then bisect, each with its own eps.
+    # rungs, and on the bump probe the rungs then bisect in lockstep, one
+    # kernel call per round, with each node's eps (or the one eps of a round
+    # that only one rung still needs).
     kernel, spec = _LADDER_KERNELS[kernel]
     eps = EpsilonLadder.default().values
     calls = []
@@ -417,12 +432,100 @@ def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval):
 
     rungs = integrate_pairings(PROBES[probe], counted, *interval,
                                [(e, e / 4.0) for e in eps], spec)
-    assert calls[0] == 1 and not any(calls[1:])
+    assert calls[0] == 1
     assert (len(calls) > 1) == (probe == "bump")
     for e, got in zip(eps, rungs):
         want = integrate_pairing(PROBES[probe], lambda ts: kernel(ts, e, interval), *interval,
                                  spec, origin_scale=e / 4.0)
         assert got == want, e
+
+
+# ------------------------------------------------------- lockstep batches
+
+def _peak(ts, widths):
+    """A peak of the key's width at t = 0.3: the narrower, the more splits."""
+    return 1.0 / (widths * widths + (ts - 0.3) ** 2) + 0.5j * np.cos(7.0 * ts)
+
+
+def _beta_edges(u, keys):
+    """Beta integrand edge forms: key 0 the left end of (0.5, 1.5 + i), key 1
+    its right end."""
+    u = np.asarray(u, complex)
+    v = 1.0 - u
+    with np.errstate(all="ignore"):  # a batch also evaluates it off (0, 1), unused there
+        return np.where(keys, v, u) ** -0.5 * np.where(keys, u, v) ** (0.5 + 1j)
+
+
+# Widths with 0, 1 and many splits under the default spec, then an Euler Beta
+# integral (end rows and plain rows in one call) and a window with a tail.
+_BATCH = [Window(1.0, 0.0, 1.0), Window(0.5, 0.0, 1.0), Window(1e-3, 0.0, 1.0),
+          Window(0.05, -1.0, 1.0, 0.01, 7.0), Window(3e-3, 0.0, 2.0, tail=0.25 - 1j)]
+
+
+def _batch_integrand(ts, keys):
+    # The Beta integral's keys are -1 (left end) and -2 (right end).
+    return np.where(np.less(keys, 0.0), _beta_edges(ts, np.equal(keys, -2.0)),
+                    _peak(ts, np.abs(keys)))
+
+
+def test_batch_results_are_each_integral_alone():
+    # Value, error estimate and evaluations bit for bit, whether an integral
+    # needs no split, one or many; the Euler integral as integrate_finite gives it.
+    ends = Ends((-1.0, -2.0), 0.0, 1.0, EndpointExponents(0.5, 1.5 + 1j))
+    calls = []
+
+    def g(ts, keys):
+        calls.append(np.ndim(keys))
+        return _batch_integrand(ts, keys)
+
+    got = integrate_batch(g, [*_BATCH, ends])
+    alone = [integrate_batch(_batch_integrand, [w])[0] for w in _BATCH]
+    finite = integrate_finite(lambda t: t ** -0.5 * (1.0 - t) ** (0.5 + 1j), 0.0, 1.0,
+                              ends.exps, left_edge=lambda u: _beta_edges(u, 0),
+                              right_edge=lambda u: _beta_edges(u, 1))
+    assert got == [*alone, finite]
+    seeded = [31 * (len(_breakpoints(w.a, w.b, w.origin_scale, w.osc_freq)) - 1)
+              for w in _BATCH]
+    splits = [(r.evaluations - n) // 62 for r, n in zip(alone, seeded)]
+    assert splits[:2] == [0, 1] and splits[2] >= 10
+    # One call per round: the seeds, then one per split of the slowest integral.
+    assert len(calls) == 1 + max(splits + [(finite.evaluations - 62) // 62])
+    assert calls[0] == 1 and calls[-1] == 0  # the last rounds have one integral left
+
+
+def _budget(n):
+    return QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=n)
+
+
+def test_batch_raises_the_first_failure_in_input_order():
+    # The second and fourth integrals exhaust their budgets, the fourth in an
+    # earlier round; the second's error is raised, as a run one at a time
+    # raises it, with its message and best estimate.
+    specs = [DEFAULT_SPEC, _budget(2), DEFAULT_SPEC, _budget(1), DEFAULT_SPEC]
+    batch = [(spec, [(_batch_integrand, w.key, [w.a, w.b], None)], None)
+             for spec, w in zip(specs, _BATCH)]
+    with pytest.raises(ConvergenceError) as exc:
+        _adaptive(batch)
+    with pytest.raises(ConvergenceError) as second:
+        _adaptive(batch[1:2])
+    assert str(exc.value) == str(second.value)
+    assert exc.value.best == second.value.best
+    assert "subdivision budget" in str(exc.value)
+    # Alone, the fourth fails too, and the others converge.
+    with pytest.raises(ConvergenceError):
+        _adaptive(batch[3:4])
+    assert all(_adaptive([plan]) for plan in batch[::2])
+
+
+def test_batch_error_on_a_non_finite_integral_is_its_own():
+    # A NaN integral in the middle of a batch raises as it does alone.
+    nan_right = lambda ts, keys: np.where(ts > 0.5 * keys, np.nan, 1.0)
+    windows = [Window(3.0, 0.0, 1.0), Window(1.0, 0.0, 1.0), Window(3.0, 0.0, 2.0)]
+    with pytest.raises(ConvergenceError, match="non-finite") as exc:
+        integrate_batch(nan_right, windows)
+    with pytest.raises(ConvergenceError) as alone:
+        integrate_batch(nan_right, windows[1:2])
+    assert str(exc.value) == str(alone.value)
 
 
 # ------------------------------------------------------------ end panels
@@ -439,7 +542,7 @@ _END_EXPONENTS = [
 def test_end_rule_is_exact_on_powers(p):
     # On [0, 2], where the nodes are 1 + x: the 21-point end rule integrates
     # u^(p-1+k) for k <= 20, and the 10-point rule for k <= 9.
-    w, u = _end_weights(p), 1.0 + _NODES
+    (w,), u = _end_weights([p]), 1.0 + _NODES
     for rule, n in ((slice(0, 21), 21), (slice(21, 31), 10)):
         for k in range(n):
             want = 2.0 ** (p + k) / (p + k)
@@ -447,29 +550,45 @@ def test_end_rule_is_exact_on_powers(p):
             assert abs(got - want) <= 1e-12 * abs(want), (n, k)
 
 
+def test_end_weights_of_a_batch_are_each_p_alone():
+    # One call for every exponent of a batch gives each p's row of a call of
+    # its own, byte for byte: the bench's Beta domain, the oscillating and
+    # barely integrable ends above, p = 1 and Re p up to the cap of 100.
+    rng = np.random.default_rng(25)
+    ps = _END_EXPONENTS + [1.0, 100.0, 100.0 - 70.0j] + [
+        complex(re, im) for re, im in rng.uniform([0.01, -70.0], [100.0, 70.0], (200, 2))]
+    rows = _end_weights(ps)
+    assert rows.shape == (len(ps), 31)
+    for p, row in zip(ps, rows):
+        assert row.tobytes() == _end_weights([p])[0].tobytes(), p
+
+
 def test_end_weights_at_one_are_the_plain_weights():
-    w = _end_weights(1.0)
+    (w,) = _end_weights([1.0])
     assert w.real.tobytes() == _WEIGHTS.tobytes()
     assert not w.imag.any()
 
 
 def test_panel_rules_are_row_sums_of_cpython_products():
-    # End panels and plain ones in one batch: each rule is numpy's row sum of
-    # f times the weights, each product rounded as CPython's complex *, so no
-    # SIMD level or BLAS kernel moves a bit.
-    spans = [(0.0, 0.5 ** (i % 8), _end_weights(p)) for i, p in enumerate(_END_EXPONENTS)]
-    spans += [(0.5, 1.0, _WEIGHTS), (0.25, 0.5, _WEIGHTS)]
+    # End panels and plain ones in one batch, and end panels alone: each rule
+    # is numpy's row sum of f times the weights, each product rounded as
+    # CPython's complex *, so no SIMD level or BLAS kernel moves a bit.
+    ends = [(0.0, 0.5 ** (i % 8), row, None, None)
+            for i, row in enumerate(_end_weights(_END_EXPONENTS))]
+    plain = [(0.5, 1.0, _WEIGHTS, None, None), (0.25, 0.5, _WEIGHTS, None, None)]
     seen = []
 
-    def f(x):
+    def f(x, _):
         seen.append(np.exp((0.7 - 9.0j) * x) / (1.1 - x))
         return seen[-1]
 
-    got = list(_panels(f, spans))
-    for (a, b, row), y, (value, err) in zip(spans, seen[0].reshape(-1, 31), got):
-        products = [complex(v) * complex(w) for v, w in zip(y.tolist(), row.tolist())]
-        hi, lo = (0.5 * (b - a) * s for s in np.add.reduceat(products, [0, 21]).tolist())
-        assert (value, err) == (hi, abs(hi - lo))
+    for spans in (ends + plain, ends):
+        seen.clear()
+        got = list(_panels(f, spans))
+        for (a, b, row, *_), y, (value, err) in zip(spans, seen[0].reshape(-1, 31), got):
+            products = [complex(v) * complex(w) for v, w in zip(y.tolist(), row.tolist())]
+            hi, lo = (0.5 * (b - a) * s for s in np.add.reduceat(products, [0, 21]).tolist())
+            assert (value, err) == (hi, abs(hi - lo))
 
 
 # ----------------------------------------------------- log-oscillating ends
