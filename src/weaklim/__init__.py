@@ -24,7 +24,6 @@ from .quad import (
     QuadratureSpec,
     integrate_finite,
     integrate_pairing,
-    integrate_pairings,
     integrate_semi_infinite,
 )
 from .distrib import (

@@ -194,9 +194,12 @@ def _mellin_inverse_pairing(cfg: RunConfig, ladder: EpsilonLadder):
 
 
 def _run_mellin_inverse(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    # The ladder (mellin_inverse_sweep's) and the check at eps = 1e-4, one batch.
+    # The ladder (mellin_inverse_sweep's) and the check at eps = 1e-4, one
+    # batch; the check reads the ladder's own 1e-4 rung when it has one.
     ladder = cfg.ladder().values
-    *measured, (v4, _) = distrib._mellin_inverse(math.e, (*ladder, 1e-4))
+    epss = ladder if 1e-4 in ladder else (*ladder, 1e-4)
+    measured = distrib._mellin_inverse(math.e, epss)
+    v4 = measured[epss.index(1e-4)][0]
     out = [_verdict(claim, cfg, f"t=e;eps={eps:.6g}", abs(v - math.exp(-eps)),
                     claim.tolerance)
            for eps, (v, _) in zip(ladder, measured)]
@@ -428,15 +431,15 @@ def _log_law_ratios(points) -> list[float]:
 def _run_near_one(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     out = []
     z = 1.0 + 1e-6
-    # Q_0(z) and Q_1(z) under their laws, and Q_1(z) under the relation's
-    # right side (relation_rhs), in one pass.
-    *laws, q1 = legendre.q_nu_mu_grid([(0.0, 0.0, z), (1.0, 0.0, z), (1.0, 0.0, z)])
+    # Q_0(z) and Q_1(z) under their laws in one pass; Q_1(z) also enters the
+    # relation's right side (relation_rhs).
+    laws = legendre.q_nu_mu_grid([(0.0, 0.0, z), (1.0, 0.0, z)])
     for nu, q in zip((0.0, 1.0), laws):
         ratio = abs(legendre.near_one_laws(nu, z, kind="log") / q)
         out.append(_verdict(claim, cfg, f"nu={nu:g};z-1=1e-06;law=log",
                             abs(ratio - 1.0), claim.tolerance))
     law53 = legendre.near_one_laws(1.0, z, tau=0.5, kind="log_itau")
-    rhs = legendre._relation_factor(1.0, 0.5) * q1
+    rhs = legendre._relation_factor(1.0, 0.5) * laws[1]
     out.append(_verdict(claim, cfg, "nu=1;tau=0.5;z-1=1e-06;law=log_itau",
                         abs(abs(law53 / rhs) - 1.0), claim.tolerance))
     return out

@@ -43,7 +43,6 @@ from .quad import (
     QuadratureSpec,
     Window,
     integrate_batch,
-    integrate_pairings,
     integrate_semi_infinite,
 )
 
@@ -231,12 +230,14 @@ def _pairing_ladder(kernel, probe: Probe, interval: tuple[float, float],
                     spec: QuadratureSpec) -> PairingSweepResult:
     """Pair kernel(ts, eps) with a probe at each ladder eps, panels down to eps / 4.
 
-    One integrate_pairings pass: a single kernel call, with each node's eps,
+    Each rung is integrate_pairing's window at its eps, and the rungs are one
+    integrate_batch keyed by eps: a single kernel call, with each node's eps,
     seeds every rung, and each rung bisects with its own eps, so a kernel
     takes eps as a float or as an array shaped like ts.
     """
     eps = (ladder or EpsilonLadder.default()).values
-    rungs = integrate_pairings(probe, kernel, *interval, [(e, e / 4.0) for e in eps], spec)
+    rungs = integrate_batch(lambda ts, e: np.asarray(probe(ts)) * np.asarray(kernel(ts, e)),
+                            [Window(e, *interval, e / 4.0) for e in eps], spec)
     return _ladder_sweep(eps, [(r.value, r.error_estimate) for r in rungs])
 
 
@@ -450,13 +451,14 @@ def _mellin_inverse(t: float, epss) -> list[tuple[complex, float]]:
     Each is one pairing of cos(L x) omega_eps(x), L = |ln t|, over [0, X] plus
     a closed-form tail, arctan at L = 0 (cos(L x) is exactly 1) and otherwise
     two integrations by parts; the estimate is twice the window's plus the
-    tail's budget.  The windows of all eps are one integrate_batch keyed by eps.
+    tail's budget.  The windows of all eps, each with its tail, are one
+    integrate_batch keyed by eps.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("0 < t < inf")
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=4000)
     L = abs(math.log(t))
-    windows, tails = [], []
+    windows = []
     for eps in epss:
         if not eps > 0.0:
             raise DomainError("eps > 0")
@@ -487,15 +489,14 @@ def _mellin_inverse(t: float, epss) -> list[tuple[complex, float]]:
         if not math.isfinite(tail):
             raise DomainError("finite closed-form tail",
                               f"eps = {eps!r}: the tail past X = {X!r} is not finite")
-        windows.append(Window(eps, 0.0, X, eps / 4.0, L))
-        tails.append(tail)
+        windows.append(Window(eps, 0.0, X, eps / 4.0, L, tail))
 
     def kernel(x, eps):
         return np.cos(L * x) * (eps / math.pi) / (eps * eps + x * x)
 
     budget = 0.0 if L == 0.0 else _INVERSE_BUDGET
-    return [(complex(2.0 * (res.value.real + tail), 0.0), 2.0 * (res.error_estimate + budget))
-            for res, tail in zip(integrate_batch(kernel, windows, spec), tails)]
+    return [(complex(2.0 * res.value.real, 0.0), 2.0 * (res.error_estimate + budget))
+            for res in integrate_batch(kernel, windows, spec)]
 
 
 def mellin_inverse_check(t: float, eps: float) -> complex:

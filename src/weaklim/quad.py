@@ -5,8 +5,7 @@ per-caller overrides:
 
     integrate_finite         finite interval, algebraic endpoint behavior
     integrate_pairing        test function against a kernel family on a
-                             finite window, refined around the origin peak;
-                             integrate_pairings takes a ladder of them
+                             finite window, refined around the origin peak
     integrate_semi_infinite  [0, inf) with exponential decay: the pairing
                              window over [0, T] plus the caller's exact tail
 
@@ -28,12 +27,12 @@ oscillation is left to bisection.
 Panels are evaluated in batches, one integrand call each, by one routine that
 runs every integral of a batch in lockstep (a scalar entry point is a batch
 of one), in the manner of Shampine's vectorized adaptive quadrature (J.
-Comput. Appl. Math. 211, 2008).  One call per distinct integrand evaluates
-the initial panels of all integrals; then each round pops the worst panel of
-every integral still above its target and evaluates all their halves in one
-call.  A batch integrand is g(ts, keys): keys holds each node's key (the
-rung's p of a ladder, a grid point's index), or the one key of a call whose
-nodes share it.  Integrands receive a numpy array of abscissae, panel by
+Comput. Appl. Math. 211, 2008).  A batch has one integrand, g(ts, keys):
+keys holds each node's key (the rung's eps of a ladder, a grid point's
+index, the side of a finite integral), or the one key of a call whose nodes
+share it.  One call evaluates the initial panels of all integrals; then each
+round pops the worst panel of every integral still above its target and
+evaluates all their halves in one call.  Integrands receive a numpy array of abscissae, panel by
 panel, and must return an array of values (real or complex); values that
 each depend on their own abscissa and key only give each integral the same
 result, bit for bit, as a batch of its own or one call per panel, and at
@@ -64,7 +63,6 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_pairing",
-    "integrate_pairings",
     "integrate_batch",
     "Window",
     "Ends",
@@ -164,7 +162,7 @@ def _end_weights(ps) -> np.ndarray:
 
 
 def _panels(g, spans):
-    """(value, error estimate) of each panel (a, b, row, g, key) in spans, from
+    """(value, error estimate) of each panel (a, b, row, key) in spans, from
     one call g(ts, keys): keys is each node's panel key, or the one key of
     every panel when they share one.
 
@@ -173,7 +171,7 @@ def _panels(g, spans):
     panel whose row is _WEIGHTS is scaled by it, a complex row (an end's, or
     _WEIGHTS_C) goes through _cmul.
     """
-    a, b, rows, _, keys = zip(*spans)
+    a, b, rows, keys = zip(*spans)
     halves = [0.5 * (y - x) for x, y in zip(a, b)]
     mids = [0.5 * (x + y) for x, y in zip(a, b)]
     xs = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
@@ -198,21 +196,6 @@ def _panels(g, spans):
     return out
 
 
-def _evaluate(spans) -> list:
-    """(value, error estimate) of each panel (a, b, row, g, key) of spans, from
-    one _panels call per distinct g, in order of first appearance."""
-    if len({span[3] for span in spans}) == 1:
-        return _panels(spans[0][3], spans)
-    groups = {}
-    for i, span in enumerate(spans):
-        groups.setdefault(span[3], []).append(i)
-    out = [None] * len(spans)
-    for g, picks in groups.items():
-        for i, res in zip(picks, _panels(g, [spans[i] for i in picks])):
-            out[i] = res
-    return out
-
-
 def _spans(breakpoints) -> list:
     """The panels (a, b) between breakpoints."""
     spans = [s for s in zip(breakpoints[:-1], breakpoints[1:]) if s[1] > s[0]]
@@ -224,7 +207,7 @@ def _spans(breakpoints) -> list:
 class _Run:
     """One integral of a lockstep pass: its heap of panels, running sums and splits.
 
-    A heap item is (-error, seq, a, b, row, g, key, value, error).
+    A heap item is (-error, seq, a, b, row, key, value, error).
     """
 
     __slots__ = ("spec", "tail", "heap", "seq", "splits", "result", "failure",
@@ -238,12 +221,12 @@ class _Run:
 
     def sums(self):
         """The value and estimate summed over the heap, in heap order."""
-        return sum([item[7] for item in self.heap]), sum([item[8] for item in self.heap])
+        return sum([item[6] for item in self.heap]), sum([item[7] for item in self.heap])
 
     def start(self):
         """Budget and running sums from the initial panels."""
         self.evals = 31 * len(self.heap)
-        scale = sum([abs(item[7]) for item in self.heap])
+        scale = sum([abs(item[6]) for item in self.heap])
         self.abs_tol = min(self.spec.abs_tol, max(scale * self.spec.rel_tol, 1e-300))
         self.total, self.err_total = self.sums()
 
@@ -263,15 +246,15 @@ class _Run:
         self.result = res
 
 
-def _adaptive(batch) -> list[IntegralResult]:
+def _adaptive(g, batch) -> list[IntegralResult]:
     """Worst-panel bisection of every integral of a batch, in lockstep.
 
     ``batch`` holds one (spec, pieces, tail) per integral: its tolerance, its
-    pieces (g, key, breakpoints, p), each the plain panels between its
+    pieces (key, breakpoints, p), each the plain panels between its
     breakpoints or, for an exponent p, one end panel [breakpoints], and a
     closed-form tail added to its value (or None).  All integrals share one
-    call per distinct g for their initial panels and one per round: each
-    round pops the worst panel of every integral still above its target and
+    call g(ts, keys) for their initial panels and one per round: each round
+    pops the worst panel of every integral still above its target and
     evaluates all the halves together.  A bisected panel's left half keeps
     its row and its right half takes _WEIGHTS; each integral keeps its own
     heap and sums, so it sees the pops it would see alone, and its value,
@@ -281,19 +264,19 @@ def _adaptive(batch) -> list[IntegralResult]:
     fails raises its ConvergenceError; the integrals after a failed one stop
     at once.
     """
-    ends = [p for _, pieces, _ in batch for _, _, _, p in pieces if p is not None]
+    ends = [p for _, pieces, _ in batch for _, _, p in pieces if p is not None]
     rows = iter(_end_weights(ends)) if ends else None
     runs, seeds, homes = [], [], []
     for spec, pieces, tail in batch:
         run = _Run(spec, tail)
         runs.append(run)
-        for g, key, breakpoints, p in pieces:
+        for key, breakpoints, p in pieces:
             row = _WEIGHTS if p is None else next(rows)
             for a, b in _spans(breakpoints):
-                seeds.append((a, b, row, g, key))
+                seeds.append((a, b, row, key))
                 homes.append(run)
-    for run, (a, b, row, g, key), (val, err) in zip(homes, seeds, _evaluate(seeds)):
-        heapq.heappush(run.heap, (-err, next(run.seq), a, b, row, g, key, val, err))
+    for run, (a, b, row, key), (val, err) in zip(homes, seeds, _panels(g, seeds)):
+        heapq.heappush(run.heap, (-err, next(run.seq), a, b, row, key, val, err))
     for run in runs:
         run.start()
 
@@ -310,20 +293,20 @@ def _adaptive(batch) -> list[IntegralResult]:
                     IntegralResult(run.total, run.err_total, run.evals))
             else:
                 item = heapq.heappop(run.heap)
-                _, _, a, b, row, g, key, _, _ = item
+                _, _, a, b, row, key, _, _ = item
                 m = 0.5 * (a + b)
                 split.append((run, item, m))
-                halves += [(a, m, row, g, key),
-                           (m, b, _WEIGHTS if row is _WEIGHTS else _WEIGHTS_C, g, key)]
+                halves += [(a, m, row, key),
+                           (m, b, _WEIGHTS if row is _WEIGHTS else _WEIGHTS_C, key)]
                 continue
             if run.failure is not None:  # the integrals after it no longer matter
                 break
-        outs = _evaluate(halves) if halves else []
+        outs = _panels(g, halves) if halves else []
         # The left half keeps the popped panel's row, the right half takes _WEIGHTS.
         for (run, item, m), (v1, e1), (v2, e2) in zip(split, outs[::2], outs[1::2]):
-            _, _, a, b, row, g, key, val, err = item
-            heapq.heappush(run.heap, (-e1, next(run.seq), a, m, row, g, key, v1, e1))
-            heapq.heappush(run.heap, (-e2, next(run.seq), m, b, _WEIGHTS, g, key, v2, e2))
+            _, _, a, b, row, key, val, err = item
+            heapq.heappush(run.heap, (-e1, next(run.seq), a, m, row, key, v1, e1))
+            heapq.heappush(run.heap, (-e2, next(run.seq), m, b, _WEIGHTS, key, v2, e2))
             run.evals += 62
             run.total += v1 + v2 - val
             run.err_total += e1 + e2 - err
@@ -360,14 +343,6 @@ def _breakpoints(a: float, b: float, inner: float | None = None,
     return sorted(pts)
 
 
-def _partition(a: float, b: float, spec: QuadratureSpec, inner: float | None,
-               freq: float | None) -> list[float]:
-    """Initial breakpoints of a finite [a, b]; half periods may take half the budget."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("finite interval [a, b]")
-    return _breakpoints(a, b, inner, freq, spec.max_subdivisions // 2)
-
-
 def _default_edge(f, end: float, sign: float, name: str):
     """f(end + sign * u); a distance u > 0 that rounds onto the end raises."""
     def g(u):
@@ -377,16 +352,6 @@ def _default_edge(f, end: float, sign: float, name: str):
         return f(t)
 
     return g
-
-
-def _ends(left, right, a: float, b: float, exps: EndpointExponents | None) -> list:
-    """integrate_finite's pieces of [a, b]: the halves in the distance u from
-    each end, each one end panel, for the (g, key) of each side."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("a < b finite")
-    exps = exps or EndpointExponents()
-    mid = 0.5 * (a + b)
-    return [(*left, [0.0, mid - a], exps.left_p), (*right, [0.0, b - mid], exps.right_p)]
 
 
 class Window(NamedTuple):
@@ -405,9 +370,15 @@ class Window(NamedTuple):
     osc_freq: float | None = None
     tail: complex | None = None
 
-    def plan(self, g, spec: QuadratureSpec):
-        pts = _partition(self.a, self.b, spec, self.origin_scale, self.osc_freq)
-        return spec, [(g, self.key, pts, None)], self.tail
+    def plan(self, spec: QuadratureSpec):
+        """The window's plain panels; half periods may take half the budget."""
+        if self.origin_scale is not None and not self.origin_scale > 0.0:
+            raise DomainError("origin_scale > 0")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise DomainError("finite interval [a, b]")
+        pts = _breakpoints(self.a, self.b, self.origin_scale, self.osc_freq,
+                           spec.max_subdivisions // 2)
+        return spec, [(self.key, pts, None)], self.tail
 
 
 class Ends(NamedTuple):
@@ -420,8 +391,14 @@ class Ends(NamedTuple):
     b: float
     exps: EndpointExponents | None = None
 
-    def plan(self, g, spec: QuadratureSpec):
-        return spec, _ends((g, self.keys[0]), (g, self.keys[1]), self.a, self.b, self.exps), None
+    def plan(self, spec: QuadratureSpec):
+        """Each half as one end panel in u."""
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise DomainError("a < b finite")
+        exps = self.exps or EndpointExponents()
+        mid = 0.5 * (self.a + self.b)
+        return spec, [(self.keys[0], [0.0, mid - self.a], exps.left_p),
+                      (self.keys[1], [0.0, self.b - mid], exps.right_p)], None
 
 
 def integrate_batch(g, integrals, spec: QuadratureSpec | None = None) -> list[IntegralResult]:
@@ -438,7 +415,7 @@ def integrate_batch(g, integrals, spec: QuadratureSpec | None = None) -> list[In
     integrated.
     """
     spec = spec or DEFAULT_SPEC
-    return _adaptive([integral.plan(g, spec) for integral in integrals])
+    return _adaptive(g, [integral.plan(spec) for integral in integrals])
 
 
 def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = None,
@@ -449,7 +426,8 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     ``exps`` declares the endpoint exponents: f ~ u^(p-1) at distance u from
     an end.  The halves [a, mid] and [mid, b] are integrated in u, each from
     an end panel whose weights (_end_weights) integrate u^(p-1) exactly, in
-    one adaptive pass judged on their sum.
+    one adaptive pass judged on their sum: the Ends keyed 0 (left) and 1
+    (right), whose seed calls each edge once on its own half's nodes.
 
     ``left_edge`` and ``right_edge``, when given, are the caller's stable
     ``g(u) = f(endpoint -+ u)`` and replace f on the halves, where
@@ -457,12 +435,20 @@ def integrate_finite(f, a: float, b: float, exps: EndpointExponents | None = Non
     distance rounds onto its endpoint raises DomainError, as when an end
     declared smoother than it is gets bisected toward it.
     """
-    spec = spec or DEFAULT_SPEC
     # Each half in distance coordinates u = t - a (left) or u = b - t (right).
-    left = left_edge or _default_edge(f, a, 1.0, "left_edge")
-    right = right_edge or _default_edge(f, b, -1.0, "right_edge")
-    pieces = _ends((lambda u, _: left(u), None), (lambda u, _: right(u), None), a, b, exps)
-    return _adaptive([(spec, pieces, None)])[0]
+    edges = (left_edge or _default_edge(f, a, 1.0, "left_edge"),
+             right_edge or _default_edge(f, b, -1.0, "right_edge"))
+
+    def g(u, sides):
+        if not isinstance(sides, np.ndarray):  # the nodes of one side: a round's halves
+            return edges[sides](u)
+        out = np.empty(u.shape, complex)  # the seed: both end panels
+        for side in (0, 1):
+            at = sides == side
+            out[at] = g(u[at], side)
+        return out
+
+    return integrate_batch(g, [Ends((0, 1), a, b, exps)], spec)[0]
 
 
 def integrate_semi_infinite(f, cut: float, tail: complex,
@@ -489,27 +475,10 @@ def integrate_pairing(phi, kernel, a: float, b: float,
     down to ``origin_scale`` (default 1e-6 (b - a)) so that a
     delta-approximant peak of that width cannot slip between coarse nodes.
     ``osc_freq`` is the integrand's angular frequency, if it oscillates.
-    This is the one-rung case of integrate_pairings.
+    A ladder of pairings is one integrate_batch of such windows, keyed by
+    each rung's parameter.
     """
-    return integrate_pairings(phi, lambda ts, _: kernel(ts), a, b, [(None, origin_scale)],
-                              spec, osc_freq=osc_freq)[0]
-
-
-def integrate_pairings(phi, kernel, a: float, b: float, rungs,
-                       spec: QuadratureSpec | None = None, *,
-                       osc_freq: float | None = None) -> list[IntegralResult]:
-    """phi(tau) * kernel(tau, p) over [a, b] at each rung (p, origin_scale).
-
-    Each rung is its own integral, as integrate_pairing's with that
-    ``origin_scale``, and gives the same result bit for bit: the rungs are
-    one integrate_batch of windows keyed by p, so each call kernel(ts, ps),
-    ps each node's p, evaluates the initial panels, or one round of
-    bisection, of every rung at once.
-    """
-    windows = []
-    for p, scale in rungs:
-        if scale is not None and not scale > 0.0:
-            raise DomainError("origin_scale > 0")
-        windows.append(Window(p, a, b, scale or 1e-6 * (b - a), osc_freq))
-    return integrate_batch(lambda ts, ps: np.asarray(phi(ts)) * np.asarray(kernel(ts, ps)),
-                           windows, spec)
+    scale = 1e-6 * (b - a) if origin_scale is None else origin_scale
+    window = Window(None, a, b, scale, osc_freq)
+    return integrate_batch(lambda ts, _: np.asarray(phi(ts)) * np.asarray(kernel(ts)),
+                           [window], spec)[0]

@@ -612,9 +612,10 @@ def test_mellin_inverse_sweep_reports_its_own_estimates(quad_calls):
 
 
 def test_mellin_inverse_ladder_is_one_batch_of_the_pairings(monkeypatch):
-    # The ladder and E17's check at eps = 1e-4 in one batch: each eps gets the
-    # value and estimate it gets alone, and each window is the pairing
-    # integrate_pairing gives at that eps, bit for bit.
+    # The ladder and a second eps = 1e-4 (E17's check, on a ladder without
+    # that rung) in one batch: each eps gets the value and estimate it gets
+    # alone, and each window is the pairing integrate_pairing gives at that
+    # eps plus the window's closed-form tail, bit for bit.
     batches = []
     batch = distrib.integrate_batch
 
@@ -630,9 +631,11 @@ def test_mellin_inverse_ladder_is_one_batch_of_the_pairings(monkeypatch):
         assert together == [distrib._mellin_inverse(t, [e])[0] for e in eps]
         g, windows, spec, results = batches[0]
         for window, res in zip(windows, results):
-            assert res == integrate_pairing(
+            pairing = integrate_pairing(
                 PROBES["const"], lambda x: g(x, window.key), window.a, window.b, spec,
-                origin_scale=window.origin_scale, osc_freq=window.osc_freq), (t, window.key)
+                origin_scale=window.origin_scale, osc_freq=window.osc_freq)
+            pairing.value += window.tail
+            assert res == pairing, (t, window.key)
 
 
 @pytest.mark.parametrize("t, eps, condition", [

@@ -147,11 +147,14 @@ MUTANTS = [
     ("hyp2f1-rel-tol-1e-6", hyper, "hyp2f1",
      lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
      test_hyper.test_series_matches_mpmath),
-    ("pairings-first-eps-everywhere", quad, "integrate_pairings",
-     lambda: edited(quad, "integrate_pairings", "windows.append(Window(p, a, b,",
-                    "windows.append(Window(rungs[0][0], a, b,"),
+    ("pairings-first-eps-everywhere", distrib, "_pairing_ladder",
+     lambda: edited(distrib, "_pairing_ladder", "[Window(e, *interval,",
+                    "[Window(eps[0], *interval,"),
      functools.partial(test_quad.test_ladder_rungs_are_the_pairings_at_each_eps,
                        "beta_reg", "gaussian", (-1.0, 1.0))),
+    ("finite-edges-swapped", quad, "integrate_finite",
+     lambda: edited(quad, "integrate_finite", "edges[sides](u)", "edges[1 - sides](u)"),
+     test_quad.test_finite_is_one_ends_plan_seeded_in_one_call),
     # The lockstep pass (_adaptive): each integral's halves go back to its own heap,
     # every integral is bisected until it converges, and the first failure in
     # input order is the one raised.

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from weaklim import distrib, quad
 from weaklim.complexfn import DomainError, gamma
 from weaklim.distrib import (PROBES, _SWEEP_SPEC, EpsilonLadder, _binomial_tail,
                              _mellin_forward_grid, beta_reg)
@@ -29,7 +30,6 @@ from weaklim.quad import (
     integrate_batch,
     integrate_finite,
     integrate_pairing,
-    integrate_pairings,
     integrate_semi_infinite,
 )
 
@@ -270,11 +270,13 @@ def test_non_finite_integrand_raises():
 
 @pytest.mark.parametrize("scale", [-1e-3, 0.0, -math.inf, math.nan])
 def test_origin_scale_must_be_positive(scale):
-    # A negative scale used to hang the partition builder; 0 fell back to
-    # the default.
+    # A negative scale used to hang the partition builder, and still did in
+    # a batch's Window; 0 fell back to the default.
     with pytest.raises(DomainError, match="origin_scale > 0"):
         integrate_pairing(np.ones_like, lambda t: np.exp(-t * t), -1.0, 1.0,
                           origin_scale=scale)
+    with pytest.raises(DomainError, match="origin_scale > 0"):
+        integrate_batch(lambda t, _: np.exp(-t * t), [Window(None, -1.0, 1.0, scale)])
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -331,9 +333,21 @@ def _keyless(f):
     return lambda ts, _: f(ts)
 
 
-def _plain(f, pts, spec):
-    """One integral of f over plain panels between pts, as _adaptive takes it."""
-    return spec, [(_keyless(f), None, pts, None)], None
+def _plain(pts, spec):
+    """One integral over plain panels between pts, as _adaptive takes it."""
+    return spec, [(None, pts, None)], None
+
+
+def _by_key(fs):
+    """One batch integrand that calls fs[k] on the nodes keyed k only."""
+    def g(ts, keys):
+        if np.ndim(keys) == 0:
+            return fs[keys](ts)
+        out = np.empty(ts.shape, complex)
+        for k, f in enumerate(fs):
+            out[keys == k] = f(ts[keys == k])
+        return out
+    return g
 
 
 def _per_panel(f):
@@ -353,15 +367,16 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     pts = _breakpoints(-1.0, 1.0, 0.1)  # coarse: the peak needs bisection
-    (res,) = _adaptive([_plain(f, pts, spec)])
+    (res,) = _adaptive(_keyless(f), [_plain(pts, spec)])
     # The initial partition in one call, then each split's two children.
     assert sizes[0] == 31 * (len(pts) - 1)
     assert len(sizes) > 1 and set(sizes[1:]) == {62}
     assert res.evaluations == sum(sizes)
-    assert [res] == _adaptive([_plain(_per_panel(f), pts, spec)])
+    assert [res] == _adaptive(_keyless(_per_panel(f)), [_plain(pts, spec)])
 
-    # Two pieces share one heap: one call per piece for its initial
-    # partition, then calls of 62 nodes, each to its own panel's integrand.
+    # Two pieces share one heap and one integrand, keyed 0 and 1: one call
+    # seeds both, each f seeing its own piece's initial partition, then
+    # calls of 62 nodes, each to its own panel's f.
     shifted_sizes = []
 
     def shifted(x):
@@ -370,16 +385,15 @@ def test_adaptive_calls_the_integrand_once_per_batch():
 
     sizes.clear()
     far = [p + 3.0 for p in pts]
-    (both,) = _adaptive([(spec, [(_keyless(f), None, pts, None),
-                                 (_keyless(shifted), None, far, None)], None)])
+    pieces = [(0, pts, None), (1, far, None)]
+    (both,) = _adaptive(_by_key((f, shifted)), [(spec, pieces, None)])
     for calls in (sizes, shifted_sizes):
         assert calls[0] == 31 * (len(pts) - 1)
         assert len(calls) > 1 and set(calls[1:]) == {62}
     assert both.evaluations == sum(sizes) + sum(shifted_sizes)
     assert abs(both.value - 2.0 * res.value) <= 2e-9 * abs(res.value)
-    assert [both] == _adaptive([(spec, [(_keyless(_per_panel(f)), None, pts, None),
-                                        (_keyless(_per_panel(shifted)), None, far, None)],
-                                 None)])
+    assert [both] == _adaptive(_by_key((_per_panel(f), _per_panel(shifted))),
+                               [(spec, pieces, None)])
 
 
 @pytest.mark.parametrize("run", [
@@ -416,22 +430,29 @@ _LADDER_KERNELS = {
 @pytest.mark.parametrize("probe, interval", [("gaussian", (-1.0, 1.0)), ("bump", (-1.0, 1.0)),
                                              ("bump", (-3.0, 2.0))])
 @pytest.mark.parametrize("kernel", list(_LADDER_KERNELS))
-def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval):
-    # Each rung's value, error estimate and evaluations are integrate_pairing's
-    # at its eps, bit for bit: one kernel call with each node's eps seeds all
-    # rungs, and on the bump probe the rungs then bisect in lockstep, one
-    # kernel call per round, with each node's eps (or the one eps of a round
-    # that only one rung still needs).
+def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval, monkeypatch):
+    # Each rung of the pairing ladder (its value, error estimate and
+    # evaluations) is integrate_pairing's at its eps, bit for bit: one kernel
+    # call with each node's eps seeds all rungs, and on the bump probe the
+    # rungs then bisect in lockstep, one kernel call per round, with each
+    # node's eps (or the one eps of a round that only one rung still needs).
     kernel, spec = _LADDER_KERNELS[kernel]
     eps = EpsilonLadder.default().values
-    calls = []
+    calls, batches = [], []
+    batch = distrib.integrate_batch
 
     def counted(ts, e):
         calls.append(np.ndim(e))
         return kernel(ts, e, interval)
 
-    rungs = integrate_pairings(PROBES[probe], counted, *interval,
-                               [(e, e / 4.0) for e in eps], spec)
+    def recorded(g, windows, spec):
+        batches.append(batch(g, windows, spec))
+        return batches[-1]
+
+    monkeypatch.setattr(distrib, "integrate_batch", recorded)
+    sweep = distrib._pairing_ladder(counted, PROBES[probe], interval, None, spec)
+    (rungs,) = batches
+    assert [(e, r.value, r.error_estimate) for e, r in zip(eps, rungs)] == list(sweep.points)
     assert calls[0] == 1
     assert (len(calls) > 1) == (probe == "bump")
     for e, got in zip(eps, rungs):
@@ -493,6 +514,45 @@ def test_batch_results_are_each_integral_alone():
     assert calls[0] == 1 and calls[-1] == 0  # the last rounds have one integral left
 
 
+def test_finite_is_one_ends_plan_seeded_in_one_call(monkeypatch):
+    # integrate_finite is integrate_batch over Ends((0, 1), a, b, exps), its
+    # integrand sending each side's nodes to that side's edge: the seed is one
+    # _panels call over both end panels, each edge sees only its own side's
+    # nodes and never none, and each later round is one call on one side.
+    exps = EndpointExponents(0.5, 1.5 + 1j)
+    calls, reference, seen = [], [], []
+    panels = quad._panels
+
+    def counted(g, spans):
+        calls.append([key for *_, key in spans])
+        return panels(g, spans)
+
+    def keyed(u, keys):
+        reference.append((u.copy(), np.broadcast_to(keys, u.shape).copy()))
+        return _beta_edges(u, keys)
+
+    def edge(side):
+        def g(u):
+            seen.append((len(calls) - 1, side, u.copy()))
+            return _beta_edges(u, side)
+        return g
+
+    monkeypatch.setattr(quad, "_panels", counted)
+    (want,) = integrate_batch(keyed, [Ends((0, 1), 0.0, 1.0, exps)])
+    calls.clear()
+    got = integrate_finite(lambda t: t ** -0.5 * (1.0 - t) ** (0.5 + 1j), 0.0, 1.0, exps,
+                           left_edge=edge(0), right_edge=edge(1))
+    assert got == want
+    assert calls[0] == [0, 1]  # the seed: both end panels in one call
+    assert len(calls) == len(reference) == 1 + (got.evaluations - 62) // 62 > 1
+    assert all(keys == keys[:1] * 2 for keys in calls[1:])  # a round: one panel's halves
+    assert [(call, side) for call, side, _ in seen] == \
+        [(0, 0), (0, 1)] + [(i, keys[0]) for i, keys in enumerate(calls) if i]
+    for call, side, u in seen:
+        ts, keys = reference[call]
+        assert u.size and np.array_equal(u, ts[keys == side]), (call, side)
+
+
 def _budget(n):
     return QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=n)
 
@@ -502,19 +562,18 @@ def test_batch_raises_the_first_failure_in_input_order():
     # earlier round; the second's error is raised, as a run one at a time
     # raises it, with its message and best estimate.
     specs = [DEFAULT_SPEC, _budget(2), DEFAULT_SPEC, _budget(1), DEFAULT_SPEC]
-    batch = [(spec, [(_batch_integrand, w.key, [w.a, w.b], None)], None)
-             for spec, w in zip(specs, _BATCH)]
+    batch = [(spec, [(w.key, [w.a, w.b], None)], None) for spec, w in zip(specs, _BATCH)]
     with pytest.raises(ConvergenceError) as exc:
-        _adaptive(batch)
+        _adaptive(_batch_integrand, batch)
     with pytest.raises(ConvergenceError) as second:
-        _adaptive(batch[1:2])
+        _adaptive(_batch_integrand, batch[1:2])
     assert str(exc.value) == str(second.value)
     assert exc.value.best == second.value.best
     assert "subdivision budget" in str(exc.value)
     # Alone, the fourth fails too, and the others converge.
     with pytest.raises(ConvergenceError):
-        _adaptive(batch[3:4])
-    assert all(_adaptive([plan]) for plan in batch[::2])
+        _adaptive(_batch_integrand, batch[3:4])
+    assert all(_adaptive(_batch_integrand, [plan]) for plan in batch[::2])
 
 
 def test_batch_error_on_a_non_finite_integral_is_its_own():
@@ -573,9 +632,9 @@ def test_panel_rules_are_row_sums_of_cpython_products():
     # End panels and plain ones in one batch, and end panels alone: each rule
     # is numpy's row sum of f times the weights, each product rounded as
     # CPython's complex *, so no SIMD level or BLAS kernel moves a bit.
-    ends = [(0.0, 0.5 ** (i % 8), row, None, None)
+    ends = [(0.0, 0.5 ** (i % 8), row, None)
             for i, row in enumerate(_end_weights(_END_EXPONENTS))]
-    plain = [(0.5, 1.0, _WEIGHTS, None, None), (0.25, 0.5, _WEIGHTS, None, None)]
+    plain = [(0.5, 1.0, _WEIGHTS, None), (0.25, 0.5, _WEIGHTS, None)]
     seen = []
 
     def f(x, _):
