@@ -137,15 +137,22 @@ def _beta_runner(grid, route):
 def _eps_sweep(pairing) -> tuple[str, SweepFn]:
     """Epsilon sweep of a claim's pairing ladder: each row against its target.
 
-    ``pairing(cfg, ladder)`` returns the claim's (PairingSweepResult, target),
-    the same measurement the claim's runner asserts on.
+    ``pairing(cfg, ladder)`` returns the claim's (PairingSweepResult, target)
+    at every rung: the runner asserts on the same pairings at the rungs its
+    verdicts read.
     """
     def rows(cfg: RunConfig, ladder):
-        eps = EpsilonLadder(ladder) if ladder else cfg.ladder()
+        eps = cfg.ladder() if ladder is None else EpsilonLadder(ladder)
         res, target = pairing(cfg, eps)
         return "epsilon", [(p, v, e, abs(v - target))
                            for (p, v, e) in res.points]
     return "eps", rows
+
+
+def _fit_rungs(ladder: EpsilonLadder) -> tuple[float, ...]:
+    """The ladder's trailing rungs, the only ones distrib._fit_sweep fits: a
+    verdict on a fitted limit or order reads no other rung."""
+    return ladder.values[-distrib._FIT_RUNGS:]
 
 
 # --------------------------------------------------------------------- E12
@@ -153,17 +160,21 @@ def _eps_sweep(pairing) -> tuple[str, SweepFn]:
 _DELTA_INTERVALS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
 
 
-def _beta_delta_pairing(cfg: RunConfig, ladder: EpsilonLadder,
-                        interval: tuple[float, float] = (-1.0, 1.0)):
+def _beta_delta_pairing(cfg: RunConfig, ladder: EpsilonLadder):
     probe = PROBES[cfg.probe]
-    return (distrib.delta_claim_sweep(probe, interval, ladder),
-            distrib.delta_target(probe, *interval))
+    return (distrib.delta_claim_sweep(probe, (-1.0, 1.0), ladder),
+            distrib.delta_target(probe, -1.0, 1.0))
 
 
 def _run_beta_delta(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
+    # The fit's rungs of each interval's ladder, all intervals in one batch.
+    probe, rungs = PROBES[cfg.probe], _fit_rungs(cfg.ladder())
+    sweeps = distrib._pairing_ladder(distrib.beta_reg,
+                                     [(probe, interval, rungs) for interval in _DELTA_INTERVALS],
+                                     distrib._SWEEP_SPEC)
     out = []
-    for interval in _DELTA_INTERVALS:
-        sweep_res, target = _beta_delta_pairing(cfg, cfg.ladder(), interval)
+    for interval, sweep_res in zip(_DELTA_INTERVALS, sweeps):
+        target = distrib.delta_target(probe, *interval)
         dev = abs(sweep_res.extrapolated_limit - target) / TWO_PI
         point = f"interval=[{interval[0]:g},{interval[1]:g}];probe={cfg.probe}"
         out.append(_verdict(claim, cfg, point, dev, claim.tolerance,
@@ -183,7 +194,7 @@ def _mellin_forward_pairing(cfg: RunConfig, ladder: EpsilonLadder):
 
 
 def _run_mellin_forward(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
-    sweep_res, target = _mellin_forward_pairing(cfg, cfg.ladder())
+    sweep_res, target = _mellin_forward_pairing(cfg, EpsilonLadder(_fit_rungs(cfg.ladder())))
     dev = abs(sweep_res.extrapolated_limit - target) / TWO_PI
     return [_verdict(claim, cfg, f"interval=[-1,1];probe={cfg.probe}",
                      dev, claim.tolerance, order=sweep_res.fitted_order)]
@@ -277,27 +288,31 @@ def _weak_limit_pairing(cfg: RunConfig, ladder: EpsilonLadder):
 
 def _run_weak_limit_2f1(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
     ladder = cfg.ladder()
-    if len(ladder.values) < 3:
+    eps = ladder.values
+    if len(eps) < 3:
         raise DomainError("eps ladder of at least 3 values",
                           f"{claim.id} needs at least 3 ladder values to "
                           f"check that its pairings decrease; "
-                          f"got {len(ladder.values)}")
-    sweep_res, _ = _weak_limit_pairing(cfg, ladder)
+                          f"got {len(eps)}")
+    # The ladder point nearest 1e-4.
+    idx = min(range(len(eps)), key=lambda i: abs(math.log10(eps[i] / 1e-4)))
+    # The rungs the verdicts read: the fit's, which hold the last 3, and
+    # eps[idx]; the const ladder's fit in the same batch.
+    rungs = _fit_rungs(ladder)
+    read = rungs if eps[idx] in rungs else (eps[idx], *rungs)
+    sweep_res, excl = distrib._pairing_ladder(
+        hyper.family_closed_form,
+        [(PROBES[cfg.probe], (-1.0, 1.0), read), (PROBES["const"], (1.0, 2.0), rungs)],
+        distrib._SWEEP_SPEC)
     mags = sweep_res.magnitudes()
-    # Magnitude at the ladder point nearest 1e-4.
-    idx = min(range(len(ladder.values)),
-              key=lambda i: abs(math.log10(ladder.values[i] / 1e-4)))
     point = f"interval=[-1,1];probe={cfg.probe}"
-    out = [
-        _verdict(claim, cfg, point + f";eps={ladder.values[idx]:.6g}",
-                 mags[idx], claim.tolerance, order=sweep_res.fitted_order),
+    return [
+        _verdict(claim, cfg, point + f";eps={eps[idx]:.6g}",
+                 mags[read.index(eps[idx])], claim.tolerance, order=sweep_res.fitted_order),
         _check(claim, point + ";check=decreasing", mags[-3] > mags[-2] > mags[-1]),
+        _verdict(claim, cfg, "interval=[1,2];probe=const",
+                 abs(excl.extrapolated_limit), claim.tolerance, order=excl.fitted_order),
     ]
-    excl = hyper.family_weak_limit_sweep(PROBES["const"], (1.0, 2.0), ladder)
-    out.append(_verdict(claim, cfg, "interval=[1,2];probe=const",
-                        abs(excl.extrapolated_limit), claim.tolerance,
-                        order=excl.fitted_order))
-    return out
 
 
 # --------------------------------------------------------------------- E35
@@ -331,7 +346,7 @@ def _run_oscillatory(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 
 
 def _sweep_oscillatory(cfg: RunConfig, ladder):
-    s = _oscillatory_pairing("cos", ladder or _OSC_LADDER)
+    s = _oscillatory_pairing("cos", _OSC_LADDER if ladder is None else ladder)
     return "abs_one_minus_z", [
         (d, v, e, abs(v - _gaussian_fourier(-math.log(d))))
         for (d, v, e) in s.points]
@@ -412,7 +427,7 @@ def _run_large_nu(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 
 def _sweep_large_nu(cfg: RunConfig, ladder):
     rows = []
-    for nu in ladder or (10.0, 50.0, 250.0):
+    for nu in (10.0, 50.0, 250.0) if ladder is None else ladder:
         ratio = _explicit_ratio(nu)
         rows.append((nu, ratio, _Q_NU_REL_TOL * abs(ratio), abs(ratio - 1.0)))
     return "nu", rows
@@ -446,7 +461,7 @@ def _run_near_one(claim: Claim, cfg: RunConfig) -> list[ClaimVerdict]:
 
 
 def _sweep_near_one(cfg: RunConfig, ladder):
-    ds = ladder or (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    ds = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6) if ladder is None else ladder
     ratios = _log_law_ratios([(0.0, 1.0 + d) for d in ds])
     return "z_minus_one", [(d, complex(r), _Q_NU_REL_TOL * r, abs(r - 1.0))
                            for d, r in zip(ds, ratios)]
@@ -577,7 +592,11 @@ def sweep_choices() -> dict[str, list[str]]:
 
 def sweep(kind: str, claim_id: str, cfg: RunConfig | None = None,
           ladder: tuple[float, ...] | None = None):
-    """Ladder rows (param, value, err_estimate, deviation) for plotting."""
+    """Ladder rows (param, value, err_estimate, deviation) for plotting.
+
+    ``ladder`` None takes the claim's default ladder; an empty one raises
+    DomainError.
+    """
     choices = sweep_choices()
     if kind not in choices:
         raise KeyError(f"unknown sweep kind {kind!r}")
@@ -585,4 +604,6 @@ def sweep(kind: str, claim_id: str, cfg: RunConfig | None = None,
     if claim is None or claim.sweep is None or claim.sweep[0] != kind:
         raise KeyError(f"claim {claim_id!r} does not support kind {kind!r}; "
                        f"choices: {', '.join(choices[kind])}")
+    if ladder is not None and not ladder:  # only None means the claim's default
+        raise DomainError("non-empty ladder", f"the {kind} sweep of {claim_id} got no values")
     return claim.sweep[1](cfg or RunConfig(), ladder)

@@ -196,7 +196,7 @@ def _cmd_verify_all(args, cfg) -> int:
 
 def _cmd_sweep(args, cfg) -> int:
     ladder = (parse_floats("eps_ladder", args.eps_ladder)
-              if args.eps_ladder else None)
+              if args.eps_ladder is not None else None)
     param_name, rows = claims.sweep(args.kind, args.claim_id, cfg, ladder)
     _emit(sweep_rows_csv(param_name, rows), cfg.out)
     return 0

@@ -66,6 +66,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 _MELLIN_ROWS = 32  # distinct |tau| per cosine block of _mellin_forward_grid
 _SWEEP_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)  # Beta-delta, family, oscillatory
+_FIT_RUNGS = 4  # the trailing ladder points _fit_sweep fits
 
 
 # ------------------------------------------------------------------- probes
@@ -173,9 +174,14 @@ def _lsq_slope(xs, ys):
 
 
 def _fit_sweep(params, values, errs) -> tuple[complex, float]:
-    """Fit value = L + C * eps^q on the trailing points; return (L, order)."""
+    """Fit value = L + C * eps^q on the trailing points; return (L, order).
+
+    Only the last min(_FIT_RUNGS, n) points enter the fit (in the manner of
+    Sidi, Practical Extrapolation Methods, 2003), so a verdict on the limit
+    or the order reads no earlier rung of the ladder.
+    """
     n = len(values)
-    use = min(4, n)
+    use = min(_FIT_RUNGS, n)
     e = params[-use:]
     v = values[-use:]
     scale = max(abs(x) for x in v) or 1.0
@@ -225,20 +231,38 @@ def _ladder_sweep(params, measured) -> PairingSweepResult:
     return PairingSweepResult(pts, limit, order)
 
 
-def _pairing_ladder(kernel, probe: Probe, interval: tuple[float, float],
-                    ladder: EpsilonLadder | None,
-                    spec: QuadratureSpec) -> PairingSweepResult:
-    """Pair kernel(ts, eps) with a probe at each ladder eps, panels down to eps / 4.
+def _pairing_ladder(kernel, ladders, spec: QuadratureSpec) -> list[PairingSweepResult]:
+    """Pair kernel(ts, eps) with a probe at each eps of each ladder, panels down to eps / 4.
 
-    Each rung is integrate_pairing's window at its eps, and the rungs are one
-    integrate_batch keyed by eps: a single kernel call, with each node's eps,
-    seeds every rung, and each rung bisects with its own eps, so a kernel
-    takes eps as a float or as an array shaped like ts.
+    ``ladders`` holds (probe, interval, eps values), and the result is one
+    PairingSweepResult per entry.  Each rung is integrate_pairing's window at
+    its eps, and the rungs of every entry are one integrate_batch keyed by
+    their index: a single kernel call, with each node's eps, seeds every
+    rung, and each rung bisects with its own eps, so a kernel takes eps as a
+    float or as an array shaped like ts.  Each probe is evaluated on its own
+    entry's nodes only.
     """
-    eps = (ladder or EpsilonLadder.default()).values
-    rungs = integrate_batch(lambda ts, e: np.asarray(probe(ts)) * np.asarray(kernel(ts, e)),
-                            [Window(e, *interval, e / 4.0) for e in eps], spec)
-    return _ladder_sweep(eps, [(r.value, r.error_estimate) for r in rungs])
+    rungs = [(i, e) for i, (_, _, eps) in enumerate(ladders) for e in eps]
+    entry_of = np.array([i for i, _ in rungs])
+    eps_of = np.array([e for _, e in rungs])
+
+    def g(ts, keys):
+        if not isinstance(keys, np.ndarray):  # the nodes of one rung
+            i, e = rungs[keys]
+            return np.asarray(ladders[i][0](ts)) * np.asarray(kernel(ts, e))
+        values = np.asarray(kernel(ts, eps_of[keys]))
+        entries = entry_of[keys]
+        out = np.empty(ts.shape, complex)
+        for i in np.unique(entries).tolist():
+            at = entries == i
+            out[at] = np.asarray(ladders[i][0](ts[at])) * values[at]
+        return out
+
+    res = iter(integrate_batch(g, [Window(k, *ladders[i][1], e / 4.0)
+                                   for k, (i, e) in enumerate(rungs)], spec))
+    # zip takes each entry's len(eps) results off res, in order.
+    return [_ladder_sweep(eps, [(r.value, r.error_estimate) for _, r in zip(eps, res)])
+            for _, _, eps in ladders]
 
 
 # ---------------------------------------------------------------- beta family
@@ -338,7 +362,8 @@ def delta_target(probe: Probe, a: float, b: float) -> float:
 def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
                       ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the regularized Beta kernel against a probe along the ladder."""
-    return _pairing_ladder(beta_reg, probe, interval, ladder, _SWEEP_SPEC)
+    eps = (ladder or EpsilonLadder.default()).values
+    return _pairing_ladder(beta_reg, [(probe, interval, eps)], _SWEEP_SPEC)[0]
 
 
 # ------------------------------------------------------- regularized Mellin
@@ -439,8 +464,10 @@ def mellin_forward_sweep(probe: Probe, interval: tuple[float, float],
                          ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the quadrature-computed Mellin values against a probe."""
     reach = max(abs(interval[0]), abs(interval[1]))
-    return _pairing_ladder(lambda ts, eps: _mellin_forward_grid(ts, eps, reach), probe,
-                           interval, ladder, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))
+    eps = (ladder or EpsilonLadder.default()).values
+    return _pairing_ladder(lambda ts, e: _mellin_forward_grid(ts, e, reach),
+                           [(probe, interval, eps)],
+                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8))[0]
 
 
 # --------------------------------------------------------- mollified inverse

@@ -285,7 +285,8 @@ def f_derivatives(eps: float, tau: float) -> tuple[complex, complex]:
 def family_weak_limit_sweep(probe: Probe, interval: tuple[float, float],
                             ladder: EpsilonLadder | None = None) -> PairingSweepResult:
     """Pair the family against a probe along the ladder; the limit is 0."""
-    return _pairing_ladder(family_closed_form, probe, interval, ladder, _SWEEP_SPEC)
+    eps = (ladder or EpsilonLadder.default()).values
+    return _pairing_ladder(family_closed_form, [(probe, interval, eps)], _SWEEP_SPEC)[0]
 
 
 def oscillatory_limit_sweep(probe: Probe, kind: str, z_ladder: tuple[float, ...],

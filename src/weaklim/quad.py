@@ -28,9 +28,9 @@ Panels are evaluated in batches, one integrand call each, by one routine that
 runs every integral of a batch in lockstep (a scalar entry point is a batch
 of one), in the manner of Shampine's vectorized adaptive quadrature (J.
 Comput. Appl. Math. 211, 2008).  A batch has one integrand, g(ts, keys):
-keys holds each node's key (the rung's eps of a ladder, a grid point's
-index, the side of a finite integral), or the one key of a call whose nodes
-share it.  One call evaluates the initial panels of all integrals; then each
+keys holds each node's key (a ladder rung's parameter or index, a grid
+point's index, the side of a finite integral), or the one key of a call
+whose nodes share it.  One call evaluates the initial panels of all integrals; then each
 round pops the worst panel of every integral still above its target and
 evaluates all their halves in one call.  Integrands receive a numpy array of abscissae, panel by
 panel, and must return an array of values (real or complex); values that
@@ -475,8 +475,8 @@ def integrate_pairing(phi, kernel, a: float, b: float,
     down to ``origin_scale`` (default 1e-6 (b - a)) so that a
     delta-approximant peak of that width cannot slip between coarse nodes.
     ``osc_freq`` is the integrand's angular frequency, if it oscillates.
-    A ladder of pairings is one integrate_batch of such windows, keyed by
-    each rung's parameter.
+    A ladder of pairings is one integrate_batch of such windows, one key
+    per rung.
     """
     scale = 1e-6 * (b - a) if origin_scale is None else origin_scale
     window = Window(None, a, b, scale, osc_freq)

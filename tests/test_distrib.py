@@ -286,14 +286,14 @@ def test_beta_reg_log_gamma_count(monkeypatch):
 
 
 @pytest.mark.parametrize("claim_id, module, kernel, calls, nodes, arrays", [
-    ("E12-beta-delta", distrib, "beta_reg", 3, 5921, 3),
-    ("E31-weak-limit-2f1", hyper, "family_closed_form", 2, 4123, 4),
+    ("E12-beta-delta", distrib, "beta_reg", 1, 3410, 1),
+    ("E31-weak-limit-2f1", hyper, "family_closed_form", 1, 2356, 2),
 ])
 def test_pairing_claims_take_one_kernel_call_per_ladder(monkeypatch, claim_id, module,
                                                         kernel, calls, nodes, arrays):
-    # No rung of the default ladder bisects, so each of the claim's ladders
-    # is one kernel call over every rung's initial panels, with each node's
-    # eps: one array log-gamma for beta_reg, two for the family.
+    # No rung the claim reads bisects, and all of its ladders are one batch,
+    # so the claim is one kernel call over every rung's initial panels, with
+    # each node's eps: one array log-gamma for beta_reg, two for the family.
     sizes, logs = [], []
     inner, inner_array = getattr(module, kernel), module._log_gamma_right_array
     monkeypatch.setattr(module, kernel,
@@ -458,7 +458,7 @@ def test_mellin_sweep_value_does_not_depend_on_the_batch(monkeypatch):
     # alone and in a batch.
     kernels = []
     monkeypatch.setattr(distrib, "_pairing_ladder",
-                        lambda kernel, *rest: kernels.append(kernel))
+                        lambda kernel, *rest: kernels.append(kernel) or [None])
     mellin_forward_sweep(PROBES["gaussian"], (-4.0, 3.0))
     (kernel,) = kernels
     taus = np.random.default_rng(29).uniform(-4.0, 3.0, 62)

@@ -13,8 +13,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from weaklim import cli, distrib, quad
+from weaklim import claims, cli, distrib, hyper, quad
 from weaklim.claims import (
+    _DELTA_INTERVALS,
     _GAUSS_SETS,
     REGISTRY,
     claim_ids,
@@ -25,7 +26,7 @@ from weaklim.claims import (
 )
 from weaklim.complexfn import DomainError
 from weaklim.config import RunConfig, build_run_config, load_config_file
-from weaklim.distrib import EpsilonLadder
+from weaklim.distrib import PROBES, TWO_PI, EpsilonLadder
 from weaklim.quad import QuadratureSpec
 from weaklim.report import relation_grid_csv, verdicts_to_csv, verdicts_to_json
 
@@ -117,44 +118,55 @@ def test_run_claim_e04_all_pass():
     assert all(v.deviation <= 1e-9 for v in verdicts)
 
 
-# Integrand calls and nodes of each claim that integrates, in one run_all().
-# Each claim's grid of integrals is one lockstep batch with one integrand:
-# one call for the initial panels and one per round of bisection.  Each
-# integral is taken once per claim: E17's limit check reads the ladder's
-# eps = 1e-4 rung, and E53's relation reads its law's Q_1(1 + 1e-6).
+# Integrals, integrand calls and nodes of each claim that integrates, in one
+# run_all().  Each claim's grid of integrals is one lockstep batch with one
+# integrand: one call for the initial panels and one per round of bisection.
+# Each integral is taken once per claim: E17's limit check reads the ladder's
+# eps = 1e-4 rung, and E53's relation reads its law's Q_1(1 + 1e-6).  The
+# ladder claims (E12, E16, E31) integrate only the rungs their verdicts read.
 CLAIM_INTEGRAND_CALLS = {
-    "E03-beta-substitution": (6, 186),
-    "E04-euler-beta": (3, 1240),
-    "E12-beta-delta": (3, 5921),
-    "E16-mellin-forward": (1, 3844),
-    "E17-mellin-inverse": (4, 10261),
-    "E31-weak-limit-2f1": (2, 4123),
-    "E35-oscillatory": (2, 10478),
-    "E45-large-z-asym": (1, 93),
-    "E47-legendre-exact": (2, 496),
-    "E47-legendre-relation": (2, 1767),
-    "E49-large-nu-asym": (4, 217),
-    "E53-near-one": (2, 186),
-    "E54-power-slope": (3, 620),
+    "E03-beta-substitution": (6, 6, 186),
+    "E04-euler-beta": (12, 3, 1240),
+    "E12-beta-delta": (12, 1, 3410),
+    "E16-mellin-forward": (4, 1, 2232),
+    "E17-mellin-inverse": (9, 4, 10261),
+    "E31-weak-limit-2f1": (8, 1, 2356),
+    "E35-oscillatory": (6, 2, 10478),
+    "E45-large-z-asym": (3, 1, 93),
+    "E47-legendre-exact": (12, 2, 496),
+    "E47-legendre-relation": (36, 2, 1767),
+    "E49-large-nu-asym": (1, 4, 217),
+    "E53-near-one": (2, 2, 186),
+    "E54-power-slope": (6, 3, 620),
 }
 
 
 def test_integrand_calls_per_claim(monkeypatch):
-    # Counted at quad's panel evaluation, one _panels call per integrand call.
+    # Counted at quad's lockstep pass, one _adaptive entry per integral, and
+    # at its panel evaluation, one _panels call per integrand call.
     counts = {}
-    panels = quad._panels
+    adaptive, panels = quad._adaptive, quad._panels
 
-    def counted(g, spans):
-        calls, nodes = counts.get(claim, (0, 0))
-        counts[claim] = (calls + 1, nodes + 31 * len(spans))
+    def count(integrals=0, calls=0, nodes=0):
+        counts[claim] = tuple(map(sum, zip(counts.get(claim, (0, 0, 0)),
+                                           (integrals, calls, nodes))))
+
+    def counted_adaptive(g, batch):
+        count(integrals=len(batch))
+        return adaptive(g, batch)
+
+    def counted_panels(g, spans):
+        count(calls=1, nodes=31 * len(spans))
         return panels(g, spans)
 
-    monkeypatch.setattr(quad, "_panels", counted)
+    monkeypatch.setattr(quad, "_adaptive", counted_adaptive)
+    monkeypatch.setattr(quad, "_panels", counted_panels)
     for claim in claim_ids():
         run_claim(claim)
     assert counts == CLAIM_INTEGRAND_CALLS
-    assert sum(calls for calls, _ in counts.values()) == 35
-    assert sum(nodes for _, nodes in counts.values()) == 39432
+    assert sum(integrals for integrals, _, _ in counts.values()) == 117
+    assert sum(calls for _, calls, _ in counts.values()) == 32
+    assert sum(nodes for _, _, nodes in counts.values()) == 33542
 
 
 def test_report_claim_never_fails():
@@ -174,9 +186,9 @@ def test_tolerance_override_forces_failure():
 def test_tolerance_override_cannot_pass_a_failed_boolean_check(monkeypatch, tmp_path):
     # E12's fitted orders forced negative make its check=order>0 sub-checks
     # fail; --tol 2 exceeds their deviation 1.0 but must not pass them.
-    sweep_fn = distrib.delta_claim_sweep
-    monkeypatch.setattr(distrib, "delta_claim_sweep", lambda *args: dataclasses.replace(
-        sweep_fn(*args), fitted_order=-1.0))
+    ladder_fn = distrib._pairing_ladder
+    monkeypatch.setattr(distrib, "_pairing_ladder", lambda *args: [
+        dataclasses.replace(res, fitted_order=-1.0) for res in ladder_fn(*args)])
     out = tmp_path / "e12.json"
     assert cli.main(["verify", "E12-beta-delta", "--tol", "2", "--out", str(out)]) == 1
     checks = [v for v in json.loads(out.read_text(encoding="utf-8"))["verdicts"]
@@ -218,6 +230,62 @@ def test_short_ladder_named_error(capsys):
     assert cli.main(["verify", "E31-weak-limit-2f1",
                      "--eps-ladder", "1e-1,1e-2"]) == 2
     assert "at least 3 ladder values" in capsys.readouterr().err
+
+
+# Ladders at which verify's read rungs must give the full ladder's verdicts.
+READ_RUNG_LADDERS = {
+    "default": None,
+    "3-rungs": (1e-1, 1e-2, 1e-3),
+    # E31's rung nearest 1e-4 is the fourth, before the trailing four.
+    "8-rungs": (1e-2, 3e-3, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6),
+    "20-rungs": tuple(10.0 ** (-1.0 - 0.2 * k) for k in range(20)),
+}
+
+
+def full_ladder_verdicts(claim_id: str, cfg: RunConfig) -> list:
+    """A ladder claim's verdicts from its public sweeps over the whole ladder,
+    by its runner's formulas."""
+    claim = {c.id: c for c in REGISTRY}[claim_id]
+    probe, ladder = PROBES[cfg.probe], cfg.ladder()
+    verdict = lambda point, dev, res: claims._verdict(
+        claim, cfg, point, dev, claim.tolerance, order=res.fitted_order)
+    out = []
+    if claim_id == "E12-beta-delta":
+        for a, b in _DELTA_INTERVALS:
+            res = distrib.delta_claim_sweep(probe, (a, b), ladder)
+            target = distrib.delta_target(probe, a, b)
+            point = f"interval=[{a:g},{b:g}];probe={cfg.probe}"
+            out.append(verdict(point, abs(res.extrapolated_limit - target) / TWO_PI, res))
+            if target != 0.0:
+                out.append(claims._check(claim, point + ";check=order>0",
+                                         res.fitted_order > 0.0, res.fitted_order))
+    elif claim_id == "E16-mellin-forward":
+        res = distrib.mellin_forward_sweep(probe, (-1.0, 1.0), ladder)
+        dev = abs(res.extrapolated_limit - TWO_PI * probe.value_at_zero) / TWO_PI
+        out.append(verdict(f"interval=[-1,1];probe={cfg.probe}", dev, res))
+    else:
+        res = hyper.family_weak_limit_sweep(probe, (-1.0, 1.0), ladder)
+        mags, eps = res.magnitudes(), ladder.values
+        idx = min(range(len(eps)), key=lambda i: abs(math.log10(eps[i] / 1e-4)))
+        point = f"interval=[-1,1];probe={cfg.probe}"
+        out.append(verdict(point + f";eps={eps[idx]:.6g}", mags[idx], res))
+        out.append(claims._check(claim, point + ";check=decreasing",
+                                 mags[-3] > mags[-2] > mags[-1]))
+        excl = hyper.family_weak_limit_sweep(PROBES["const"], (1.0, 2.0), ladder)
+        out.append(verdict("interval=[1,2];probe=const", abs(excl.extrapolated_limit), excl))
+    return out
+
+
+@pytest.mark.parametrize("ladder", list(READ_RUNG_LADDERS.values()), ids=list(READ_RUNG_LADDERS))
+def test_read_rungs_give_the_full_ladder_verdicts(ladder):
+    # E12, E16 and E31 integrate only the rungs their verdicts read, E12's
+    # intervals and E31's two ladders in one batch each: the verdict records
+    # are those of the full-ladder sweeps, digit for digit.
+    cfg = RunConfig(eps_ladder=ladder and EpsilonLadder(ladder))
+    for claim_id in ("E12-beta-delta", "E16-mellin-forward", "E31-weak-limit-2f1"):
+        got, want = run_claim(claim_id, cfg), full_ladder_verdicts(claim_id, cfg)
+        assert repr(got) == repr(want), claim_id
+        assert [v.as_record() for v in got] == [v.as_record() for v in want], claim_id
 
 
 # ------------------------------------------------------------------- config
@@ -420,6 +488,47 @@ def test_cli_sweep_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "epsilon,re,im,err_estimate,deviation"
     assert len(lines) == 4
+
+
+# sha256 of `weaklim sweep eps <claim>` at the default ladder per numpy
+# version: the bytes from before verify took only the rungs it reads.
+SWEEP_SHA256 = {
+    "2.4.6": {
+        "E12-beta-delta": "f9cd42b4105d3984f519eb0f2e502d60da7610a59bc19bf8f40b561544897754",
+        "E16-mellin-forward": "3ff9c710c965329beccd10d2df5bc94af50d431a2f93b19e36edf18fce8915bb",
+        "E31-weak-limit-2f1": "932f73a256112f1ebf49f57d788dc0d562f6458fcb815943759184ef561dbb16",
+    },
+}
+
+
+@pytest.mark.parametrize("claim_id", ["E12-beta-delta", "E16-mellin-forward",
+                                      "E31-weak-limit-2f1"])
+def test_sweeps_keep_every_rung(claim_id, capsys):
+    # verify reads a ladder claim's trailing rungs only; sweep prints them all.
+    assert cli.main(["sweep", "eps", claim_id]) == 0
+    text = capsys.readouterr().out
+    assert len(text.splitlines()) == 1 + len(EpsilonLadder.default().values) == 10
+    pin = SWEEP_SHA256.get(np.__version__)
+    if pin is None:
+        print(f"{claim_id} sweep sha256 at numpy {np.__version__}: "
+              f"{hashlib.sha256(text.encode()).hexdigest()} (not pinned)")
+    else:
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin[claim_id]
+    assert cli.main(["sweep", "eps", claim_id, "--eps-ladder", "1e-1,1e-2,1e-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-1, 1e-2, 1e-3]
+
+
+@pytest.mark.parametrize("kind, claim_id", [(kind, claim_id)
+                                            for kind, ids in sweep_choices().items()
+                                            for claim_id in ids])
+@pytest.mark.parametrize("text", [",", ""])
+def test_cli_sweep_empty_ladder_exits_2(kind, claim_id, text, capsys):
+    # Only a missing --eps-ladder means the claim's default ladder.
+    assert cli.main(["sweep", kind, claim_id, "--eps-ladder", text]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(DomainError, match="got no values"):
+        sweep(kind, claim_id, ladder=())
 
 
 def test_cli_config_unknown_key(tmp_path):

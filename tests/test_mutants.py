@@ -21,6 +21,7 @@ import pytest
 
 import test_complexfn
 import test_distrib
+import test_harness
 import test_hyper
 import test_quad
 from weaklim import claims, complexfn, distrib, hyper, legendre, quad
@@ -147,11 +148,16 @@ MUTANTS = [
     ("hyp2f1-rel-tol-1e-6", hyper, "hyp2f1",
      lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
      test_hyper.test_series_matches_mpmath),
+    # Every window keyed by the first rung: the first eps everywhere.
     ("pairings-first-eps-everywhere", distrib, "_pairing_ladder",
-     lambda: edited(distrib, "_pairing_ladder", "[Window(e, *interval,",
-                    "[Window(eps[0], *interval,"),
+     lambda: edited(distrib, "_pairing_ladder", "[Window(k, ", "[Window(0, "),
      functools.partial(test_quad.test_ladder_rungs_are_the_pairings_at_each_eps,
                        "beta_reg", "gaussian", (-1.0, 1.0))),
+    # verify's ladder claims fit one rung short of _fit_sweep's window.
+    ("fit-rungs-off-by-one", claims, "_fit_rungs",
+     lambda: edited(claims, "_fit_rungs", "[-distrib._FIT_RUNGS:]",
+                    "[-distrib._FIT_RUNGS + 1:]"),
+     functools.partial(test_harness.test_read_rungs_give_the_full_ladder_verdicts, None)),
     ("finite-edges-swapped", quad, "integrate_finite",
      lambda: edited(quad, "integrate_finite", "edges[sides](u)", "edges[1 - sides](u)"),
      test_quad.test_finite_is_one_ends_plan_seeded_in_one_call),

@@ -450,7 +450,7 @@ def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval, monk
         return batches[-1]
 
     monkeypatch.setattr(distrib, "integrate_batch", recorded)
-    sweep = distrib._pairing_ladder(counted, PROBES[probe], interval, None, spec)
+    (sweep,) = distrib._pairing_ladder(counted, [(PROBES[probe], interval, eps)], spec)
     (rungs,) = batches
     assert [(e, r.value, r.error_estimate) for e, r in zip(eps, rungs)] == list(sweep.points)
     assert calls[0] == 1
@@ -459,6 +459,37 @@ def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval, monk
         want = integrate_pairing(PROBES[probe], lambda ts: kernel(ts, e, interval), *interval,
                                  spec, origin_scale=e / 4.0)
         assert got == want, e
+
+
+@pytest.mark.parametrize("kernel", ["beta_reg", "family"])
+def test_pairing_ladder_entries_are_each_ladder_alone(kernel):
+    # Ladders of other probes, intervals and eps in one batch: each entry's
+    # sweep is its one-entry batch's, bit for bit, and each probe sees only
+    # its own entry's nodes.  The bump's rungs bisect; the entries share
+    # their last four eps.
+    kernel, spec = _LADDER_KERNELS[kernel]
+    eps = EpsilonLadder.default().values
+    seen = {}
+
+    def probe(name, interval):
+        def fn(ts):
+            seen.setdefault(name, []).append(ts)
+            return PROBES[name](ts)
+        return distrib.Probe(name, fn, PROBES[name].value_at_zero), interval
+
+    ladders = [(*probe("gaussian", (1.0, 2.0)), eps[-4:]),
+               (*probe("bump", (-1.0, 1.0)), eps),
+               (*probe("const", (2.0, 3.0)), eps[-4:]),
+               (*probe("cauchy", (-3.0, -2.0)), (eps[2], *eps[-4:]))]
+    kern = lambda ts, e: kernel(ts, e, None)
+    together = distrib._pairing_ladder(kern, ladders, spec)
+    for p, (a, b), _ in ladders:
+        nodes = np.concatenate(seen[p.name])
+        assert a < nodes.min() and nodes.max() < b, p.name
+    assert len(seen["bump"]) > 1  # the bump's rungs bisected
+    for entry, got in zip(ladders, together):
+        (alone,) = distrib._pairing_ladder(kern, [entry], spec)
+        assert repr(got) == repr(alone), entry[0].name
 
 
 # ------------------------------------------------------- lockstep batches
