@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -409,8 +410,16 @@ _Q_NU_REL_TOL = QuadratureSpec().rel_tol
 
 
 def _explicit_ratio(nu: float) -> complex:
-    """Quadrature Q_nu(2) over the explicit large-degree form."""
+    """Quadrature Q_nu(2) over the explicit large-degree form.
+
+    Both forms fall like (2 + sqrt 3)^-nu and leave the normal doubles near
+    nu = 535; from there DomainError, not a ratio of lost digits or 0 / 0.
+    """
     asym = legendre.asymptotic_large_nu(nu, 0.0, 2.0, with_quadrature=True)
+    if not min(abs(asym.via_q_nu), abs(asym.explicit)) >= sys.float_info.min:
+        raise DomainError("large-degree forms in double range",
+                          f"nu = {nu!r}: the large-degree forms of Q_nu(2) underflowed "
+                          f"({asym.via_q_nu!r} over {asym.explicit!r})")
     return asym.via_q_nu / asym.explicit
 
 

@@ -179,8 +179,8 @@ def _log_gamma_right(z: complex) -> complex:
 
 
 def _log_gamma_right_array(x, y) -> np.ndarray:
-    """_log_gamma_right(complex(x, t)) for each t of a 1-d y, at a float x > 0
-    or at each x > 0 of an array shaped like y.
+    """_log_gamma_right(complex(x, t)) for each t of a 1-d y, at each x > 0 of
+    an array shaped like y (a float x is broadcast to it).
 
     Bit for bit, up to signs of zero: the same steps in one masked pass over
     the shifted nodes, with products and 1/z through the kit (_cmul, _cdiv),
@@ -195,7 +195,7 @@ def _log_gamma_right_array(x, y) -> np.ndarray:
         out = np.empty(y.shape, complex)
         out[edge] = [_log_gamma_right(_check_pole(complex(a, t)))
                      for a, t in zip(xs[edge].tolist(), y[edge].tolist())]
-        out[~edge] = _log_gamma_right_array(xs[~edge] if np.ndim(x) else x, y[~edge])
+        out[~edge] = _log_gamma_right_array(xs[~edge], y[~edge])
         return out
     x = np.array(np.broadcast_to(x, y.shape), dtype=float)  # Re z, shifted in place
     acc = np.zeros(y.shape, complex)

@@ -237,21 +237,20 @@ def _pairing_ladder(kernel, ladders, spec: QuadratureSpec) -> list[PairingSweepR
     ``ladders`` holds (probe, interval, eps values), and the result is one
     PairingSweepResult per entry.  Each rung is integrate_pairing's window at
     its eps, and the rungs of every entry are one integrate_batch keyed by
-    their index: a single kernel call, with each node's eps, seeds every
-    rung, and each rung bisects with its own eps, so a kernel takes eps as a
-    float or as an array shaped like ts.  Each probe is evaluated on its own
-    entry's nodes only.
+    their index: a single kernel call seeds every rung, and the rungs then
+    bisect in lockstep.  A call's keys are each node's rung, or the one rung
+    of all its nodes, and either way they look up the kernel's eps (as
+    eps_of[keys], which the kernel's _even_in_tau spreads over the nodes)
+    and each node's entry.  Each probe is evaluated on its own entry's nodes
+    only.
     """
     rungs = [(i, e) for i, (_, _, eps) in enumerate(ladders) for e in eps]
     entry_of = np.array([i for i, _ in rungs])
     eps_of = np.array([e for _, e in rungs])
 
     def g(ts, keys):
-        if not isinstance(keys, np.ndarray):  # the nodes of one rung
-            i, e = rungs[keys]
-            return np.asarray(ladders[i][0](ts)) * np.asarray(kernel(ts, e))
         values = np.asarray(kernel(ts, eps_of[keys]))
-        entries = entry_of[keys]
+        entries = np.broadcast_to(entry_of[keys], ts.shape)
         out = np.empty(ts.shape, complex)
         for i in np.unique(entries).tolist():
             at = entries == i
@@ -325,25 +324,29 @@ def beta_reg(tau, eps):
 def _even_in_tau(node: Callable, tau, eps, conj: bool = False):
     """An even kernel at each (tau, eps), evaluated once per distinct (eps, |tau|).
 
-    ``node(x, mags)`` maps the 1-d array of distinct |tau| to the kernel
-    there, at x = eps for a float eps, and else at x, the eps of each;
-    with ``conj`` the kernel is conjugate-even instead, K(-tau) = conj K(tau).
-    The result has the shape of tau.
+    eps is a float or one eps per tau (anything that broadcasts to tau's
+    shape; else DomainError).  ``node(x, mags)`` maps the 1-d arrays x and
+    mags, the eps and |tau| of each distinct (eps, |tau|), to the kernel
+    there; with ``conj`` the kernel is conjugate-even instead,
+    K(-tau) = conj K(tau).  The result has the shape of tau.
     """
     taus = np.asarray(tau, dtype=float)
+    try:
+        eps = np.broadcast_to(eps, taus.shape)
+    except ValueError:
+        raise DomainError("eps a float or one per tau",
+                          f"eps of shape {np.shape(eps)} for tau of shape {taus.shape}") from None
     keys = np.empty(taus.size, complex)  # sorted by eps, then |tau|
-    keys.real, keys.imag = np.broadcast_to(eps, taus.shape).ravel(), np.abs(taus).ravel()
+    keys.real, keys.imag = eps.ravel(), np.abs(taus).ravel()
     keys, where = np.unique(keys, return_inverse=True)
-    out = node(keys.real if np.ndim(eps) else eps, keys.imag)[where].reshape(taus.shape)
+    out = node(keys.real, keys.imag)[where].reshape(taus.shape)
     if conj:
         np.conjugate(out, out=out, where=taus < 0.0)
     return out
 
 
 def _per_eps(f, x):
-    """f(x) for a float x; for an array, f at each distinct eps of x, spread over x."""
-    if not np.ndim(x):
-        return f(x)
+    """f at each distinct eps of the array x, spread over x."""
     eps, where = np.unique(x, return_inverse=True)
     return np.array([f(e) for e in eps.tolist()])[where]
 
@@ -428,7 +431,8 @@ def _mellin_forward_grid(taus: np.ndarray, eps, reach: float) -> np.ndarray:
     its eps's weights.  The pairing sweep sets ``reach`` from its window,
     and a row sum sees no other row, so a node's value does not depend on
     its batch; validated against the adaptive scalar route in the tests.
-    eps is a float or one eps per tau.
+    eps is a float or one eps per tau; _even_in_tau hands the transform the
+    eps of each distinct (eps, |tau|) either way.
     """
     cut = math.log(4.0)
     width = min(0.7, TWO_PI / (4.0 * (reach + 0.5)))
@@ -442,7 +446,6 @@ def _mellin_forward_grid(taus: np.ndarray, eps, reach: float) -> np.ndarray:
     log_base = _rx(np.log1p, _rx(np.exp, -v))
 
     def transform(x, mags):
-        x = np.broadcast_to(x, mags.shape)
         epss, at_eps = np.unique(x, return_inverse=True)
         rows = w * 2.0 * _rx(np.exp, -epss[:, None] * v - 2.0 * epss[:, None] * log_base)
         distinct, at_mag = np.unique(mags, return_inverse=True)

@@ -220,14 +220,13 @@ def family_closed_form(tau, eps):
         raise DomainError("eps > 0")
 
     def node(x, mags):
-        at = lambda v, where: v[where] if np.ndim(v) else v  # a float eps stays one
         out = np.where(mags == 0.0, 1.0 + 0j, 0j)
         nonzero = mags != 0.0
-        x, t = at(x, nonzero), mags[nonzero]
+        x, t = x[nonzero], mags[nonzero]
         # Gamma(2 eps) at each eps of a nonzero tau, as on the scalar route.
-        lg_2eps = _per_eps(lambda e: log_gamma(complex(2 * e)), x) if t.size else 0j
+        lg_2eps = _per_eps(lambda e: log_gamma(complex(2 * e)), x)
         live = ~((1e305 < t) & (t < math.inf))
-        x, lg_2eps, t = at(x, live), at(lg_2eps, live), t[live]
+        x, lg_2eps, t = x[live], lg_2eps[live], t[live]
         lg_b = _log_gamma_right_array(x, t)
         out[np.flatnonzero(nonzero)[live]] = np.exp(  # as cmath.exp
             _log_gamma_right_array(2 * x, 2 * t) + lg_b.conj() - lg_2eps - lg_b)

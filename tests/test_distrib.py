@@ -256,8 +256,8 @@ def test_beta_reg_is_real_and_equals_euler_beta():
 
 
 def test_beta_reg_log_gamma_count(monkeypatch):
-    # An array tau: one array log-gamma over the distinct |tau|, and one
-    # scalar log-gamma for Gamma(2 eps).
+    # An array tau: one array log-gamma over the distinct |tau|, at eps on
+    # every node, and one scalar log-gamma for Gamma(2 eps).
     calls, arrays = [], []
     inner, inner_array = distrib.log_gamma, distrib._log_gamma_right_array
     monkeypatch.setattr(distrib, "log_gamma",
@@ -271,7 +271,7 @@ def test_beta_reg_log_gamma_count(monkeypatch):
             arrays.clear()
             beta_reg(tau, 0.01)
             assert calls == [complex(0.02)]
-            assert len(arrays) == 1 and arrays[0][0] == 0.01
+            assert len(arrays) == 1 and np.array_equal(arrays[0][0], np.full(n, 0.01))
             assert np.array_equal(arrays[0][1], ts)
     calls.clear()
     arrays.clear()
@@ -303,6 +303,52 @@ def test_pairing_claims_take_one_kernel_call_per_ladder(monkeypatch, claim_id, m
     claims.run_claim(claim_id)
     assert (len(sizes), sum(sizes), len(logs)) == (calls, nodes, arrays)
     assert all(logs)
+
+
+# The pairing kernels, each as a function of (tau, eps).
+_KERNELS = {
+    "beta_reg": beta_reg,
+    "family": hyper.family_closed_form,
+    "mellin-grid": lambda ts, eps: _mellin_forward_grid(ts, eps, 3.0),
+}
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_kernels_take_a_float_eps_as_that_eps_at_every_node(kernel):
+    # _even_in_tau spreads a float eps over the nodes, so a float eps and the
+    # same eps repeated per node give the same bits, signs of zero included.
+    # Past |tau| = 1e305 the log-gammas take their scalar edge route.
+    taus = [np.array([]), np.zeros(4), np.array([0.0, -0.0, 0.5, -0.5, 0.5, 2.0, 2.0]),
+            np.array([[0.3, -1.0, -0.0], [0.0, 0.3, 4.0]]), np.array([2e305, -1e306, 0.7, -0.7])]
+    for tau in taus:
+        for eps in (1e-5, 1e-2, 0.3):
+            got = _KERNELS[kernel](tau, eps)
+            want = _KERNELS[kernel](tau, np.full(tau.shape, eps))
+            assert got.shape == want.shape == tau.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (tau, eps)
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_kernels_at_one_eps_per_node_match_each_eps_alone(kernel):
+    # Nodes of several eps in one call, as a pairing ladder's seed makes
+    # them: each node's value is its eps's alone, bit for bit.
+    rng = np.random.default_rng(29)
+    taus = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-3.0, 3.0, 60)])
+    eps = rng.choice([1e-1, 1e-3, 1e-5], taus.size)
+    got = _KERNELS[kernel](taus, eps)
+    for e in np.unique(eps).tolist():
+        at = eps == e
+        assert got[at].tobytes() == _KERNELS[kernel](taus[at], e).tobytes(), e
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_kernels_name_an_eps_that_does_not_fit_tau(kernel):
+    for tau, eps in ((np.ones(3), np.array([0.1, 0.2])),
+                     (np.ones((2, 3)), np.full((3, 2), 0.1)),
+                     (np.ones(2), np.full((2, 1), 0.1))):
+        with pytest.raises(DomainError) as info:
+            _KERNELS[kernel](tau, eps)
+        assert info.value.condition == "eps a float or one per tau"
 
 
 def test_beta_reg_is_even_bit_for_bit():

@@ -531,6 +531,18 @@ def test_cli_sweep_empty_ladder_exits_2(kind, claim_id, text, capsys):
         sweep(kind, claim_id, ladder=())
 
 
+@pytest.mark.parametrize("nu", ["536", "700", "1e6"])
+def test_cli_sweep_large_nu_past_underflow_exits_2(nu, capsys):
+    # Past nu = 535 both large-degree forms of Q_nu(2) have left the normal
+    # doubles (at 700 both are 0): a named error, not a division by zero.
+    assert cli.main(["sweep", "nu", "E49-large-nu-asym", "--eps-ladder", nu]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflowed" in err
+    assert cli.main(["sweep", "nu", "E49-large-nu-asym", "--eps-ladder", "500"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[1].startswith("5.0000000000000000e+02,9.51")
+
+
 def test_cli_config_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("frobnicate = 1\n", encoding="utf-8")

@@ -442,8 +442,8 @@ def test_family_equals_gauss_sum_bit_for_bit():
 
 def test_family_log_gamma_count(monkeypatch):
     # An array tau: two array log-gammas over the distinct nonzero |tau|, at
-    # eps + i t and 2 eps + 2 i t, and one scalar log-gamma for Gamma(2 eps)
-    # when any tau is nonzero.
+    # eps + i t and 2 eps + 2 i t with eps on every node, and one scalar
+    # log-gamma for Gamma(2 eps) when any tau is nonzero.
     calls, arrays = [], []
     inner, inner_array = hyper.log_gamma, hyper._log_gamma_right_array
     monkeypatch.setattr(hyper, "log_gamma",
@@ -455,18 +455,20 @@ def test_family_log_gamma_count(monkeypatch):
         calls.clear()
         arrays.clear()
         family_closed_form(tau, 0.01)
-        return [x for x, _ in arrays], [list(y) for _, y in arrays]
+        for (x, y), e in zip(arrays, (0.01, 0.02)):  # x is e at every node
+            assert np.shape(x) == np.shape(y) and np.all(np.equal(x, e))
+        return len(arrays), [list(y) for _, y in arrays]
 
     for n in (1, 6, 31):
         ts = np.linspace(0.1, 2.0, n)
         for tau in (ts, np.concatenate([-ts, ts, ts[::-1]])):
-            assert count(tau) == ([0.01, 0.02], [list(ts), list(2 * ts)])
+            assert count(tau) == (2, [list(ts), list(2 * ts)])
             assert calls == [complex(0.02)]
-    assert count(np.array([-1.0, 0.0, 1.0])) == ([0.01, 0.02], [[1.0], [2.0]])
+    assert count(np.array([-1.0, 0.0, 1.0])) == (2, [[1.0], [2.0]])
     assert calls == [complex(0.02)]
-    assert count(np.zeros(4)) == ([0.01, 0.02], [[], []])
+    assert count(np.zeros(4)) == (2, [[], []])
     assert calls == []
-    assert count(-0.5) == ([], [])  # a scalar evaluates at tau itself
+    assert count(-0.5) == (0, [])  # a scalar evaluates at tau itself
     assert calls == [complex(0.02), complex(0.01, -0.5), complex(0.02, -1.0)]
 
 

@@ -153,6 +153,12 @@ MUTANTS = [
      lambda: edited(distrib, "_pairing_ladder", "[Window(k, ", "[Window(0, "),
      functools.partial(test_quad.test_ladder_rungs_are_the_pairings_at_each_eps,
                        "beta_reg", "gaussian", (-1.0, 1.0))),
+    # Every node of a kernel call handed the call's first distinct eps.
+    ("even-in-tau-first-eps", distrib, "_even_in_tau",
+     lambda: edited(distrib, "_even_in_tau", "node(keys.real, keys.imag)",
+                    "node(np.repeat(keys.real[:1], keys.size), keys.imag)"),
+     functools.partial(test_distrib.test_kernels_at_one_eps_per_node_match_each_eps_alone,
+                       "beta_reg")),
     # verify's ladder claims fit one rung short of _fit_sweep's window.
     ("fit-rungs-off-by-one", claims, "_fit_rungs",
      lambda: edited(claims, "_fit_rungs", "[-distrib._FIT_RUNGS:]",

@@ -434,8 +434,10 @@ def test_ladder_rungs_are_the_pairings_at_each_eps(kernel, probe, interval, monk
     # Each rung of the pairing ladder (its value, error estimate and
     # evaluations) is integrate_pairing's at its eps, bit for bit: one kernel
     # call with each node's eps seeds all rungs, and on the bump probe the
-    # rungs then bisect in lockstep, one kernel call per round, with each
-    # node's eps (or the one eps of a round that only one rung still needs).
+    # rungs then bisect in lockstep, one kernel call per round.  Every node
+    # takes its own rung's eps: a round that only one rung still needs looks
+    # up that rung's eps, and the kernel's _even_in_tau spreads it over the
+    # round's nodes.
     kernel, spec = _LADDER_KERNELS[kernel]
     eps = EpsilonLadder.default().values
     calls, batches = [], []
