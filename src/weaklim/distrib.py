@@ -121,7 +121,14 @@ def omega_eps(x, eps: float):
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():  # +-inf is fine: the kernel's limit there is 0
         raise DomainError("x not NaN", "omega_eps of NaN x")
-    out = (eps / math.pi) / (eps * eps + x * x)
+    den = eps * eps + x * x
+    if den.all():
+        out = (eps / math.pi) / den
+    else:  # eps^2 + x^2 underflowed to 0: there (1/pi) / (eps + x (x / eps))
+        tiny = den == 0.0
+        x = np.where(tiny, x, 0.0)
+        out = np.where(tiny, (1.0 / math.pi) / (eps + x * (x / eps)),
+                       (eps / math.pi) / np.where(tiny, 1.0, den))
     return float(out) if out.ndim == 0 else out
 
 
@@ -168,9 +175,8 @@ def _lsq_slope(xs, ys):
     my = sum(ys) / n
     den = sum((x - mx) ** 2 for x in xs)
     if den == 0.0:
-        return 0.0, my
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den
-    return slope, my - slope * mx
+        return 0.0
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den
 
 
 def _fit_sweep(params, values, errs) -> tuple[complex, float]:
@@ -200,7 +206,7 @@ def _fit_sweep(params, values, errs) -> tuple[complex, float]:
                 damp = 1e-30
             xs.append(math.log(e[i]))
             ys.append(math.log(abs(diffs[i])) - math.log(damp))
-        q_new, _ = _lsq_slope(xs, ys)
+        q_new = _lsq_slope(xs, ys)
         q_new = min(max(q_new, 1e-3), 30.0)
         if abs(q_new - q) < 1e-10:
             q = q_new
@@ -217,7 +223,7 @@ def _fit_sweep(params, values, errs) -> tuple[complex, float]:
         if dev > 0.3 * floor:
             xs.append(math.log(e[i]))
             ys.append(math.log(dev))
-    order = _lsq_slope(xs, ys)[0] if len(xs) >= 2 else q
+    order = _lsq_slope(xs, ys) if len(xs) >= 2 else q
     return limit, order
 
 
@@ -286,6 +292,8 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
         raise DomainError("Re(alpha) > 0")
     if not b.real > 0.0:
         raise DomainError("Re(beta) > 0")
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError("finite alpha and beta", f"B({a!r}, {b!r}) of a non-finite argument")
     s = a + b
     cut = math.log(4.0 * max(1.0, abs(s)))
     f = lambda v: _times(np.exp(-a * v) + np.exp(-b * v), (1.0 + _rx(np.exp, -v)) ** (-s))

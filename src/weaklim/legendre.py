@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexfn import DomainError, _pole_index, _rx, log_gamma
 from .quad import QuadratureSpec, Window, integrate_batch
-from .report import ClaimVerdict
+from .report import ClaimVerdict, _deviation
 
 __all__ = [
     "BranchCutError",
@@ -142,8 +142,13 @@ def q_nu_mu_grid(points, spec: QuadratureSpec | None = None) -> list[complex]:
         if not nu.real + 1.0 - abs(mu.real) > 0.0:
             raise DomainError("Re(nu + 1) > |Re(mu)|",
                               "kernel decay too weak for the order")
-        pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0)
-                         - log_gamma(nu - mu + 1.0))
+        try:
+            pref = cmath.exp(1j * math.pi * mu + log_gamma(nu + 1.0)
+                             - log_gamma(nu - mu + 1.0))
+        except OverflowError:
+            raise DomainError("prefactor of Q_nu^mu within double range",
+                              f"the prefactor of Q_nu^mu overflows at nu = {nu!r}, "
+                              f"mu = {mu!r}") from None
         w = sqrt_cut(z)
         rho = max(abs(z + 1.0), abs(z - 1.0)) / abs(w)
         cut = math.log(4.0 * rho * max(1.0, abs(nu + 1.0)))
@@ -225,7 +230,12 @@ def _relation_factor(nu, tau: float) -> complex:
     """exp(-pi tau) Gamma(nu + i tau + 1) / Gamma(nu + 1), the relation's factor."""
     nu = complex(nu)
     t = float(tau)
-    return cmath.exp(-math.pi * t + log_gamma(nu + 1.0 + 1j * t) - log_gamma(nu + 1.0))
+    try:
+        return cmath.exp(-math.pi * t + log_gamma(nu + 1.0 + 1j * t) - log_gamma(nu + 1.0))
+    except OverflowError:
+        raise DomainError("relation factor within double range",
+                          f"exp(-pi tau) Gamma(nu + i tau + 1) / Gamma(nu + 1) overflows "
+                          f"at nu = {nu!r}, tau = {t!r}") from None
 
 
 def adjudicate_relation(nu, tau: float, z) -> ClaimVerdict:
@@ -249,7 +259,7 @@ def adjudicate_relations(grid) -> list[ClaimVerdict]:
     out = []
     for (nu, tau, z), lhs in zip(grid, values):
         rhs = _relation_factor(nu, tau) * q[nu, z]
-        dev = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+        dev = _deviation("relation", lhs, rhs)
         nu_c = complex(nu)
         z_c = complex(z)
         out.append(ClaimVerdict(
@@ -295,14 +305,16 @@ def asymptotic_large_nu(nu, tau: float, z,
     if not math.isfinite(t):
         raise DomainError("finite tau", f"tau = {t!r} is not finite")
     log_nu = cmath.log(nu)
-    explicit = cmath.exp(
-        (-0.5 + 1j * t) * log_nu - math.pi * t
-        + (-nu - 0.5) * cmath.log(z + sqrt_cut(z))
-    )
-    via = None
-    if with_quadrature:
-        via = cmath.exp(-math.pi * t + 1j * t * log_nu) * q_nu(nu, z)
-    return LargeNuAsymptotics(explicit, via)
+    try:
+        explicit = cmath.exp(
+            (-0.5 + 1j * t) * log_nu - math.pi * t
+            + (-nu - 0.5) * cmath.log(z + sqrt_cut(z))
+        )
+        phase = cmath.exp(-math.pi * t + 1j * t * log_nu) if with_quadrature else None
+    except OverflowError:
+        raise DomainError("large-degree forms within double range",
+                          f"the large-degree forms overflow at nu = {nu!r}, tau = {t!r}") from None
+    return LargeNuAsymptotics(explicit, None if phase is None else phase * q_nu(nu, z))
 
 
 def near_one_laws(nu, z, tau: float = 0.0, mu=None, kind: str = "log") -> complex:

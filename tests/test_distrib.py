@@ -72,6 +72,17 @@ def test_omega_infinite_x_is_its_limit():
     assert got[0] == got[2] == 0.0 and got[1] == omega_eps(0.0, 0.1)
 
 
+def test_omega_where_its_denominator_underflows():
+    # eps^2 + x^2 underflows to 0 at x = eps = 1e-300, where the kernel is
+    # 1 / (2 pi eps), about 1.6e299 (it returned inf, with a RuntimeWarning);
+    # a node whose denominator does not underflow keeps its bits.
+    got = omega_eps(np.array([1e-300, 1.0]), 1e-300)
+    want = float(1 / (2 * mpmath.pi * mpmath.mpf(1e-300)))
+    assert abs(got[0] - want) <= 1e-15 * want
+    assert omega_eps(1e-300, 1e-300) == got[0]
+    assert got[1] == (1e-300 / math.pi) / 1.0
+
+
 def test_omega_normalization_by_quadrature():
     eps = 0.1
     X = 1e8
@@ -211,6 +222,14 @@ def test_beta_semi_infinite_matches_mpmath_at_the_edges(a, b):
 def test_beta_semi_infinite_rejects_bad_domain():
     with pytest.raises(DomainError):
         beta_semi_infinite(-0.5, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 0.5), (1e300, math.inf)])
+def test_beta_semi_infinite_rejects_non_finite_arguments(a, b):
+    # Each raised numpy's ValueError "cannot convert float NaN to integer".
+    with pytest.raises(DomainError) as exc:
+        beta_semi_infinite(a, b)
+    assert exc.value.condition == "finite alpha and beta"
 
 
 def test_beta_reg_values():

@@ -176,6 +176,52 @@ def test_report_claim_never_fails():
     assert any(v.deviation > 1e-3 for v in verdicts)  # real measured deviations
 
 
+def planted(claim, row):
+    """row with its measured value moved ten tolerances off its reference, on
+    the scale of its form's denominator, or its boolean check flipped."""
+    m, r, form = row.measured, row.reference, row.form
+    tol = claim.tolerance if row.tol is None else row.tol
+    if form == "check":
+        return row._replace(measured=not m)
+    if form == "modulus":  # | |m / r| - 1 |: only a scale of m moves |m / r|
+        return row._replace(measured=m * (1.0 + 10.0 * tol))
+    denominator = {"abs": 1.0, "rel": abs(r), "ratio": abs(r), "relation": abs(m)}
+    return row._replace(measured=m + 10.0 * tol * denominator.get(form, form))
+
+
+def with_defect(claim):
+    """claim with its measure wrapped: a defect planted on every row it returns."""
+    return dataclasses.replace(
+        claim, measure=lambda cfg: [planted(claim, row) for row in claim.measure(cfg)])
+
+
+def test_every_assert_claim_fails_on_a_planted_defect():
+    # One generic wrapper plants the defect on whatever rows a claim's
+    # measure returns; the judge must turn at least one verdict to FAIL.
+    cfg = RunConfig()
+    missed = [claim.id for claim in REGISTRY if claim.mode == "ASSERT"
+              and not (all(v.status == "PASS" for v in claim.run(cfg))
+                       and any(v.status == "FAIL" for v in with_defect(claim).run(cfg)))]
+    assert missed == []
+
+
+def test_narrow_margin_rows():
+    # A row held to a tolerance of its own is listed when its margin
+    # (tolerance - deviation) is below its claim's headline tolerance: a value
+    # error the claim allows elsewhere could flip it.  E17's limit check
+    # passes by eps^2 / 2 = 5.0e-9 against E17's 1e-8; E46's cos->1 and E49's
+    # explicit ratio keep 1e-6 and 0.045.
+    cfg = RunConfig()
+    narrow = []
+    for claim in REGISTRY:
+        for row in claim.measure(cfg):
+            if row.form == "check" or row.tol in (None, claim.tolerance):
+                continue
+            if row.tol - claims._judge(claim, cfg, row).deviation < claim.tolerance:
+                narrow.append(f"{claim.id} {row.point}")
+    assert narrow == ["E17-mellin-inverse t=e;eps=0.0001;check=limit->1"]
+
+
 def test_tolerance_override_forces_failure():
     cfg = RunConfig()
     cfg.tol_overrides["E04-euler-beta"] = 1e-30
@@ -243,37 +289,38 @@ READ_RUNG_LADDERS = {
 
 
 def full_ladder_verdicts(claim_id: str, cfg: RunConfig) -> list:
-    """A ladder claim's verdicts from its public sweeps over the whole ladder,
-    by its runner's formulas."""
+    """A ladder claim's verdicts from its public sweeps over the whole ladder:
+    its measure's rows, built from those sweeps, through the claims' judge."""
     claim = {c.id: c for c in REGISTRY}[claim_id]
     probe, ladder = PROBES[cfg.probe], cfg.ladder()
-    verdict = lambda point, dev, res: claims._verdict(
-        claim, cfg, point, dev, claim.tolerance, order=res.fitted_order)
-    out = []
+    rows = []
     if claim_id == "E12-beta-delta":
         for a, b in _DELTA_INTERVALS:
             res = distrib.delta_claim_sweep(probe, (a, b), ladder)
             target = distrib.delta_target(probe, a, b)
             point = f"interval=[{a:g},{b:g}];probe={cfg.probe}"
-            out.append(verdict(point, abs(res.extrapolated_limit - target) / TWO_PI, res))
+            rows.append(claims.Row(point, res.extrapolated_limit, target, TWO_PI,
+                                   order=res.fitted_order))
             if target != 0.0:
-                out.append(claims._check(claim, point + ";check=order>0",
-                                         res.fitted_order > 0.0, res.fitted_order))
+                rows.append(claims.Row(point + ";check=order>0", res.fitted_order > 0.0,
+                                       None, "check", order=res.fitted_order))
     elif claim_id == "E16-mellin-forward":
         res = distrib.mellin_forward_sweep(probe, (-1.0, 1.0), ladder)
-        dev = abs(res.extrapolated_limit - TWO_PI * probe.value_at_zero) / TWO_PI
-        out.append(verdict(f"interval=[-1,1];probe={cfg.probe}", dev, res))
+        rows.append(claims.Row(f"interval=[-1,1];probe={cfg.probe}", res.extrapolated_limit,
+                               TWO_PI * probe.value_at_zero, TWO_PI, order=res.fitted_order))
     else:
         res = hyper.family_weak_limit_sweep(probe, (-1.0, 1.0), ladder)
         mags, eps = res.magnitudes(), ladder.values
         idx = min(range(len(eps)), key=lambda i: abs(math.log10(eps[i] / 1e-4)))
         point = f"interval=[-1,1];probe={cfg.probe}"
-        out.append(verdict(point + f";eps={eps[idx]:.6g}", mags[idx], res))
-        out.append(claims._check(claim, point + ";check=decreasing",
-                                 mags[-3] > mags[-2] > mags[-1]))
         excl = hyper.family_weak_limit_sweep(PROBES["const"], (1.0, 2.0), ladder)
-        out.append(verdict("interval=[1,2];probe=const", abs(excl.extrapolated_limit), excl))
-    return out
+        rows += [claims.Row(point + f";eps={eps[idx]:.6g}", res.values[idx], 0.0, "abs",
+                            order=res.fitted_order),
+                 claims.Row(point + ";check=decreasing", mags[-3] > mags[-2] > mags[-1],
+                            None, "check"),
+                 claims.Row("interval=[1,2];probe=const", excl.extrapolated_limit, 0.0, "abs",
+                            order=excl.fitted_order)]
+    return [claims._judge(claim, cfg, row) for row in rows]
 
 
 @pytest.mark.parametrize("ladder", list(READ_RUNG_LADDERS.values()), ids=list(READ_RUNG_LADDERS))

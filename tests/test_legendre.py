@@ -388,6 +388,29 @@ def test_explicit_asymptote_at_nu_50():
     assert abs(got.via_q_nu - q_nu(50.0, 2.0)) <= 1e-9 * abs(got.via_q_nu)
 
 
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_quadrature_large_nu_form_carries_the_phase(tau):
+    # via_q_nu is exp(-pi tau) nu^(i tau) Q_nu(z); at tau != 0 the phase
+    # nu^(i tau) is not 1, so its exponent i tau ln nu shows.
+    got = asymptotic_large_nu(50.0, tau, 2.0, with_quadrature=True).via_q_nu
+    want = math.exp(-math.pi * tau) * 50.0 ** (1j * tau)
+    assert abs(got / q_nu(50.0, 2.0) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: q_nu_mu(700.0, 700.0, 700.0),
+    lambda: q_nu_itau_direct(0.5, -1e300, 2.0),
+    lambda: relation_rhs(0.5, -1e300, 2.0),
+    lambda: asymptotic_large_nu(10.0, -1e300, 2.0),
+], ids=["q_nu_mu", "q_nu_itau_direct", "relation_rhs", "asymptotic_large_nu"])
+def test_prefactor_past_double_range_is_a_domain_error(call):
+    # Gamma(nu + 1) / Gamma(nu - mu + 1) at nu = mu = 700, or exp(-pi tau)
+    # at tau = -1e300, leaves double range: each raised a bare OverflowError.
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert exc.value.condition.endswith("within double range")
+
+
 def test_explicit_asymptote_modulus_tau_independence():
     # |nu^{i tau}| = 1 for real nu: the modulus only feels exp(-pi tau).
     base = asymptotic_large_nu(50.0, 0.0, 2.0).explicit

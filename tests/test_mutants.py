@@ -23,8 +23,9 @@ import test_complexfn
 import test_distrib
 import test_harness
 import test_hyper
+import test_legendre
 import test_quad
-from weaklim import claims, complexfn, distrib, hyper, legendre, quad
+from weaklim import claims, complexfn, distrib, hyper, legendre, quad, report
 
 
 def edited(module, name: str, old: str, new: str):
@@ -164,6 +165,20 @@ MUTANTS = [
      lambda: edited(claims, "_fit_rungs", "[-distrib._FIT_RUNGS:]",
                     "[-distrib._FIT_RUNGS + 1:]"),
      functools.partial(test_harness.test_read_rungs_give_the_full_ladder_verdicts, None)),
+    # The judge lets the tolerance override reach a boolean check.
+    ("judge-override-on-checks", claims, "_judge",
+     lambda: edited(claims, "_judge", 'row.measured if row.form == "check" else dev <= ',
+                    "dev <= "),
+     test_harness.test_tolerance_override_cannot_pass_a_failed_boolean_check),
+    # The ratio form read as absolute: E45's Q values at z = 1000 are 1e-3
+    # and below, so ten tolerances of them stay inside one tolerance.
+    ("judge-ratio-read-as-absolute", report, "_deviation",
+     lambda: edited(report, "_deviation", "abs(m / r - 1.0)", "abs(m - r)"),
+     test_harness.test_every_assert_claim_fails_on_a_planted_defect),
+    # The quadrature route's phase nu^(i tau) taken as exp(i tau / ln nu).
+    ("large-nu-phase-over-log", legendre, "asymptotic_large_nu",
+     lambda: edited(legendre, "asymptotic_large_nu", "1j * t * log_nu", "1j * t / log_nu"),
+     functools.partial(test_legendre.test_quadrature_large_nu_form_carries_the_phase, 0.5)),
     ("finite-edges-swapped", quad, "integrate_finite",
      lambda: edited(quad, "integrate_finite", "edges[sides](u)", "edges[1 - sides](u)"),
      test_quad.test_finite_is_one_ends_plan_seeded_in_one_call),
@@ -215,8 +230,8 @@ EQUIVALENT_ON_SOME_HOSTS = {
 }
 
 # Every module that imported a mutated function or constant by name.
-IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad,
-             test_complexfn, test_distrib, test_hyper, test_quad)
+IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad, report,
+             test_complexfn, test_distrib, test_hyper, test_legendre, test_quad)
 
 
 @pytest.mark.parametrize("row", MUTANTS, ids=[row[0] for row in MUTANTS])
