@@ -56,8 +56,6 @@ from .legendre import (
     BranchCutError,
     EtaSolution,
     LargeNuAsymptotics,
-    adjudicate_relation,
-    adjudicate_relations,
     asymptotic_large_nu,
     near_one_laws,
     q_nu,

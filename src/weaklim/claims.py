@@ -5,12 +5,13 @@ a headline tolerance, and optionally the ladder sweep that emits the rows
 behind the same measurement.  ``measure`` returns one ``Row`` per verdict:
 its point, the measured value, the reference it is held to, the form of the
 deviation between them, and a tolerance of its own where a sub-check has one
-(None is the claim's headline tolerance).  The forms (report._deviation)
+(None is the claim's headline tolerance).  The forms (``_deviation``)
 are |m - r| divided by |r|, by a fixed scale or by nothing; |m / r - 1|;
 | |m / r| - 1 |; the imaginary-order relation's |m - r| / |m|; and
 "check", a boolean sub-check whose deviation is 0.0 or 1.0.
 
-One judge, ``Claim.run``, turns every row into its ``ClaimVerdict``.  ASSERT
+One judge, ``Claim.run``, turns every row into its ``ClaimVerdict``; no
+other module computes a deviation or a status.  ASSERT
 claims fail the run when a deviation exceeds its tolerance; REPORT claims
 only record.  A tolerance override (per claim or global) replaces the
 tolerance of every measured, not boolean, row of the affected claims, which
@@ -42,7 +43,7 @@ from .complexfn import DomainError, _times, log_gamma
 from .config import RunConfig
 from .distrib import PROBES, EpsilonLadder
 from .quad import EndpointExponents, Ends, QuadratureSpec, integrate_batch
-from .report import ClaimVerdict, _deviation
+from .report import ClaimVerdict
 
 __all__ = ["Claim", "REGISTRY", "claim_ids", "run_claim", "run_claims",
            "run_all", "sweep", "sweep_choices", "RunSummary"]
@@ -62,7 +63,7 @@ class Row(NamedTuple):
     point: str
     measured: object             # a "check" row's boolean outcome
     reference: object
-    form: str | float            # report._deviation's; a float is a fixed scale
+    form: str | float            # _deviation's; a float is a fixed scale
     tol: float | None = None     # None: the claim's headline tolerance
     order: float | None = None
     extra: dict | None = None
@@ -78,6 +79,32 @@ class Claim:
 
     def run(self, cfg: RunConfig) -> list[ClaimVerdict]:
         return [_judge(self, cfg, row) for row in self.measure(cfg)]
+
+
+def _deviation(form, measured, reference) -> float:
+    """How far a measured value m lies from its reference r, by form.
+
+    "abs" is |m - r|, "rel" |m - r| / |r| and a float s |m - r| / s (a fixed
+    scale); "ratio" is |m / r - 1| and "modulus" | |m / r| - 1 |; "relation"
+    is |m - r| / max(|m|, 1e-300), the imaginary-order relation's, relative
+    to its left side; "check" is 0.0 when the boolean m holds and 1.0 when
+    not.  Each form keeps the expression and operand order its claims have
+    always evaluated, so verdict bytes do not move with the form a row names.
+    """
+    m, r = measured, reference
+    if form == "check":
+        return 0.0 if m else 1.0
+    if form == "abs":
+        return abs(m - r)
+    if form == "rel":
+        return abs(m - r) / abs(r)
+    if form == "ratio":
+        return abs(m / r - 1.0)
+    if form == "modulus":
+        return abs(abs(m / r) - 1.0)
+    if form == "relation":
+        return abs(m - r) / max(abs(m), 1e-300)
+    return abs(m - r) / form
 
 
 def _judge(claim: Claim, cfg: RunConfig, row: Row) -> ClaimVerdict:
@@ -384,15 +411,44 @@ _RELATION_GRID = [(nu, tau, z)
                   for z in (1.5, 2.0, 5.0)]
 
 
+def _relation_row(nu, tau: float, z, lhs: complex, rhs: complex) -> Row:
+    """The relation's row at (nu, tau, z): lhs against rhs, with the grid
+    record report.relation_grid_csv writes."""
+    nu, z = complex(nu), complex(z)
+    return Row(f"nu={nu.real:g}{nu.imag:+g}j;tau={tau:g};z={z.real:g}{z.imag:+g}j",
+               lhs, rhs, "relation", extra={
+                   "nu_re": nu.real, "nu_im": nu.imag, "tau": tau, "z_re": z.real,
+                   "z_im": z.imag, "lhs_re": lhs.real, "lhs_im": lhs.imag,
+                   "rhs_re": rhs.real, "rhs_im": rhs.imag})
+
+
 def _relation_rows(grid) -> list[Row]:
-    """Both sides of the imaginary-order relation at each grid point, read
-    back exactly from the grid record legendre.adjudicate_relations keeps."""
-    rows = []
-    for v in legendre.adjudicate_relations(grid):
-        e = v.extra
-        rows.append(Row(v.point, complex(e["lhs_re"], e["lhs_im"]),
-                        complex(e["rhs_re"], e["rhs_im"]), "relation", extra=e))
-    return rows
+    """Both sides of the imaginary-order relation at each (nu, tau, z) of grid:
+    Q_nu^{i tau}(z) from its own oscillatory integral, against the relation's
+    factor times Q_nu(z), taken once per distinct (nu, z); every Q is one
+    q_nu_mu_grid."""
+    bases = list(dict.fromkeys((nu, z) for nu, _, z in grid))
+    values = legendre.q_nu_mu_grid([(nu, 1j * tau, z) for nu, tau, z in grid]
+                                   + [(nu, 0.0, z) for nu, z in bases])
+    q = dict(zip(bases, values[len(grid):]))
+    return [_relation_row(nu, tau, z, lhs, legendre._relation_factor(nu, tau) * q[nu, z])
+            for (nu, tau, z), lhs in zip(grid, values)]
+
+
+def _q_closed(nu: float, z: float) -> float:
+    """Q_0, Q_1 or Q_2 at real z > 1 in closed form: Q_0 = artanh(1/z),
+    Q_1 = z Q_0 - 1 and Q_2 = P_2(z) Q_0 - 3z/2 (DLMF 14.5(iv), 14.10)."""
+    q0 = math.atanh(1.0 / z)
+    return (q0, z * q0 - 1.0, 0.5 * (3.0 * z * z - 1.0) * q0 - 1.5 * z)[int(nu)]
+
+
+def _measure_legendre_exact(cfg: RunConfig) -> list[Row]:
+    # At tau = 0 the relation's factor is exactly 1, so its left side,
+    # Q_nu^{0}(z) by quadrature, is held to the closed forms, not to Q_nu(z)
+    # by the same integral.
+    values = legendre.q_nu_mu_grid([(nu, 0j, z) for nu, _, z in _RELATION_TAU0_GRID])
+    return [_relation_row(nu, tau, z, lhs, _q_closed(nu, z))
+            for (nu, tau, z), lhs in zip(_RELATION_TAU0_GRID, values)]
 
 
 # --------------------------------------------------------------------- E49
@@ -506,8 +562,7 @@ REGISTRY: tuple[Claim, ...] = tuple(sorted([
           ("z", _sweep_oscillatory)),
     Claim("E45-large-z-asym", "ASSERT", 1e-2, _measure_large_z),
     Claim("E46-eta-solver", "ASSERT", 1e-10, _measure_eta_solver),
-    Claim("E47-legendre-exact", "ASSERT", 1e-8,
-          lambda cfg: _relation_rows(_RELATION_TAU0_GRID)),
+    Claim("E47-legendre-exact", "ASSERT", 1e-8, _measure_legendre_exact),
     Claim("E47-legendre-relation", "REPORT", math.inf,
           lambda cfg: _relation_rows(_RELATION_GRID)),
     Claim("E49-large-nu-asym", "ASSERT", 1e-3, _measure_large_nu,

@@ -127,8 +127,13 @@ def omega_eps(x, eps: float):
     else:  # eps^2 + x^2 underflowed to 0: there (1/pi) / (eps + x (x / eps))
         tiny = den == 0.0
         x = np.where(tiny, x, 0.0)
-        out = np.where(tiny, (1.0 / math.pi) / (eps + x * (x / eps)),
-                       (eps / math.pi) / np.where(tiny, 1.0, den))
+        try:
+            with np.errstate(over="raise"):
+                out = np.where(tiny, (1.0 / math.pi) / (eps + x * (x / eps)),
+                               (eps / math.pi) / np.where(tiny, 1.0, den))
+        except FloatingPointError:  # near x = 0 the kernel, 1/(pi eps), is past double range
+            raise DomainError("omega_eps within double range",
+                              f"the kernel at eps = {eps!r} overflows near x = 0") from None
     return float(out) if out.ndim == 0 else out
 
 

@@ -192,6 +192,14 @@ def gauss_sum(a, b, c) -> complex:
 
 # ------------------------------------------------------ the imaginary family
 
+# family_closed_form's largest eps.  Its relative error against mpmath (40
+# digits) grows about like eps, as the log-gammas it differences grow like
+# eps ln eps: at most 7.5e-13 over 400 draws with eps 10 .. 100 and |tau|
+# 1e-4 .. 316, but 4.1e-12 at eps = 1e3, tau = 0.1, past its 4e-12 contract.
+_FAMILY_EPS_MAX = 100.0
+_FAMILY_EPS_RANGE = f"0 < eps <= {_FAMILY_EPS_MAX:g}"
+
+
 def family_closed_form(tau, eps):
     """Unit-argument value of the family: Gauss's sum, 1 identically at tau = 0.
 
@@ -201,12 +209,13 @@ def family_closed_form(tau, eps):
     log-gammas over the distinct (eps, |tau|) with tau nonzero
     (F(-tau) = conj F(tau)), and one log-gamma for Gamma(2 eps) per distinct
     eps of a nonzero tau.  A scalar tau gives a scalar; past |tau| = 1e305,
-    where they overflow, F has underflowed to 0.
+    where they overflow, F has underflowed to 0.  eps is held to (0, 100]:
+    past 100 the value leaves its contract (_FAMILY_EPS_MAX).
     """
     taus = np.asarray(tau, dtype=float)
     if taus.ndim == 0:
-        if not eps > 0.0:
-            raise DomainError("eps > 0")
+        if not 0.0 < eps <= _FAMILY_EPS_MAX:
+            raise DomainError(_FAMILY_EPS_RANGE, f"eps = {eps!r} is outside {_FAMILY_EPS_RANGE}")
         t = float(taus)
         if t == 0.0:
             return 1.0 + 0j  # the four gamma factors cancel pairwise
@@ -216,8 +225,8 @@ def family_closed_form(tau, eps):
         lg_b = log_gamma(complex(eps, t))
         return cmath.exp(log_gamma(complex(2 * eps, 2 * t)) + lg_b.conjugate()
                          - lg_2eps - lg_b)
-    if not np.all(np.greater(eps, 0.0)):
-        raise DomainError("eps > 0")
+    if not np.all(np.greater(eps, 0.0) & np.less_equal(eps, _FAMILY_EPS_MAX)):
+        raise DomainError(_FAMILY_EPS_RANGE, f"an eps is outside {_FAMILY_EPS_RANGE}")
 
     def node(x, mags):
         out = np.where(mags == 0.0, 1.0 + 0j, 0j)

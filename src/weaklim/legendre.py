@@ -12,10 +12,9 @@ The purely-imaginary-order relation
 
 is treated as a claim under test, never an axiom: ``q_nu_itau_direct``
 computes the left side from its own oscillatory integral, never from the
-relation, ``relation_rhs`` builds the right side from gamma data and Q_nu,
-and ``adjudicate_relation`` records the measured deviation.  The deviation
-vanishes identically at tau = 0 and in the large-|z| and large-|nu| regimes;
-at desk-scale grid points it is a first-class measurement, not an assertion.
+relation, and ``relation_rhs`` builds the right side from gamma data and
+Q_nu.  This module only evaluates; the claims (E47) measure both sides and
+judge the deviation between them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 
 from .complexfn import DomainError, _pole_index, _rx, log_gamma
 from .quad import QuadratureSpec, Window, integrate_batch
-from .report import ClaimVerdict, _deviation
 
 __all__ = [
     "BranchCutError",
@@ -41,8 +39,6 @@ __all__ = [
     "q_nu_itau_direct",
     "solve_eta",
     "relation_rhs",
-    "adjudicate_relation",
-    "adjudicate_relations",
     "asymptotic_large_nu",
     "near_one_laws",
 ]
@@ -236,46 +232,6 @@ def _relation_factor(nu, tau: float) -> complex:
         raise DomainError("relation factor within double range",
                           f"exp(-pi tau) Gamma(nu + i tau + 1) / Gamma(nu + 1) overflows "
                           f"at nu = {nu!r}, tau = {t!r}") from None
-
-
-def adjudicate_relation(nu, tau: float, z) -> ClaimVerdict:
-    """Measure both sides of the imaginary-order relation at one grid point.
-
-    The deviation |lhs - rhs| / |lhs| is recorded, never judged: the verdict
-    is always REPORTED, and a claim applies its own tolerance to it.
-    """
-    return adjudicate_relations([(nu, tau, z)])[0]
-
-
-def adjudicate_relations(grid) -> list[ClaimVerdict]:
-    """adjudicate_relation at each (nu, tau, z) of grid, in order, taking
-    Q_nu(z) once per distinct (nu, z); both sides' integrals are one
-    q_nu_mu_grid."""
-    grid = [(nu, float(tau), z) for nu, tau, z in grid]
-    bases = list(dict.fromkeys((nu, z) for nu, _, z in grid))
-    values = q_nu_mu_grid([(nu, 1j * tau, z) for nu, tau, z in grid]
-                          + [(nu, 0.0, z) for nu, z in bases])
-    q = dict(zip(bases, values[len(grid):]))
-    out = []
-    for (nu, tau, z), lhs in zip(grid, values):
-        rhs = _relation_factor(nu, tau) * q[nu, z]
-        dev = _deviation("relation", lhs, rhs)
-        nu_c = complex(nu)
-        z_c = complex(z)
-        out.append(ClaimVerdict(
-            claim="legendre-relation",
-            point=f"nu={nu_c.real:g}{nu_c.imag:+g}j;tau={float(tau):g};"
-                  f"z={z_c.real:g}{z_c.imag:+g}j",
-            deviation=dev,
-            extra={
-                "nu_re": nu_c.real, "nu_im": nu_c.imag, "tau": float(tau),
-                "z_re": z_c.real, "z_im": z_c.imag,
-                "lhs_re": lhs.real, "lhs_im": lhs.imag,
-                "rhs_re": rhs.real, "rhs_im": rhs.imag,
-                "rel_dev": dev,
-            },
-        ))
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Verdict records and deterministic serialization.
 
-All floats are printed with 17 significant digits and a lowercase exponent,
-grid order is fixed by the claims' measures, and the artifacts' runtime_ms
-field is always written as 0, so two runs with the same configuration
-produce byte-identical files.  Live timings are console-only.
+Serialization only: each deviation and status is the claims' judge's.  All
+floats are printed with 17 significant digits and a lowercase exponent, grid
+order is fixed by the claims' measures, and runtime_ms is always written as
+0, so two runs with the same configuration produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,32 +28,6 @@ def fmt_float(x: float) -> str:
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return "nan"
     return f"{float(x):.16e}"
-
-
-def _deviation(form, measured, reference) -> float:
-    """How far a measured value m lies from its reference r, by form.
-
-    "abs" is |m - r|, "rel" |m - r| / |r| and a float s |m - r| / s (a fixed
-    scale); "ratio" is |m / r - 1| and "modulus" | |m / r| - 1 |; "relation"
-    is |m - r| / max(|m|, 1e-300), the imaginary-order relation's, relative
-    to its left side; "check" is 0.0 when the boolean m holds and 1.0 when
-    not.  Each form keeps the expression and operand order its claims have
-    always evaluated, so verdict bytes do not move with the form a row names.
-    """
-    m, r = measured, reference
-    if form == "check":
-        return 0.0 if m else 1.0
-    if form == "abs":
-        return abs(m - r)
-    if form == "rel":
-        return abs(m - r) / abs(r)
-    if form == "ratio":
-        return abs(m / r - 1.0)
-    if form == "modulus":
-        return abs(abs(m / r) - 1.0)
-    if form == "relation":
-        return abs(m - r) / max(abs(m), 1e-300)
-    return abs(m - r) / form
 
 
 @dataclass
@@ -105,13 +79,14 @@ def verdicts_to_csv(verdicts) -> str:
 
 
 def relation_grid_csv(verdicts) -> str:
-    """Fixed grid schema for the imaginary-order relation claim."""
+    """Fixed grid schema for the imaginary-order relation claims: each
+    verdict's grid record, then its own deviation as rel_dev."""
     cols = ("nu_re", "nu_im", "tau", "z_re", "z_im",
-            "lhs_re", "lhs_im", "rhs_re", "rhs_im", "rel_dev")
-    lines = [",".join(cols)]
+            "lhs_re", "lhs_im", "rhs_re", "rhs_im")
+    lines = [",".join(cols) + ",rel_dev"]
     for v in verdicts:
-        e = v.extra or {}
-        lines.append(",".join(fmt_float(e.get(k, float("nan"))) for k in cols))
+        lines.append(",".join([fmt_float(v.extra[k]) for k in cols]
+                              + [fmt_float(v.deviation)]))
     return "\n".join(lines) + "\n"
 
 

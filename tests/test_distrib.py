@@ -83,6 +83,16 @@ def test_omega_where_its_denominator_underflows():
     assert got[1] == (1e-300 / math.pi) / 1.0
 
 
+def test_omega_past_double_range_is_a_domain_error():
+    # At x = 0 the kernel is 1 / (pi eps): 3.18e307 at eps = 1e-308, past
+    # double range at eps = 5e-324 (it returned inf, with a RuntimeWarning).
+    assert omega_eps(0.0, 1e-308) == (1.0 / math.pi) / 1e-308
+    for x in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(DomainError) as exc:
+            omega_eps(x, 5e-324)
+        assert exc.value.condition == "omega_eps within double range"
+
+
 def test_omega_normalization_by_quadrature():
     eps = 0.1
     X = 1e8

@@ -1,7 +1,9 @@
 """Claim registry, CLI, config handling, and output determinism."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weaklim import claims, cli, distrib, hyper, quad
+from weaklim import claims, cli, complexfn, distrib, hyper, legendre, quad
 from weaklim.claims import (
     _DELTA_INTERVALS,
     _GAUSS_SETS,
@@ -51,7 +53,7 @@ EXPECTED_VERIFY_ALL = (Path(__file__).resolve().parent.parent
 # (E03, E04, E12, E18, E21, E22, E25, E31, E45, E46, E47, E53, E54) moved
 # last digits after that record was taken.
 VERIFY_ALL_SHA256 = {
-    "2.4.6": "d7dc4c0edf97ef7bbc300755066d9709e358dab85e1cde1f0c50e855e256b82f",
+    "2.4.6": "5dc586825564602e5a0b21e66a5cb1fa7c69f5c3da3e9319d743756bb9b02db8",
 }
 # OpenBLAS kernels other than this host's, one per level child in turn; the
 # child at the lowest dispatched level (X86_V3 with numpy 2.4) takes Haswell,
@@ -106,6 +108,28 @@ def test_registry_modes():
     assert by_id["E04-euler-beta"].mode == "ASSERT"
 
 
+def imported_names(module) -> set:
+    """Each dotted part of every module an import statement of module names,
+    and the names a ``from . import`` takes."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            if node.module in (None, "weaklim"):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", [complexfn, quad, distrib, hyper, legendre],
+                         ids=lambda m: m.__name__)
+def test_numerics_import_no_claims_layer(module):
+    # The numerics only evaluate: the claims measure and judge, report
+    # writes their verdicts, and config and cli run them.
+    assert imported_names(module) & {"report", "claims", "config", "cli"} == set()
+
+
 def test_run_claim_unknown_id():
     with pytest.raises(KeyError):
         run_claim("E99-not-a-claim")
@@ -124,6 +148,8 @@ def test_run_claim_e04_all_pass():
 # Each integral is taken once per claim: E17's limit check reads the ladder's
 # eps = 1e-4 rung, and E53's relation reads its law's Q_1(1 + 1e-6).  The
 # ladder claims (E12, E16, E31) integrate only the rungs their verdicts read.
+# E47-legendre-exact integrates its left sides alone: its right sides are
+# closed forms.
 CLAIM_INTEGRAND_CALLS = {
     "E03-beta-substitution": (6, 6, 186),
     "E04-euler-beta": (12, 3, 1240),
@@ -133,7 +159,7 @@ CLAIM_INTEGRAND_CALLS = {
     "E31-weak-limit-2f1": (8, 1, 2356),
     "E35-oscillatory": (6, 2, 10478),
     "E45-large-z-asym": (3, 1, 93),
-    "E47-legendre-exact": (12, 2, 496),
+    "E47-legendre-exact": (6, 2, 248),
     "E47-legendre-relation": (36, 2, 1767),
     "E49-large-nu-asym": (1, 4, 217),
     "E53-near-one": (2, 2, 186),
@@ -164,9 +190,9 @@ def test_integrand_calls_per_claim(monkeypatch):
     for claim in claim_ids():
         run_claim(claim)
     assert counts == CLAIM_INTEGRAND_CALLS
-    assert sum(integrals for integrals, _, _ in counts.values()) == 117
+    assert sum(integrals for integrals, _, _ in counts.values()) == 111
     assert sum(calls for _, calls, _ in counts.values()) == 32
-    assert sum(nodes for _, _, nodes in counts.values()) == 33542
+    assert sum(nodes for _, _, nodes in counts.values()) == 33294
 
 
 def test_report_claim_never_fails():
@@ -203,6 +229,17 @@ def test_every_assert_claim_fails_on_a_planted_defect():
               and not (all(v.status == "PASS" for v in claim.run(cfg))
                        and any(v.status == "FAIL" for v in with_defect(claim).run(cfg)))]
     assert missed == []
+
+
+def test_legendre_exact_sees_a_defect_on_its_route(monkeypatch):
+    # Every Q value of legendre.q_nu_mu_grid 1.3 times too large: the closed
+    # forms of Q_0, Q_1 and Q_2 that E47-legendre-exact holds them to do not
+    # move with them, so all six verdicts turn FAIL.
+    assert [v.status for v in run_claim("E47-legendre-exact")] == ["PASS"] * 6
+    grid = legendre.q_nu_mu_grid
+    monkeypatch.setattr(legendre, "q_nu_mu_grid",
+                        lambda points, spec=None: [1.3 * q for q in grid(points, spec)])
+    assert [v.status for v in run_claim("E47-legendre-exact")] == ["FAIL"] * 6
 
 
 def test_narrow_margin_rows():
@@ -401,13 +438,29 @@ def test_verdict_csv_header():
     assert text.splitlines()[0] == "claim,point,deviation,order,status,runtime_ms"
 
 
-def test_relation_grid_schema():
+# sha256 of `weaklim verify E47-legendre-relation --format csv` per numpy
+# version: the relation's 27-point grid, each rel_dev its verdict's deviation.
+RELATION_CSV_SHA256 = {
+    "2.4.6": "6445784bde410760b7c4d882298582bb6b31d3c457e7e499ae7a2a9cf9a19b25",
+}
+
+
+def test_relation_grid_schema(capsys):
     verdicts = run_claim("E47-legendre-relation")
     text = relation_grid_csv(verdicts)
     lines = text.splitlines()
     assert lines[0] == ("nu_re,nu_im,tau,z_re,z_im,"
                         "lhs_re,lhs_im,rhs_re,rhs_im,rel_dev")
     assert len(lines) == 1 + 27
+    assert cli.main(["verify", "E47-legendre-relation", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == text
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    pin = RELATION_CSV_SHA256.get(np.__version__)
+    if pin is None:
+        print(f"E47-legendre-relation csv sha256 at numpy {np.__version__}: {digest} "
+              f"(not pinned)")
+    else:
+        assert digest == pin
 
 
 # ------------------------------------------------------------------- sweeps

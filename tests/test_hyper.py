@@ -495,6 +495,23 @@ def test_family_beyond_1e305_is_the_underflowed_zero(tau):
         family_closed_form(np.array([tau, math.nan]), 0.1)
 
 
+@pytest.mark.parametrize("eps", [100.5, 1e3, 1e15, 1e100, 1e200, math.inf])
+def test_family_past_its_eps_bound_is_a_domain_error(eps):
+    # Past eps = 100 the value leaves its 4e-12 contract: 4.1e-12 at 1e3, and
+    # 10+53.7j, a bare OverflowError (inf+infj on the array route) and 0j
+    # at 1e15, 1e100 and 1e200.  Both routes name the bound; eps = 100 holds.
+    for tau in (0.1, np.array([0.1, 1.0])):
+        with pytest.raises(DomainError) as exc:
+            family_closed_form(tau, eps)
+        assert exc.value.condition == "0 < eps <= 100"
+    with pytest.raises(DomainError):
+        family_closed_form(np.array([0.1, 1.0]), np.array([1.0, eps]))
+    want = mpmath.gamma(200 + 0.2j) * mpmath.gamma(100 - 0.1j) / (
+        mpmath.gamma(200) * mpmath.gamma(100 + 0.1j))
+    for got in (family_closed_form(0.1, 100.0), family_closed_form(np.array([0.1]), 100.0)[0]):
+        assert abs(got - complex(want)) <= 4e-12 * abs(complex(want))
+
+
 def test_family_dual_route():
     # Gamma-product route against the duplication route, point by point.
     val = family_closed_form(1.0, 0.5)

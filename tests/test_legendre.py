@@ -7,12 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from weaklim import legendre
+from weaklim import claims, legendre
 from weaklim.complexfn import EULER_GAMMA, DomainError, _rx, digamma, gamma, log_gamma
 from weaklim.legendre import (
     BranchCutError,
     _gegenbauer_tail,
-    adjudicate_relation,
     asymptotic_large_nu,
     near_one_laws,
     q_nu,
@@ -23,6 +22,7 @@ from weaklim.legendre import (
     solve_eta,
     sqrt_cut,
 )
+from weaklim.config import RunConfig
 from weaklim.quad import integrate_semi_infinite
 
 mpmath.mp.dps = 30
@@ -351,16 +351,23 @@ def test_relation_rhs_near_one_consistency_band():
     assert 0.6 <= ratio <= 0.9
 
 
+def relation_verdict(nu, tau, z):
+    """The relation's verdict at one (nu, tau, z): the claims' row, judged as
+    the REPORT claim E47-legendre-relation judges it."""
+    [row] = claims._relation_rows([(nu, tau, z)])
+    return claims._judge(claims._BY_ID["E47-legendre-relation"], RunConfig(), row)
+
+
 def test_adjudication_tau_zero_grid():
     for nu in (0.0, 1.0, 2.0):
         for z in (2.0, 5.0):
-            v = adjudicate_relation(nu, 0.0, z)
+            v = relation_verdict(nu, 0.0, z)
             assert v.status == "REPORTED"
             assert v.deviation <= 1e-8
 
 
 def test_adjudication_reports_finite_deviations():
-    v = adjudicate_relation(0.0, 1.0, 1.5)
+    v = relation_verdict(0.0, 1.0, 1.5)
     assert v.status == "REPORTED"
     assert 0.0 < v.deviation < 1.0
     assert v.extra is not None and "lhs_re" in v.extra

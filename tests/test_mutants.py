@@ -25,7 +25,7 @@ import test_harness
 import test_hyper
 import test_legendre
 import test_quad
-from weaklim import claims, complexfn, distrib, hyper, legendre, quad, report
+from weaklim import claims, complexfn, distrib, hyper, legendre, quad
 
 
 def edited(module, name: str, old: str, new: str):
@@ -172,9 +172,13 @@ MUTANTS = [
      test_harness.test_tolerance_override_cannot_pass_a_failed_boolean_check),
     # The ratio form read as absolute: E45's Q values at z = 1000 are 1e-3
     # and below, so ten tolerances of them stay inside one tolerance.
-    ("judge-ratio-read-as-absolute", report, "_deviation",
-     lambda: edited(report, "_deviation", "abs(m / r - 1.0)", "abs(m - r)"),
+    ("judge-ratio-read-as-absolute", claims, "_deviation",
+     lambda: edited(claims, "_deviation", "abs(m / r - 1.0)", "abs(m - r)"),
      test_harness.test_every_assert_claim_fails_on_a_planted_defect),
+    # E47-legendre-exact's closed form Q_1 = z Q_0 - 1 written z Q_0 + 1.
+    ("q1-closed-form-sign", claims, "_q_closed",
+     lambda: edited(claims, "_q_closed", "z * q0 - 1.0", "z * q0 + 1.0"),
+     test_harness.test_legendre_exact_sees_a_defect_on_its_route),
     # The quadrature route's phase nu^(i tau) taken as exp(i tau / ln nu).
     ("large-nu-phase-over-log", legendre, "asymptotic_large_nu",
      lambda: edited(legendre, "asymptotic_large_nu", "1j * t * log_nu", "1j * t / log_nu"),
@@ -230,7 +234,7 @@ EQUIVALENT_ON_SOME_HOSTS = {
 }
 
 # Every module that imported a mutated function or constant by name.
-IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad, report,
+IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad,
              test_complexfn, test_distrib, test_hyper, test_legendre, test_quad)
 
 
