@@ -46,7 +46,7 @@ from .quad import EndpointExponents, Ends, QuadratureSpec, integrate_batch
 from .report import ClaimVerdict
 
 __all__ = ["Claim", "REGISTRY", "claim_ids", "run_claim", "run_claims",
-           "run_all", "sweep", "sweep_choices", "RunSummary"]
+           "run_all", "sweep", "RunSummary"]
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
@@ -75,7 +75,7 @@ class Claim:
     mode: str                    # ASSERT | REPORT
     tolerance: float             # headline sub-check tolerance
     measure: Callable[[RunConfig], list[Row]]
-    sweep: tuple[str, SweepFn] | None = None   # (kind, rows for plotting)
+    sweep: SweepFn | None = None   # ladder rows for plotting
 
     def run(self, cfg: RunConfig) -> list[ClaimVerdict]:
         return [_judge(self, cfg, row) for row in self.measure(cfg)]
@@ -172,7 +172,7 @@ def _beta_rows(grid, values) -> list[Row]:
 
 # ------------------------------------------------------------------ sweeps
 
-def _eps_sweep(pairing) -> tuple[str, SweepFn]:
+def _eps_sweep(pairing) -> SweepFn:
     """Epsilon sweep of a claim's pairing ladder: each row against its target.
 
     ``pairing(cfg, ladder)`` returns the claim's (PairingSweepResult, target)
@@ -184,7 +184,7 @@ def _eps_sweep(pairing) -> tuple[str, SweepFn]:
         res, target = pairing(cfg, eps)
         return "epsilon", [(p, v, e, _deviation("abs", v, target))
                            for (p, v, e) in res.points]
-    return "eps", rows
+    return rows
 
 
 def _fit_rungs(ladder: EpsilonLadder) -> tuple[float, ...]:
@@ -559,16 +559,16 @@ REGISTRY: tuple[Claim, ...] = tuple(sorted([
     Claim("E31-weak-limit-2f1", "ASSERT", 1e-2, _measure_weak_limit_2f1,
           _eps_sweep(_weak_limit_pairing)),
     Claim("E35-oscillatory", "ASSERT", 1e-6, _measure_oscillatory,
-          ("z", _sweep_oscillatory)),
+          _sweep_oscillatory),
     Claim("E45-large-z-asym", "ASSERT", 1e-2, _measure_large_z),
     Claim("E46-eta-solver", "ASSERT", 1e-10, _measure_eta_solver),
     Claim("E47-legendre-exact", "ASSERT", 1e-8, _measure_legendre_exact),
     Claim("E47-legendre-relation", "REPORT", math.inf,
           lambda cfg: _relation_rows(_RELATION_GRID)),
     Claim("E49-large-nu-asym", "ASSERT", 1e-3, _measure_large_nu,
-          ("nu", _sweep_large_nu)),
+          _sweep_large_nu),
     Claim("E53-near-one", "ASSERT", 0.12, _measure_near_one,
-          ("z", _sweep_near_one)),
+          _sweep_near_one),
     Claim("E54-power-slope", "ASSERT", 0.02, _measure_power_slope),
 ], key=lambda c: c.id))
 
@@ -633,29 +633,18 @@ def run_claims(ids, cfg: RunConfig | None = None) -> RunSummary:
                       int(any(r["failures"] for r in rows)))
 
 
-def sweep_choices() -> dict[str, list[str]]:
-    """Sweep kind -> ids of the claims that serve it, in registry order."""
-    out: dict[str, list[str]] = {}
-    for c in REGISTRY:
-        if c.sweep:
-            out.setdefault(c.sweep[0], []).append(c.id)
-    return out
-
-
-def sweep(kind: str, claim_id: str, cfg: RunConfig | None = None,
+def sweep(claim_id: str, cfg: RunConfig | None = None,
           ladder: tuple[float, ...] | None = None):
-    """Ladder rows (param, value, err_estimate, deviation) for plotting.
+    """Ladder rows (param, value, err_estimate, deviation) of a claim's sweep,
+    for plotting: its eps, |1 - z| or nu ladder, as the claim measures.
 
     ``ladder`` None takes the claim's default ladder; an empty one raises
     DomainError.
     """
-    choices = sweep_choices()
-    if kind not in choices:
-        raise KeyError(f"unknown sweep kind {kind!r}")
     claim = _BY_ID.get(claim_id)
-    if claim is None or claim.sweep is None or claim.sweep[0] != kind:
-        raise KeyError(f"claim {claim_id!r} does not support kind {kind!r}; "
-                       f"choices: {', '.join(choices[kind])}")
+    if claim is None or claim.sweep is None:
+        raise KeyError(f"claim {claim_id!r} has no sweep; claims with one: "
+                       f"{', '.join(c.id for c in REGISTRY if c.sweep)}")
     if ladder is not None and not ladder:  # only None means the claim's default
-        raise DomainError("non-empty ladder", f"the {kind} sweep of {claim_id} got no values")
-    return claim.sweep[1](cfg or RunConfig(), ladder)
+        raise DomainError("non-empty ladder", f"the sweep of {claim_id} got no values")
+    return claim.sweep(cfg or RunConfig(), ladder)

@@ -9,7 +9,7 @@ Examples:
     weaklim eval q_nu nu=0 z=2
     weaklim verify E04-euler-beta --format csv --out e04.csv
     weaklim verify-all --format md
-    weaklim sweep eps E31-weak-limit-2f1 --eps-ladder 1e-1,1e-2,1e-3
+    weaklim sweep E31-weak-limit-2f1 --eps-ladder 1e-1,1e-2,1e-3
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def _cmd_verify_all(args, cfg) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    ladder = (parse_floats("eps_ladder", args.eps_ladder)
-              if args.eps_ladder is not None else None)
-    param_name, rows = claims.sweep(args.kind, args.claim_id, cfg, ladder)
+    ladder = (parse_floats("eps_ladder", args.sweep_ladder)
+              if args.sweep_ladder is not None else None)
+    param_name, rows = claims.sweep(args.claim_id, cfg, ladder)
     _emit(sweep_rows_csv(param_name, rows), cfg.out)
     return 0
 
@@ -210,35 +210,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv", "md"))
-    common.add_argument("--eps-ladder",
-                        help="comma-separated ladder values")
-    common.add_argument("--probe", help="probe name for pairings")
-    common.add_argument("--tol", type=float,
-                        help="tolerance override for every measured sub-check")
+    # eval takes no flag; sweep takes these and its own --eps-ladder.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="flat key=value config file")
+    shared.add_argument("--out", help="output path (default stdout)")
+    shared.add_argument("--probe", help="probe name for pairings")
+    run = argparse.ArgumentParser(add_help=False, parents=[shared])
+    run.add_argument("--format", choices=("json", "csv", "md"))
+    run.add_argument("--eps-ladder", help="comma-separated eps ladder values")
+    run.add_argument("--tol", type=float,
+                     help="tolerance override for every measured sub-check")
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate one catalog function")
+    p_eval = sub.add_parser("eval", help="evaluate one catalog function")
     p_eval.add_argument("function")
     p_eval.add_argument("params", nargs="*", help="key=value arguments")
     p_eval.set_defaults(run=_cmd_eval)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run one claim")
+    p_verify = sub.add_parser("verify", parents=[run], help="run one claim")
     p_verify.add_argument("claim_id")
     p_verify.set_defaults(run=_cmd_verify)
 
-    p_all = sub.add_parser("verify-all", parents=[common],
-                           help="run every claim")
+    p_all = sub.add_parser("verify-all", parents=[run], help="run every claim")
     p_all.set_defaults(run=_cmd_verify_all)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[shared],
                              help="emit ladder rows for one claim")
-    p_sweep.add_argument("kind", choices=tuple(claims.sweep_choices()))
     p_sweep.add_argument("claim_id")
+    # The claim's own ladder (eps, |1 - z|, z - 1 or nu), not the run's eps ladder.
+    p_sweep.add_argument("--eps-ladder", dest="sweep_ladder",
+                         help="comma-separated values of the claim's sweep ladder")
     p_sweep.set_defaults(run=_cmd_sweep)
     return parser
 
@@ -246,15 +246,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        file_values = load_config_file(args.config) if args.config else {}
-        flag_values = {
-            "out": args.out,
-            "format": args.format,
-            "probe": args.probe,
-            "tol": args.tol,
-        }
-        if args.command != "sweep":  # a sweep's ladder need not be eps
-            flag_values["eps_ladder"] = args.eps_ladder
+        config = getattr(args, "config", None)
+        file_values = load_config_file(config) if config else {}
+        flag_values = {key: getattr(args, key, None)
+                       for key in ("out", "format", "eps_ladder", "probe", "tol")}
         cfg = build_run_config(file_values, flag_values)
         unknown = sorted(set(cfg.tol_overrides) - set(claims.claim_ids()))
         if unknown:

@@ -121,16 +121,18 @@ def omega_eps(x, eps: float):
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():  # +-inf is fine: the kernel's limit there is 0
         raise DomainError("x not NaN", "omega_eps of NaN x")
-    den = eps * eps + x * x
-    if den.all():
+    with np.errstate(over="ignore"):
+        den = eps * eps + x * x
+    if den.all() and np.isfinite(den).all():
         out = (eps / math.pi) / den
-    else:  # eps^2 + x^2 underflowed to 0: there (1/pi) / (eps + x (x / eps))
-        tiny = den == 0.0
-        x = np.where(tiny, x, 0.0)
+    else:  # eps^2 + x^2 left double range: there (1/pi) / (eps + x (x / eps))
+        wide = (den == 0.0) | (den == math.inf)
+        x = np.where(wide, x, 0.0)
+        with np.errstate(over="ignore"):  # an x (x / eps) past double range: the kernel is 0
+            den = np.where(wide, eps + x * (x / eps), den)
         try:
             with np.errstate(over="raise"):
-                out = np.where(tiny, (1.0 / math.pi) / (eps + x * (x / eps)),
-                               (eps / math.pi) / np.where(tiny, 1.0, den))
+                out = np.where(wide, 1.0 / math.pi, eps / math.pi) / den
         except FloatingPointError:  # near x = 0 the kernel, 1/(pi eps), is past double range
             raise DomainError("omega_eps within double range",
                               f"the kernel at eps = {eps!r} overflows near x = 0") from None
@@ -302,7 +304,7 @@ def beta_semi_infinite(alpha, beta_arg, spec: QuadratureSpec | None = None) -> c
     s = a + b
     cut = math.log(4.0 * max(1.0, abs(s)))
     f = lambda v: _times(np.exp(-a * v) + np.exp(-b * v), (1.0 + _rx(np.exp, -v)) ** (-s))
-    tail = complex(_binomial_tail(np.array([a, b]), 1.0 - s, 1.0, cut).sum())
+    tail = complex(_binomial_tail(np.array([a, b]), 1.0 - s, cut).sum())
     freq = max(abs(a.imag), abs(b.imag))
     return integrate_semi_infinite(f, cut, tail, spec, osc_freq=freq).value
 
@@ -385,27 +387,31 @@ def delta_claim_sweep(probe: Probe, interval: tuple[float, float],
 # ------------------------------------------------------- regularized Mellin
 
 _INVERSE_BUDGET = 2.5e-10  # of _mellin_inverse's tail by parts
+_TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
-def _binomial_tail(a, s, sign: float, cut: float):
-    """Integral over [cut, inf) of e^(-a u) (1 + sign e^-u)^(s-1) du, sign = +-1.
+def _binomial_tail(a, s, cut: float):
+    """Integral over [cut, inf) of e^(-a u) (1 + e^-u)^(s-1) du.
 
-    The binomial series (1 + sign x)^(s-1) = sum b_k x^k integrates term by
+    The binomial series (1 + x)^(s-1) = sum b_k x^k integrates term by
     term to e^(-a cut) sum_k b_k x^k / (a+k), x = e^-cut, elementwise in a
-    and s (Re a > 0), over all k at once: log(b_k x^k) sums the logs of the
-    ratios b_(k+1) x / b_k = (k+1-s) x / (-sign (k+1)).  A term is at most
+    (Re a > 0) for one s, over all k at once: log(b_k x^k) sums the logs of
+    the ratios b_(k+1) x / b_k = (k+1-s) x / (-(k+1)).  A term is at most
     r = x max(1, |1-s|) times the one before, so the first n, with
     r^n <= 1e-18 (1 - 2r), leave less than 1e-18 of the sum; 40 for r >= 1/2.
-    The one product of two complex arrays goes through _times, and complex
-    log, exp and / do not depend on the SIMD level.
+    An s that rounded to 1 leaves z = 1 - s = 0, whose first ratio is 0:
+    there z is the smallest normal double, which keeps the logs finite and
+    every term past b_0 = 1 below 1e-300 of it.  The one product of two
+    complex arrays goes through _times, and complex log, exp and / do not
+    depend on the SIMD level.
     """
     a = np.asarray(a, dtype=complex)
-    z = 1.0 - np.asarray(s, dtype=complex)
+    z = (1.0 - complex(s)) or complex(_TINY)
     x = math.exp(-cut)
-    r = x * max(1.0, float(np.hypot(z.real, z.imag).max()))
+    r = x * max(1.0, abs(z))
     n = 40 if r >= 0.5 else min(40, math.ceil(math.log(1e-18 * (1.0 - 2.0 * r)) / math.log(r)))
     k = np.arange(n)
-    logs = np.log((k + z[..., None]) * (x / (-sign * (k + 1))))
+    logs = np.log((k + z) * (x / -(k + 1)))
     terms = np.exp(np.cumsum(logs, axis=-1) - logs) / (a[..., None] + k)  # b_k x^k / (a+k)
     return _times(np.exp(-a * cut), terms.sum(axis=-1))
 
@@ -470,7 +476,7 @@ def _mellin_forward_grid(taus: np.ndarray, eps, reach: float) -> np.ndarray:
             out[at] = (cosines[at_mag[at] - start] * rows[at_eps[at]]).sum(axis=1)
         for k, eps in enumerate(epss.tolist()):
             at = at_eps == k
-            out[at] += 2.0 * _binomial_tail(eps + 1j * mags[at], 1.0 - 2.0 * eps, 1.0, cut).real
+            out[at] += 2.0 * _binomial_tail(eps + 1j * mags[at], 1.0 - 2.0 * eps, cut).real
         return out
 
     return _even_in_tau(transform, taus, eps)
@@ -505,6 +511,8 @@ def _mellin_inverse(t: float, epss) -> list[tuple[complex, float]]:
     for eps in epss:
         if not eps > 0.0:
             raise DomainError("eps > 0")
+        if eps * eps == 0.0:  # the kernel's eps^2 + x^2 would be 0 near x = 0
+            raise DomainError("eps^2 > 0", f"eps = {eps!r}: eps^2 underflows to 0")
         if L == 0.0:
             X = max(50.0 * eps, 1.0)
         else:

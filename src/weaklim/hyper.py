@@ -245,9 +245,11 @@ def family_closed_form(tau, eps):
 
 
 def family_duplication_form(tau: float, eps: float) -> complex:
-    """The same value routed through the duplication formula."""
-    if not eps > 0.0:
-        raise DomainError("eps > 0")
+    """The same value routed through the duplication formula, for eps in
+    (0, 100] as family_closed_form (within 2.5e-13 of mpmath there; 2.5e-9 off
+    at eps = 1e6, and 0j at 1e300)."""
+    if not 0.0 < eps <= _FAMILY_EPS_MAX:
+        raise DomainError(_FAMILY_EPS_RANGE, f"eps = {eps!r} is outside {_FAMILY_EPS_RANGE}")
     zp = complex(eps, float(tau))
     return cmath.exp(
         (2.0 * zp - 1.0) * _LN2 - 0.5 * math.log(math.pi)

@@ -147,7 +147,12 @@ def q_nu_mu_grid(points, spec: QuadratureSpec | None = None) -> list[complex]:
                               f"mu = {mu!r}") from None
         w = sqrt_cut(z)
         rho = max(abs(z + 1.0), abs(z - 1.0)) / abs(w)
-        cut = math.log(4.0 * rho * max(1.0, abs(nu + 1.0)))
+        reach = 4.0 * rho * max(1.0, abs(nu + 1.0))  # e^cut
+        cut = math.log(reach)
+        if not math.isfinite(abs(z) + abs(w) * reach):  # the kernel's z + w cosh t at cut
+            raise DomainError("Q_nu^mu kernel within double range",
+                              f"z + w cosh t overflows on the window [0, {cut!r}] at "
+                              f"nu = {nu!r}, z = {z!r}")
         tail = _gegenbauer_tail(nu, mu, z, w, cut)
         if pref == 0.0:  # the prefactor underflowed: no window to integrate
             out.append(0j)

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weaklim import claims, distrib, hyper, quad
+from weaklim import claims, distrib, hyper, legendre, quad
 from weaklim.complexfn import DomainError
 from weaklim.distrib import (
     PROBES,
@@ -91,6 +91,41 @@ def test_omega_past_double_range_is_a_domain_error():
         with pytest.raises(DomainError) as exc:
             omega_eps(x, 5e-324)
         assert exc.value.condition == "omega_eps within double range"
+
+
+# Edge inputs that leaked a RuntimeWarning before a value or a named error:
+# (function, arguments, the DomainError condition, or the mpmath value and
+# the absolute error allowed on it).
+_WARNING_LEAKS = {
+    # s = a + b rounds 1 - s to 1: the binomial tail's first ratio was 0.
+    "mellin-forward-tiny-eps": (distrib.mellin_reg_forward, (0.5, 1e-17),
+                                (5.46055560264686219943682658906e-17, 1e-9)),
+    "beta-semi-infinite-tiny": (distrib.beta_semi_infinite, (1e-17, 1e-17),
+                                (2e17, 1e-10 * 2e17)),
+    # eps^2 underflows to 0, and the kernel divided by 0 at x = 0.
+    "mellin-inverse-tiny-eps": (distrib.mellin_inverse_check, (2.0, 1e-300), "eps^2 > 0"),
+    # eps^2 + x^2 overflows where the kernel is 0 (2.2e-598), 3.18e-251 or 3.18e-301.
+    "omega-far-x": (omega_eps, (1e300, 700.0), (0.0, 0.0)),
+    "omega-far-x-wide-eps": (omega_eps, (1e200, 1e150), (3.1830988618379066e-251, 1e-266)),
+    "omega-huge-eps": (omega_eps, (0.0, 1e300), (3.183098861837907e-301, 1e-316)),
+    # z + w cosh t overflows on the window (they returned 0j).
+    "q-nu-far": (legendre.q_nu, (1e300, 1e300), "Q_nu^mu kernel within double range"),
+    "q-nu-mu-far": (legendre.q_nu_mu, (1e300, 0.5, 1e300), "Q_nu^mu kernel within double range"),
+    "q-nu-itau-far": (legendre.q_nu_itau_direct, (1e300, 1.0, 1e300),
+                      "Q_nu^mu kernel within double range"),
+}
+
+
+@pytest.mark.parametrize("fn, args, want", _WARNING_LEAKS.values(), ids=_WARNING_LEAKS)
+def test_edge_inputs_keep_the_contract_without_a_warning(fn, args, want):
+    # The suite turns a RuntimeWarning into an error, so a leak fails here.
+    if isinstance(want, str):
+        with pytest.raises(DomainError) as exc:
+            fn(*args)
+        assert exc.value.condition == want
+    else:
+        value, allowed = want
+        assert abs(fn(*args) - value) <= allowed
 
 
 def test_omega_normalization_by_quadrature():
@@ -575,7 +610,7 @@ _TAIL_PAIRS = np.random.default_rng(29).uniform([0.05, -4.0], [4.0, 4.0], (600, 
 
 def _beta_tails(a: complex, b: complex) -> np.ndarray:
     """beta_semi_infinite's two tails."""
-    return _binomial_tail(np.array([a, b]), 1.0 - (a + b), 1.0,
+    return _binomial_tail(np.array([a, b]), 1.0 - (a + b),
                           math.log(4.0 * max(1.0, abs(a + b))))
 
 

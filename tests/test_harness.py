@@ -24,7 +24,6 @@ from weaklim.claims import (
     run_all,
     run_claim,
     sweep,
-    sweep_choices,
 )
 from weaklim.complexfn import DomainError
 from weaklim.config import RunConfig, build_run_config, load_config_file
@@ -466,7 +465,7 @@ def test_relation_grid_schema(capsys):
 # ------------------------------------------------------------------- sweeps
 
 def test_eps_sweep_rows():
-    name, rows = sweep("eps", "E31-weak-limit-2f1")
+    name, rows = sweep("E31-weak-limit-2f1")
     assert name == "epsilon"
     assert len(rows) == 9
     mags = [abs(v) for (_, v, _, _) in rows]
@@ -474,7 +473,7 @@ def test_eps_sweep_rows():
 
 
 def test_z_sweep_near_one_ratio_column():
-    name, rows = sweep("z", "E53-near-one")
+    name, rows = sweep("E53-near-one")
     assert name == "z_minus_one"
     ratios = [v.real for (_, v, _, _) in rows]
     # The leading-log ratio climbs toward 1 as z - 1 falls.
@@ -485,7 +484,7 @@ def test_z_sweep_near_one_ratio_column():
 
 
 def test_nu_sweep_ratio_rows():
-    name, rows = sweep("nu", "E49-large-nu-asym")
+    name, rows = sweep("E49-large-nu-asym")
     assert name == "nu"
     assert [p for (p, _, _, _) in rows] == [10.0, 50.0, 250.0]
     devs = [d for (_, _, _, d) in rows]
@@ -494,20 +493,23 @@ def test_nu_sweep_ratio_rows():
                                             for (_, v, _, _) in rows]
 
 
+# Each claim with a sweep, by the ladder its sweep walks.
+SWEEP_LADDERS = {
+    "E12-beta-delta": "eps", "E16-mellin-forward": "eps", "E17-mellin-inverse": "eps",
+    "E31-weak-limit-2f1": "eps", "E35-oscillatory": "z", "E53-near-one": "z",
+    "E49-large-nu-asym": "nu",
+}
+
+
 def test_sweep_choices_are_the_claims_own():
-    assert sweep_choices() == {
-        "eps": ["E12-beta-delta", "E16-mellin-forward", "E17-mellin-inverse",
-                "E31-weak-limit-2f1"],
-        "z": ["E35-oscillatory", "E53-near-one"],
-        "nu": ["E49-large-nu-asym"],
-    }
+    assert [c.id for c in claims.REGISTRY if c.sweep] == sorted(SWEEP_LADDERS)
 
 
-def test_sweep_rejects_mismatched_kind():
+def test_sweep_rejects_a_claim_without_one():
+    with pytest.raises(KeyError, match="has no sweep"):
+        sweep("E45-large-z-asym")
     with pytest.raises(KeyError):
-        sweep("eps", "E45-large-z-asym")
-    with pytest.raises(KeyError):
-        sweep("orbit", "E31-weak-limit-2f1")
+        sweep("E99-nope")
 
 
 # ---------------------------------------------------------------------- CLI
@@ -582,7 +584,7 @@ def test_cli_e47_csv_grid(tmp_path):
 
 def test_cli_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    r = run_cli("sweep", "eps", "E12-beta-delta", "--eps-ladder",
+    r = run_cli("sweep", "E12-beta-delta", "--eps-ladder",
                 "1e-1,1e-2,1e-3", "--out", str(out))
     assert r.returncode == 0
     lines = out.read_text().splitlines()
@@ -590,7 +592,7 @@ def test_cli_sweep_csv(tmp_path):
     assert len(lines) == 4
 
 
-# sha256 of `weaklim sweep eps <claim>` at the default ladder per numpy
+# sha256 of `weaklim sweep <claim>` at the default ladder per numpy
 # version: the bytes from before verify took only the rungs it reads.
 SWEEP_SHA256 = {
     "2.4.6": {
@@ -605,7 +607,7 @@ SWEEP_SHA256 = {
                                       "E31-weak-limit-2f1"])
 def test_sweeps_keep_every_rung(claim_id, capsys):
     # verify reads a ladder claim's trailing rungs only; sweep prints them all.
-    assert cli.main(["sweep", "eps", claim_id]) == 0
+    assert cli.main(["sweep", claim_id]) == 0
     text = capsys.readouterr().out
     assert len(text.splitlines()) == 1 + len(EpsilonLadder.default().values) == 10
     pin = SWEEP_SHA256.get(np.__version__)
@@ -614,33 +616,62 @@ def test_sweeps_keep_every_rung(claim_id, capsys):
               f"{hashlib.sha256(text.encode()).hexdigest()} (not pinned)")
     else:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin[claim_id]
-    assert cli.main(["sweep", "eps", claim_id, "--eps-ladder", "1e-1,1e-2,1e-3"]) == 0
+    assert cli.main(["sweep", claim_id, "--eps-ladder", "1e-1,1e-2,1e-3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-1, 1e-2, 1e-3]
 
 
-@pytest.mark.parametrize("kind, claim_id", [(kind, claim_id)
-                                            for kind, ids in sweep_choices().items()
-                                            for claim_id in ids])
+@pytest.mark.parametrize("claim_id", [pytest.param(claim_id, id=f"{kind}-{claim_id}")
+                                      for claim_id, kind in SWEEP_LADDERS.items()])
 @pytest.mark.parametrize("text", [",", ""])
-def test_cli_sweep_empty_ladder_exits_2(kind, claim_id, text, capsys):
+def test_cli_sweep_empty_ladder_exits_2(claim_id, text, capsys):
     # Only a missing --eps-ladder means the claim's default ladder.
-    assert cli.main(["sweep", kind, claim_id, "--eps-ladder", text]) == 2
+    assert cli.main(["sweep", claim_id, "--eps-ladder", text]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(DomainError, match="got no values"):
-        sweep(kind, claim_id, ladder=())
+        sweep(claim_id, ladder=())
 
 
 @pytest.mark.parametrize("nu", ["536", "700", "1e6"])
 def test_cli_sweep_large_nu_past_underflow_exits_2(nu, capsys):
     # Past nu = 535 both large-degree forms of Q_nu(2) have left the normal
     # doubles (at 700 both are 0): a named error, not a division by zero.
-    assert cli.main(["sweep", "nu", "E49-large-nu-asym", "--eps-ladder", nu]) == 2
+    assert cli.main(["sweep", "E49-large-nu-asym", "--eps-ladder", nu]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "underflowed" in err
-    assert cli.main(["sweep", "nu", "E49-large-nu-asym", "--eps-ladder", "500"]) == 0
+    assert cli.main(["sweep", "E49-large-nu-asym", "--eps-ladder", "500"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 and out[1].startswith("5.0000000000000000e+02,9.51")
+
+
+def _exit_status(argv) -> int:
+    """cli.main's return, or the status argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_RUN_FLAGS = {"--config": "run.cfg", "--out": "out.txt", "--format": "json",
+              "--eps-ladder": "1e-1,1e-2", "--probe": "gaussian", "--tol": "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["eval", "gamma", "z=0.5", flag, value] for flag, value in _RUN_FLAGS.items()),
+    ["sweep", "E12-beta-delta", "--format", "json"],
+    ["sweep", "E12-beta-delta", "--tol", "1"],
+    ["sweep", "eps", "E12-beta-delta"],
+    ["sweep", "E45-large-z-asym"],
+], ids=[*(f"eval{flag}" for flag in _RUN_FLAGS), "sweep--format", "sweep--tol",
+        "sweep-kind", "sweep-claim-without-one"])
+def test_cli_rejects_what_its_command_does_not_read(argv, tmp_path, monkeypatch, capsys):
+    # eval reads no flag and a sweep judges nothing: a flag they would ignore,
+    # or a sweep kind the claim id already names, exits 2 and writes nothing.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("probe = gaussian\n", encoding="utf-8")
+    assert _exit_status(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_cli_config_unknown_key(tmp_path):
@@ -739,7 +770,7 @@ def test_cli_hyp2f1_estimate_bounds_the_miss_near_the_unit_circle(capsys, a, b, 
 @pytest.mark.parametrize("argv, says", [
     (["eval", "mellin_forward", "tau=1e4", "eps=0.1"], "subdivision budget"),
     (["eval", "hyp2f1", "a=1000i", "b=1", "c=1", "z=0.9"], "not finite"),
-    (["sweep", "eps", "E12-beta-delta", "--eps-ladder", "1e-1,x"], "'x'"),
+    (["sweep", "E12-beta-delta", "--eps-ladder", "1e-1,x"], "'x'"),
     (["verify", "E12-beta-delta", "--eps-ladder", "inf,1e-2,1e-3"],
      "ladder values finite"),
     (["eval", "gamma", "z=nan"], "not finite"),

@@ -528,6 +528,20 @@ def test_family_duplication_grid():
             assert abs(a - b) <= 1e-10 * abs(a)
 
 
+@pytest.mark.parametrize("eps", [100.5, 1e3, 1e15, 1e300, math.inf, 0.0])
+def test_duplication_form_past_the_family_eps_bound_is_a_domain_error(eps):
+    # The duplication route leaves the contract past eps = 100 as the closed
+    # form does: 1.4e-12 off at 1e3, 0.000332+0.0000464j where F is about
+    # 0.990+0.138j at 1e15, and 0j at 1e300.  It names the same bound, and
+    # eps = 100 holds.
+    with pytest.raises(DomainError) as exc:
+        family_duplication_form(0.1, eps)
+    assert exc.value.condition == "0 < eps <= 100"
+    want = complex(mpmath.gamma(200 + 0.2j) * mpmath.gamma(100 - 0.1j) / (
+        mpmath.gamma(200) * mpmath.gamma(100 + 0.1j)))
+    assert abs(family_duplication_form(0.1, 100.0) - want) <= 4e-12 * abs(want)
+
+
 def test_family_factorization_grid():
     for eps in (1e-3, 1e-2, 0.1, 0.5):
         for tau in (0.1, 0.5, 1.0, 2.0):

@@ -25,7 +25,7 @@ import test_harness
 import test_hyper
 import test_legendre
 import test_quad
-from weaklim import claims, complexfn, distrib, hyper, legendre, quad
+from weaklim import claims, cli, complexfn, distrib, hyper, legendre, quad
 
 
 def edited(module, name: str, old: str, new: str):
@@ -98,8 +98,8 @@ MUTANTS = [
                     " @ rows[0])"),
      test_distrib.test_mellin_grid_value_does_not_depend_on_the_batch),
     ("mellin-grid-tail-at-36", distrib, "_mellin_forward_grid",
-     lambda: edited(distrib, "_mellin_forward_grid", "1.0 - 2.0 * eps, 1.0, cut)",
-                    "1.0 - 2.0 * eps, 1.0, 36.0)"),
+     lambda: edited(distrib, "_mellin_forward_grid", "1.0 - 2.0 * eps, cut)",
+                    "1.0 - 2.0 * eps, 36.0)"),
      test_distrib.test_mellin_grid_matches_mpmath_on_ladder),
     ("tail-numpy-mul", distrib, "_binomial_tail",
      lambda: edited(distrib, "_binomial_tail", "_times(np.exp(-a * cut), terms.sum(axis=-1))",
@@ -146,6 +146,12 @@ MUTANTS = [
      lambda: edited(hyper, "hyp2f1", "last = (loud[-1] if loud.size else last) - len(n)",
                     "last = -1"),
      test_hyper.test_quiet_run_straddling_the_first_chunk_edge),
+    # The duplication route without the family's eps bound: at eps = inf it
+    # raises log_gamma's "finite argument", not the bound.
+    ("duplication-eps-unbounded", hyper, "family_duplication_form",
+     lambda: edited(hyper, "family_duplication_form", "0.0 < eps <= _FAMILY_EPS_MAX", "0.0 < eps"),
+     functools.partial(test_hyper.test_duplication_form_past_the_family_eps_bound_is_a_domain_error,
+                       math.inf)),
     ("hyp2f1-rel-tol-1e-6", hyper, "hyp2f1",
      lambda: edited(hyper, "hyp2f1", "rel_tol: float = 1e-13", "rel_tol: float = 1e-6"),
      test_hyper.test_series_matches_mpmath),
@@ -183,6 +189,14 @@ MUTANTS = [
     ("large-nu-phase-over-log", legendre, "asymptotic_large_nu",
      lambda: edited(legendre, "asymptotic_large_nu", "1j * t * log_nu", "1j * t / log_nu"),
      functools.partial(test_legendre.test_quadrature_large_nu_form_carries_the_phase, 0.5)),
+    # A budget of k splits that counts each split twice stops at k / 2.
+    ("splits-counted-twice", quad, "_adaptive",
+     lambda: edited(quad, "_adaptive", "run.splits += 1", "run.splits += 2"),
+     test_quad.test_an_integral_converges_within_exactly_the_splits_it_needs),
+    # Half-period edges held to a third of the budget, not half.
+    ("half-periods-a-third-of-the-budget", quad, "Window",
+     lambda: edited(quad, "Window", "spec.max_subdivisions // 2", "spec.max_subdivisions // 3"),
+     test_quad.test_half_period_edges_may_take_half_the_budget),
     ("finite-edges-swapped", quad, "integrate_finite",
      lambda: edited(quad, "integrate_finite", "edges[sides](u)", "edges[1 - sides](u)"),
      test_quad.test_finite_is_one_ends_plan_seeded_in_one_call),
@@ -214,6 +228,14 @@ MUTANTS = [
      lambda: edited(complexfn, "_log_gamma_right_array",
                     "(x < _SERIES_EDGE) & (np.abs(y) < _SERIES_EDGE)", "x < _SERIES_EDGE"),
      test_complexfn.test_log_gamma_past_the_shift_band_matches_mpmath),
+    # sweep given a --format it would ignore, as it was before it took only
+    # the flags it reads.
+    ("sweep-takes-format", cli, "_build_parser",
+     lambda: edited(cli, "_build_parser", 'p_sweep.add_argument("claim_id")',
+                    'p_sweep.add_argument("claim_id")\n'
+                    '    p_sweep.add_argument("--format", choices=("json", "csv", "md"))'),
+     functools.partial(test_harness.test_cli_rejects_what_its_command_does_not_read,
+                       ["sweep", "E12-beta-delta", "--format", "json"])),
     ("digamma-reflect-unreduced", complexfn, "digamma",
      lambda: edited(complexfn, "digamma", "_expm1c(_two_pi_i_frac(z))",
                     "_expm1c(2j * math.pi * z)"),
@@ -234,7 +256,7 @@ EQUIVALENT_ON_SOME_HOSTS = {
 }
 
 # Every module that imported a mutated function or constant by name.
-IMPORTERS = (complexfn, hyper, claims, distrib, legendre, quad,
+IMPORTERS = (complexfn, hyper, claims, cli, distrib, legendre, quad,
              test_complexfn, test_distrib, test_hyper, test_legendre, test_quad)
 
 

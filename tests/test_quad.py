@@ -136,7 +136,7 @@ def _beta_half(vs):  # Beta half at p = 0.3 + 2i, a + b = 0.8 + 1.5i
 
 
 def _beta_half_tail(cut):
-    return complex(_binomial_tail(0.3 + 2j, 1.0 - (0.8 + 1.5j), 1.0, cut))
+    return complex(_binomial_tail(0.3 + 2j, 1.0 - (0.8 + 1.5j), cut))
 
 
 @pytest.mark.parametrize("f, tail, freq", [(_q_itau, _q_itau_tail, 0.5),
@@ -607,6 +607,37 @@ def test_batch_raises_the_first_failure_in_input_order():
     with pytest.raises(ConvergenceError):
         _adaptive(_batch_integrand, batch[3:4])
     assert all(_adaptive(_batch_integrand, [plan]) for plan in batch[::2])
+
+
+def test_an_integral_converges_within_exactly_the_splits_it_needs():
+    # sqrt|t - 1/pi| on [0, 1] needs k splits, read from its evaluations (31
+    # on its one initial panel, 62 a split): a budget of k gives the same
+    # result, and k - 1 exhausts the budget.
+    g = lambda t, _: np.sqrt(np.abs(t - 1.0 / math.pi))
+
+    def within(n):
+        try:
+            return integrate_batch(g, [Window(None, 0.0, 1.0)],
+                                   QuadratureSpec(1e-10, 1e-10, n))[0]
+        except ConvergenceError as exc:
+            assert "subdivision budget" in str(exc)
+            return None
+
+    full = within(DEFAULT_SPEC.max_subdivisions)
+    k = (full.evaluations - 31) // 62
+    assert k == 20
+    assert within(k) == full
+    assert within(k - 1) is None
+
+
+def test_half_period_edges_may_take_half_the_budget():
+    # 25 half periods of cos(7 t) fit in [0, b]: a window seeds its panels at
+    # them under a budget of 60 splits (30 edges), not under 50 (25 edges).
+    width = math.pi / 7.0
+    window = Window("k", 0.0, 25.5 * width, osc_freq=7.0)
+    edges = [0.0, *(i * width for i in range(1, 26)), window.b]
+    assert window.plan(QuadratureSpec(max_subdivisions=60))[1] == [("k", edges, None)]
+    assert window.plan(QuadratureSpec(max_subdivisions=50))[1] == [("k", [0.0, window.b], None)]
 
 
 def test_batch_error_on_a_non_finite_integral_is_its_own():
